@@ -14,7 +14,8 @@
 //   * windowed engine: the same stream through a 2-producer/2-worker
 //     HhhEngine at EngineConfig::history_depth = K, manual rotations on
 //     stream position, plus one trend_snapshot() per epoch -- Mpps and the
-//     K-aligned snapshot latency.
+//     median K-aligned snapshot latency over all epochs.
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <thread>
@@ -108,7 +109,7 @@ int main(int argc, char** argv) {
   print_row({"depth K", "Mpps (95% CI)", "trend_snapshot ms"});
   for (const std::size_t depth : {1u, 4u, 16u}) {
     RunningStats mpps;
-    double snap_ms = 0.0;
+    std::vector<double> snap_ms;  // every epoch's poll, pooled over runs
     for (int r = 0; r < args.runs; ++r) {
       EngineConfig cfg;
       cfg.monitor.hierarchy = HierarchyKind::kIpv4TwoDimBytes;
@@ -143,7 +144,7 @@ int main(int argc, char** argv) {
         }
         const double s0 = now_sec();
         const TrendSnapshot snap = eng->trend_snapshot();
-        snap_ms = (now_sec() - s0) * 1e3;
+        snap_ms.push_back((now_sec() - s0) * 1e3);
         if (snap.current_length() == 0 && snap.sealed_windows() == 0) {
           std::printf("?");  // unreachable; defeats dead-code elimination
         }
@@ -152,16 +153,19 @@ int main(int argc, char** argv) {
       const double dt = now_sec() - t0;
       mpps.add(static_cast<double>(keys.size()) / dt / 1e6);
     }
-    print_row({std::to_string(depth), ci_cell(mpps), fmt(snap_ms)});
+    // Median over every epoch's poll: one slow outlier cannot set the cell.
+    const auto mid = snap_ms.begin() + static_cast<std::ptrdiff_t>(snap_ms.size() / 2);
+    std::nth_element(snap_ms.begin(), mid, snap_ms.end());
+    print_row({std::to_string(depth), ci_cell(mpps), fmt(*mid)});
   }
 
   std::printf(
       "\n(expected shape: core-ring Mpps flat in K -- rotation cost is one\n"
       " counter clear, not a function of history -- with memory linear in\n"
-      " K+1 and trend probes linear in K; the engine panel runs a full\n"
-      " trend_snapshot every epoch, so its Mpps *includes* one K-window\n"
-      " cross-shard merge per epoch -- the price of a detection loop that\n"
-      " watches the whole history at small epochs; poll less often or\n"
-      " shrink K if ingest dominates)\n");
+      " K+1 and trend probes linear in K; the engine panel runs a\n"
+      " trend_snapshot every epoch (median ms over all epochs), so its Mpps\n"
+      " *includes* one W-shard merge per epoch -- each sealed window is\n"
+      " merged once and then shifts through the engine's cache, so the\n"
+      " poll cost stays flat in K)\n");
   return 0;
 }

@@ -13,6 +13,10 @@ namespace rhhh {
 
 namespace {
 
+/// Seed salt of every merged sealed window, xor'ed with the window's own
+/// epoch: the query cache and the archiver build byte-identical lattices.
+constexpr std::uint64_t kSealedSalt = 0x6e7ac000ULL;
+
 /// EngineStats as a flat JSON object -- the "stats" section of the stall
 /// watchdog's flight-recorder dump.
 std::string engine_stats_json(const EngineStats& s) {
@@ -36,6 +40,7 @@ std::string engine_stats_json(const EngineStats& s) {
   field("archive_queue_drops", s.archive_queue_drops);
   field("archive_errors", s.archive_errors);
   field("trend_cache_hits", s.trend_cache_hits);
+  field("trend_sealed_merges", s.trend_sealed_merges);
   field("budget_rotations", s.budget_rotations);
   field("rotation_drift_ns_total", s.rotation_drift_ns_total);
   field("late_rotations", s.late_rotations);
@@ -268,61 +273,35 @@ void HhhEngine::bind_metrics() {
         return b;
       },
       "producer spin rounds on full rings (kBlock)");
-  own("rhhh_engine_epochs",
-      [this] {
-        // order: relaxed -- statistic sampled at scrape time.
-        return static_cast<double>(epoch_req_.load(std::memory_order_relaxed));
-      },
-      "quiesce generations (snapshots + rotations)");
-  own("rhhh_engine_window_epochs",
-      [this] {
-        // order: relaxed -- statistic sampled at scrape time.
-        return static_cast<double>(
-            window_epochs_.load(std::memory_order_relaxed));
-      },
-      "completed window rotations");
-  own("rhhh_engine_archived_windows",
-      [this] {
-        // order: relaxed -- statistic sampled at scrape time.
-        return static_cast<double>(
-            archived_windows_.load(std::memory_order_relaxed));
-      },
-      "windows persisted by the archiver");
-  own("rhhh_engine_archive_queue_drops",
-      [this] {
-        // order: relaxed -- statistic sampled at scrape time.
-        return static_cast<double>(
-            archive_queue_drops_.load(std::memory_order_relaxed));
-      },
-      "sealed windows dropped at a full archiver queue");
-  own("rhhh_engine_archive_errors",
-      [this] {
-        // order: relaxed -- statistic sampled at scrape time.
-        return static_cast<double>(
-            archive_errors_.load(std::memory_order_relaxed));
-      },
-      "windows lost to archive I/O errors");
-  own("rhhh_engine_budget_rotations",
-      [this] {
-        // order: relaxed -- statistic sampled at scrape time.
-        return static_cast<double>(
-            budget_rotations_.load(std::memory_order_relaxed));
-      },
-      "budget-driven rotations (the drift-metered subset)");
-  own("rhhh_engine_late_rotations",
-      [this] {
-        // order: relaxed -- statistic sampled at scrape time.
-        return static_cast<double>(
-            late_rotations_.load(std::memory_order_relaxed));
-      },
-      "budget rotations later than the 200us fallback timeslice");
-  own("rhhh_engine_trend_cache_hits",
-      [this] {
-        // order: relaxed -- statistic sampled at scrape time.
-        return static_cast<double>(
-            trend_cache_hits_.load(std::memory_order_relaxed));
-      },
-      "trend_snapshot sealed-merge cache hits");
+  // Scalar counter mirrors: one sample of an engine-owned atomic.
+  const auto own_counter = [&](const std::string& name,
+                               const std::atomic<std::uint64_t>& c,
+                               const std::string& help) {
+    own(name,
+        [&c] {
+          // order: relaxed -- statistic sampled at scrape time.
+          return static_cast<double>(c.load(std::memory_order_relaxed));
+        },
+        help);
+  };
+  own_counter("rhhh_engine_epochs", epoch_req_,
+              "quiesce generations (snapshots + rotations)");
+  own_counter("rhhh_engine_window_epochs", window_epochs_,
+              "completed window rotations");
+  own_counter("rhhh_engine_archived_windows", archived_windows_,
+              "windows persisted by the archiver");
+  own_counter("rhhh_engine_archive_queue_drops", archive_queue_drops_,
+              "sealed windows dropped at a full archiver queue");
+  own_counter("rhhh_engine_archive_errors", archive_errors_,
+              "windows lost to archive I/O errors");
+  own_counter("rhhh_engine_budget_rotations", budget_rotations_,
+              "budget-driven rotations (the drift-metered subset)");
+  own_counter("rhhh_engine_late_rotations", late_rotations_,
+              "budget rotations later than the 200us fallback timeslice");
+  own_counter("rhhh_engine_trend_cache_hits", trend_cache_hits_,
+              "trend_snapshot sealed-merge cache hits");
+  own_counter("rhhh_engine_trend_sealed_merges", trend_sealed_merges_,
+              "sealed windows merged across shards for queries (<= window_epochs)");
   for (std::uint32_t p = 0; p < producers(); ++p) {
     for (std::uint32_t w = 0; w < workers(); ++w) {
       own("rhhh_engine_ring_occupancy{ring=\"p" + std::to_string(p) + "w" +
@@ -580,7 +559,7 @@ void HhhEngine::archive_one(store::WindowArchive* arch, const ArchiveItem& item)
     // lattices' counter order, so the merge -- and therefore the persisted
     // HHH sets -- are byte-identical to the in-memory view), this window's
     // drops folded into N.
-    auto merged = make_shard_lattice(0x6e7ac000ULL ^ item.meta.epoch);
+    auto merged = make_shard_lattice(kSealedSalt ^ item.meta.epoch);
     for (const store::Bytes& blob : item.shard_blobs) {
       const auto shard = store::decode_window(blob.data(), blob.size(), *hierarchy_,
                                               nullptr, &cfg_.monitor.hierarchy);
@@ -987,6 +966,10 @@ EngineStats HhhEngine::collect_stats() const {
     // order: relaxed -- backpressure-retry counter.
     s.backpressure_waits += b->load(std::memory_order_relaxed);
   }
+  // order: acquire -- pairs with merge_sealed()'s release add, and is read
+  // before window_epochs_: a scrape that sees a merge also sees the rotation
+  // that sealed its window, so trend_sealed_merges <= window_epochs holds.
+  s.trend_sealed_merges = trend_sealed_merges_.load(std::memory_order_acquire);
   // order: relaxed x9 -- scalar counters; the archive trio is written by the
   // archiver thread and only consistent with the on-disk state after stop().
   s.epochs = epoch_req_.load(std::memory_order_relaxed);
@@ -1066,27 +1049,61 @@ std::uint64_t HhhEngine::quiesced(Fn&& fn, std::uint32_t self,
   return e;
 }
 
+HhhEngine::LiveWindow HhhEngine::merge_live() {
+  LiveWindow v;
+  v.epoch = quiesced([&] {
+    // order: relaxed -- epoch_req_ only changes under snap_mu_ (held).
+    v.merged = make_shard_lattice(0x6e7a9000ULL ^
+                                  epoch_req_.load(std::memory_order_relaxed));
+    for (const auto& ws : workers_) v.merged->merge(ws->ring.live());
+    v.stats = collect_stats();
+    // A dropped record was still offered on the wire: fold the drops counted
+    // since the last boundary into N so thresholds and slack terms see the
+    // full window, exactly like DistributedMeasurement::stop() does. Older
+    // drops belong to the sealed windows (the base is 0 until a rotation).
+    v.drops = v.stats.dropped - win_drops_base_;
+    if (v.drops != 0) v.merged->advance_stream(v.drops);
+  });
+  return v;
+}
+
+std::size_t HhhEngine::merge_sealed(std::size_t depth) {
+  // order: relaxed -- window_epochs_ only changes under snap_mu_ (held).
+  const std::uint64_t we = window_epochs_.load(std::memory_order_relaxed);
+  // Shift, don't clear: the entry cached at age a covers age a + shift now.
+  // Entries shifted past the retained depth fell off every shard ring too.
+  const std::size_t m = workers_[0]->ring.sealed_count();
+  const auto shift =
+      static_cast<std::size_t>(std::min<std::uint64_t>(we - trend_cache_epoch_, m));
+  trend_cache_.insert(trend_cache_.begin(), shift, nullptr);
+  trend_cache_.resize(m);
+  trend_cache_epoch_ = we;
+  std::size_t merges = 0;
+  for (std::size_t age = 0; age < depth; ++age) {
+    if (trend_cache_[age] != nullptr) continue;
+    // All shards rotate on one shared boundary, so age i of every shard ring
+    // covers the same network-wide epoch: merge index-aligned, seeded by the
+    // window's own epoch so the bytes never depend on when it was queried.
+    auto merged = make_shard_lattice(kSealedSalt ^ (we - age));
+    for (const auto& ws : workers_) merged->merge(ws->ring.sealed(age));
+    if (sealed_drops_[age] != 0) merged->advance_stream(sealed_drops_[age]);
+    trend_cache_[age] = std::move(merged);
+    ++merges;
+  }
+  // order: release -- pairs with collect_stats()'s acquire load (see there).
+  if (merges != 0) trend_sealed_merges_.fetch_add(merges, std::memory_order_release);
+  return merges;
+}
+
 EngineSnapshot HhhEngine::snapshot() {
   std::lock_guard<std::mutex> snap_lk(snap_mu_);
   const obs::ScopedTimer obs_t(obs_.snapshot_ns);
-  std::unique_ptr<RhhhSpaceSaving> merged;
-  EngineStats s;
-  const std::uint64_t e = quiesced([&] {
-    // order: relaxed -- epoch_req_ only changes under snap_mu_ (held).
-    merged = make_shard_lattice(0x6e7a9000ULL ^
-                                epoch_req_.load(std::memory_order_relaxed));
-    for (const auto& ws : workers_) merged->merge(ws->ring.live());
-    s = collect_stats();
-    // A dropped record was still offered on the wire: fold drops into N so
-    // thresholds and slack terms see the full stream, exactly like
-    // DistributedMeasurement::stop() does.
-    if (s.dropped != 0) merged->advance_stream(s.dropped);
-  });
+  LiveWindow live = merge_live();
   if (obs_.trace != nullptr) {
     obs_.trace->record(obs::TraceEvent::kSnapshot,
-                       static_cast<std::int64_t>(obs::now_ns()), e, 0);
+                       static_cast<std::int64_t>(obs::now_ns()), live.epoch, 0);
   }
-  return EngineSnapshot(std::move(merged), std::move(s), e);
+  return EngineSnapshot(std::move(live.merged), std::move(live.stats), live.epoch);
 }
 
 void HhhEngine::rotate_locked(std::uint32_t self, std::vector<Key128>* self_batch,
@@ -1169,9 +1186,8 @@ void HhhEngine::rotate_locked(std::uint32_t self, std::vector<Key128>* self_batc
   // A rotating worker must not re-park at the boundary it just drove.
   if (self_acked != nullptr) *self_acked = e;
   win_started_wall_ns_ = wall_end_ns;
-  // The sealed-window set changed: cached trend merges are stale.
-  trend_cache_.clear();
-  trend_cache_epoch_ = ~std::uint64_t{0};
+  // The merged-window cache is left alone: its entries stay valid, and the
+  // next query shifts them by the new window count (merge_sealed()).
   // order: release -- pairs with window_epochs()'s acquire load: a poller
   // that observes rotation N also observes the sealed drop/duration rings
   // written above.
@@ -1222,75 +1238,39 @@ void HhhEngine::stamp_certificate(std::uint64_t sealed_epoch,
 WindowedEngineSnapshot HhhEngine::window_snapshot() {
   std::lock_guard<std::mutex> snap_lk(snap_mu_);
   const obs::ScopedTimer obs_t(obs_.snapshot_ns);
-  std::unique_ptr<RhhhSpaceSaving> cur;
-  std::unique_ptr<RhhhSpaceSaving> prev;
-  EngineStats s;
-  std::uint64_t cur_drops = 0;
+  LiveWindow live = merge_live();
+  // The previous window is the cache's age-0 entry, shared with
+  // trend_snapshot() and merged after the workers resumed (see there).
+  std::shared_ptr<const RhhhSpaceSaving> prev;
   std::uint64_t prev_drops = 0;
-  // Rotations hold snap_mu_ too, so the window count is stable here.
+  if (shard_sealed_windows() != 0) {
+    merge_sealed(1);
+    prev = trend_cache_[0];
+    prev_drops = sealed_drops_[0];
+  }
   // order: relaxed -- stable under snap_mu_ (held).
   const std::uint64_t we = window_epochs_.load(std::memory_order_relaxed);
-  quiesced([&] {
-    // order: relaxed -- epoch_req_ only changes under snap_mu_ (held).
-    const std::uint64_t e = epoch_req_.load(std::memory_order_relaxed);
-    cur = make_shard_lattice(0x6e7a9000ULL ^ e);
-    for (const auto& ws : workers_) cur->merge(ws->ring.live());
-    s = collect_stats();
-    cur_drops = s.dropped - win_drops_base_;
-    if (cur_drops != 0) cur->advance_stream(cur_drops);
-    if (we != 0) {
-      prev = make_shard_lattice(0x6e7ab000ULL ^ e);
-      for (const auto& ws : workers_) prev->merge(ws->ring.sealed(0));
-      prev_drops = sealed_drops_[0];
-      if (prev_drops != 0) prev->advance_stream(prev_drops);
-    }
-  });
-  return WindowedEngineSnapshot(std::move(cur), std::move(prev), std::move(s), we,
-                                cur_drops, prev_drops);
+  return WindowedEngineSnapshot(std::move(live.merged), std::move(prev),
+                                std::move(live.stats), we, live.drops, prev_drops);
 }
 
 TrendSnapshot HhhEngine::trend_snapshot() {
   std::lock_guard<std::mutex> snap_lk(snap_mu_);
   const obs::ScopedTimer obs_t(obs_.trend_ns);
-  std::unique_ptr<RhhhSpaceSaving> cur;
-  EngineStats s;
-  std::uint64_t cur_drops = 0;
-  // Rotations hold snap_mu_ too, so the window count is stable here.
-  // order: relaxed -- stable under snap_mu_ (held).
-  const std::uint64_t we = window_epochs_.load(std::memory_order_relaxed);
-  quiesced([&] {
-    // order: relaxed -- epoch_req_ only changes under snap_mu_ (held).
-    const std::uint64_t e = epoch_req_.load(std::memory_order_relaxed);
-    cur = make_shard_lattice(0x6e7a9000ULL ^ e);
-    for (const auto& ws : workers_) cur->merge(ws->ring.live());
-    s = collect_stats();
-    cur_drops = s.dropped - win_drops_base_;
-    if (cur_drops != 0) cur->advance_stream(cur_drops);
-  });
+  LiveWindow live = merge_live();
   // The sealed merges run after the workers resumed: sealed shard windows
   // are immutable until the next rotation (which needs snap_mu_, held
-  // here), so only the live-window merge needs the quiesce pause -- and
-  // the merges themselves are cached until the window set changes, so a
-  // detection loop polling between rotations pays the live merge only.
-  const std::size_t m = workers_[0]->ring.sealed_count();
-  if (trend_cache_epoch_ != we) {
-    // order: relaxed -- epoch_req_ only changes under snap_mu_ (held).
-    const std::uint64_t e = epoch_req_.load(std::memory_order_relaxed);
-    trend_cache_.clear();
-    trend_cache_.reserve(m);
-    // All shards rotate on one shared boundary, so age i of every shard
-    // ring covers the same network-wide epoch: merge index-aligned.
-    for (std::size_t age = 0; age < m; ++age) {
-      auto merged = make_shard_lattice((0x6e7ab000ULL + (age << 20)) ^ e);
-      for (const auto& ws : workers_) merged->merge(ws->ring.sealed(age));
-      if (sealed_drops_[age] != 0) merged->advance_stream(sealed_drops_[age]);
-      trend_cache_.emplace_back(std::move(merged));
-    }
-    trend_cache_epoch_ = we;
-  } else {
+  // here), so only the live-window merge needs the quiesce pause. Each
+  // sealed window is merged once and then shifts through the cache, so a
+  // poller querying once per window pays one W-shard merge per epoch and
+  // repeated polls between rotations pay the live merge only.
+  const std::size_t m = shard_sealed_windows();
+  if (merge_sealed(m) == 0 && m != 0) {
     // order: relaxed -- cache-hit counter, diagnostic only.
     trend_cache_hits_.fetch_add(1, std::memory_order_relaxed);
   }
+  // order: relaxed -- stable under snap_mu_ (held).
+  const std::uint64_t we = window_epochs_.load(std::memory_order_relaxed);
   std::vector<std::shared_ptr<const RhhhSpaceSaving>> sealed = trend_cache_;
   std::vector<std::uint64_t> sealed_drops(sealed_drops_.begin(),
                                           sealed_drops_.begin() +
@@ -1307,9 +1287,9 @@ TrendSnapshot HhhEngine::trend_snapshot() {
   // Pure wall-clock rotation produces unequal-length windows; weigh the
   // sustained-growth baseline by duration there (see window_ring.hpp).
   const bool weighted = cfg_.epoch_millis > 0 && cfg_.epoch_packets == 0;
-  return TrendSnapshot(std::move(cur), std::move(sealed), std::move(sealed_drops),
-                       std::move(sealed_durs), std::move(s), we, cur_drops,
-                       cur_dur, weighted);
+  return TrendSnapshot(std::move(live.merged), std::move(sealed),
+                       std::move(sealed_drops), std::move(sealed_durs),
+                       std::move(live.stats), we, live.drops, cur_dur, weighted);
 }
 
 std::unique_ptr<HhhEngine> make_engine(const EngineConfig& cfg) {

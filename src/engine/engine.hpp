@@ -176,10 +176,10 @@ class HhhEngine {
   /// folds counted drops into its stream length, and resumes the workers.
   /// Packets still buffered in producer handles (not flushed) are not yet
   /// part of the snapshot. With window rotation in use this covers only the
-  /// current (partial) window -- and folds in *all* drops ever counted, so
-  /// prefer window_snapshot() on a windowed engine. Serialized with itself
-  /// and with start()/stop(); callable before start() and after stop() (no
-  /// quiesce needed once workers are gone).
+  /// current (partial) window, with only that window's drops folded in --
+  /// the same lattice as window_snapshot()'s current side. Serialized with
+  /// itself and with start()/stop(); callable before start() and after
+  /// stop() (no quiesce needed once workers are gone).
   [[nodiscard]] EngineSnapshot snapshot();
 
   /// Close the current window on a shared boundary: quiesce, rotate every
@@ -195,18 +195,20 @@ class HhhEngine {
   void rotate_epoch();
 
   /// Two-window network-wide query: quiesce, merge the live sides of every
-  /// ring into a current-window lattice and the newest sealed sides into a
-  /// previous-window lattice (absent before the first rotation), fold each
-  /// window's drops into its stream length, resume. Does NOT rotate --
-  /// observing is separate from sealing, so several window snapshots can
-  /// watch one window evolve.
+  /// ring into a current-window lattice, resume; the previous window
+  /// (absent before the first rotation) is the newest sealed sides merged
+  /// once and shared with trend_snapshot()'s age 0. Each window's drops are
+  /// folded into its stream length. Does NOT rotate -- observing is
+  /// separate from sealing, so several window snapshots can watch one
+  /// window evolve.
   [[nodiscard]] WindowedEngineSnapshot window_snapshot();
 
-  /// K-window network-wide query: quiesce, merge every retained sealed
-  /// window of every shard index-aligned (all shards rotate together, so
-  /// age i covers the same epoch on every shard) plus the live window,
-  /// fold each window's own drops into its stream length, resume. Answers
-  /// trend() and emerging_sustained() over up to
+  /// K-window network-wide query: quiesce, merge the live window, resume;
+  /// every retained sealed window is merged across shards index-aligned
+  /// (all shards rotate together, so age i covers the same epoch on every
+  /// shard) at most once and then served from a cache that shifts with the
+  /// rotations. Each window's own drops are folded into its stream length.
+  /// Answers trend() and emerging_sustained() over up to
   /// EngineConfig::history_depth sealed epochs. Does NOT rotate.
   [[nodiscard]] TrendSnapshot trend_snapshot();
 
@@ -364,6 +366,24 @@ class HhhEngine {
   template <class Fn>
   std::uint64_t quiesced(Fn&& fn, std::uint32_t self = kNoWorker,
                          std::vector<Key128>* self_batch = nullptr);
+  /// The live window as every query sees it: merged across shards under
+  /// one quiesce, with the drops counted since the last rotation folded
+  /// into its N, and the ingest counters frozen at the same instant.
+  struct LiveWindow {
+    std::unique_ptr<RhhhSpaceSaving> merged;
+    EngineStats stats;
+    std::uint64_t drops = 0;  ///< current-window drops (folded into N)
+    std::uint64_t epoch = 0;  ///< quiesce generation
+  };
+  /// Quiesce, merge the live shard lattices, resume. Caller must hold
+  /// snap_mu_.
+  LiveWindow merge_live();
+  /// Bring trend_cache_ up to the current window count (shift it by the
+  /// rotations since it was last touched) and merge whichever of ages
+  /// [0, depth) it lacks; depth <= shard_sealed_windows(). Returns the
+  /// number of merges. Caller must hold snap_mu_; runs without a quiesce
+  /// (sealed windows are immutable until the next rotation).
+  std::size_t merge_sealed(std::size_t depth);
   /// rotate_epoch() body; caller must hold snap_mu_. `self`/`self_batch`
   /// as in quiesced(); a rotating worker's local ack mark is updated
   /// through `self_acked` so it does not re-park on its own boundary.
@@ -461,14 +481,17 @@ class HhhEngine {
   std::atomic<std::uint64_t> clock_gen_{0};
   std::thread clock_thread_;
 
-  // Merged-sealed-window cache for trend_snapshot(): the sealed windows
-  // (and their drops) are fixed between rotations, so their cross-shard
-  // merges are reusable until window_epochs_ changes. All fields written
-  // under snap_mu_; rotation invalidates. Entries are immutable shared
-  // merges, handed to TrendSnapshot by shared_ptr.
+  // Merged-sealed-window cache for trend_snapshot() and window_snapshot():
+  // a sealed window (and its drops) never changes, so its cross-shard merge
+  // is built once and reused for as long as the rings retain the window.
+  // Rotations leave the cache alone; merge_sealed() shifts it by the
+  // rotations since trend_cache_epoch_. All fields written under snap_mu_.
+  // Entries are immutable shared merges (nullptr = not merged yet), handed
+  // to the snapshots by shared_ptr.
   std::vector<std::shared_ptr<const RhhhSpaceSaving>> trend_cache_;  ///< [age]
-  std::uint64_t trend_cache_epoch_ = ~std::uint64_t{0};
+  std::uint64_t trend_cache_epoch_ = 0;  ///< window_epochs_ the ages refer to
   std::atomic<std::uint64_t> trend_cache_hits_{0};
+  std::atomic<std::uint64_t> trend_sealed_merges_{0};  ///< cache fills
 
   // Background archiver (EngineConfig::archive). The queue is bounded:
   // rotations enqueue (or drop + count) and never wait; the rotation-path

@@ -47,8 +47,13 @@ struct EngineStats {
   std::uint64_t archive_queue_drops = 0;
   std::uint64_t archive_errors = 0;  ///< archiver I/O failures (window skipped)
   /// trend_snapshot() calls served from the merged-sealed-window cache
-  /// (no re-merge: the window set was unchanged since the previous call).
+  /// alone (every retained sealed window was already merged).
   std::uint64_t trend_cache_hits = 0;
+  /// Sealed windows merged across shards to fill that cache (shared by
+  /// trend_snapshot() and window_snapshot()). Each window is merged at most
+  /// once, so this never exceeds window_epochs; a poller that queries after
+  /// every rotation keeps the two equal.
+  std::uint64_t trend_sealed_merges = 0;
   /// Rotations triggered by a spent packet/wall budget (manual
   /// rotate_epoch() calls are excluded -- they have no boundary to drift
   /// from). Denominator for the drift mean.
@@ -102,7 +107,7 @@ class EngineSnapshot {
 class WindowedEngineSnapshot {
  public:
   WindowedEngineSnapshot(std::unique_ptr<RhhhSpaceSaving> current,
-                         std::unique_ptr<RhhhSpaceSaving> previous,
+                         std::shared_ptr<const RhhhSpaceSaving> previous,
                          EngineStats stats, std::uint64_t window_epochs,
                          std::uint64_t current_drops, std::uint64_t previous_drops)
       : current_(std::move(current)),
@@ -158,7 +163,8 @@ class WindowedEngineSnapshot {
 
  private:
   std::unique_ptr<RhhhSpaceSaving> current_;
-  std::unique_ptr<RhhhSpaceSaving> previous_;  ///< nullptr before 1st rotation
+  /// nullptr before the 1st rotation; shared with the engine's cache.
+  std::shared_ptr<const RhhhSpaceSaving> previous_;
   EngineStats stats_;
   std::uint64_t window_epochs_;
   std::uint64_t current_drops_;
@@ -170,8 +176,10 @@ class WindowedEngineSnapshot {
 /// merged index-aligned) plus the live (partial) window, every window's
 /// drops folded into its stream length. Sealed windows are indexed by age:
 /// window 0 is the most recently sealed epoch. The sealed merges are
-/// shared with the engine's per-epoch cache (they are immutable), so
-/// repeated polls between rotations pay only the live-window merge.
+/// shared with the engine's per-epoch cache (they are immutable), which
+/// shifts with rotations: each sealed window is merged once, so a poll
+/// after a rotation pays one new merge and repeated polls between
+/// rotations pay only the live-window merge.
 class TrendSnapshot {
  public:
   TrendSnapshot(std::unique_ptr<RhhhSpaceSaving> current,

@@ -343,6 +343,51 @@ TEST(EngineTest, DropTailAccountingAndStreamLengthFold) {
   EXPECT_EQ(after.stream_length(), kN);
 }
 
+/// Regression: on a windowed engine snapshot() is the current window, so it
+/// folds in only the drops counted since the last rotation -- the earlier
+/// ones belong to the sealed window, not to every later snapshot.
+TEST(EngineTest, SnapshotFoldsOnlyPostBoundaryDrops) {
+  EngineConfig cfg;
+  cfg.workers = 1;
+  cfg.producers = 1;
+  cfg.ring_capacity = 64;
+  cfg.batch = 8;
+  cfg.overflow = OverflowPolicy::kDropTail;
+  HhhEngine eng(cfg);
+  HhhEngine::Producer& prod = eng.producer(0);
+  Xoroshiro128 rng(29);
+  const auto blast = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      prod.ingest(Key128::from_pair(rng(), static_cast<std::uint32_t>(rng())));
+    }
+    prod.flush();
+  };
+  eng.test_block_worker(0);  // park the only consumer before it ever runs
+  eng.start();
+  blast(5000);
+  const std::uint64_t sealed_drops = eng.stats().dropped;
+  ASSERT_GT(sealed_drops, 0u);
+  eng.test_unblock_workers();
+  eng.rotate_epoch();  // the backlog and every drop so far go to window 0
+
+  eng.test_block_worker(0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));  // let it park
+  blast(5000);
+  ASSERT_GT(eng.stats().dropped, sealed_drops) << "the parked worker drops again";
+  eng.test_unblock_workers();
+  eng.stop();  // drains the backlog into the live window
+
+  const EngineSnapshot snap = eng.snapshot();
+  const std::uint64_t post_drops = snap.stats().dropped - sealed_drops;
+  EXPECT_EQ(snap.stream_length(), eng.shard(0).stream_length() + post_drops);
+  const WindowedEngineSnapshot win = eng.window_snapshot();
+  EXPECT_EQ(win.current_drops(), post_drops);
+  EXPECT_EQ(win.current_length(), snap.stream_length());
+  EXPECT_EQ(win.previous_drops(), sealed_drops);
+  // Every offered packet lands in exactly one window.
+  EXPECT_EQ(win.previous_length() + snap.stream_length(), snap.stats().offered);
+}
+
 /// Regression: a snapshot taken before start() must not strand workers
 /// started afterwards at the already-resumed epoch boundary (the resume
 /// mark has to advance with the request even when nobody is parked).

@@ -11,9 +11,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -149,9 +151,42 @@ TEST(SpscScheduleStress, PushPopContentionSingleAndBatch) {
 
 // ---------------------------------------------------------- engine chaos --
 
+/// Order-insensitive rendering of an HHH answer (prefix, estimate and
+/// conditioned count of every candidate).
+std::vector<std::string> answer_lines(const Hierarchy& h, const HhhSet& s) {
+  std::vector<std::string> out;
+  for (const HhhCandidate& c : s) {
+    char buf[160];
+    std::snprintf(buf, sizeof buf, "%s|%.17g|%.17g", h.format(c.prefix).c_str(),
+                  c.f_est, c.c_hat);
+    out.emplace_back(buf);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// The merged-window cache's oracle: `merged` (a query's sealed window
+/// `age`) must answer exactly like a from-scratch merge of every shard's
+/// sealed slot `age` with `drops` folded in. Only the rotating thread may
+/// call this -- the sealed slots must not move underneath the check.
+void expect_matches_recompute(const HhhEngine& eng, const RhhhSpaceSaving& merged,
+                              std::size_t age, std::uint64_t drops) {
+  const auto [mode, lp] = lattice_config_of(eng.hierarchy(), eng.config().monitor);
+  RhhhSpaceSaving ref(eng.hierarchy(), mode, lp);
+  for (std::uint32_t w = 0; w < eng.workers(); ++w) ref.merge(eng.shard_sealed(w, age));
+  if (drops != 0) ref.advance_stream(drops);
+  EXPECT_EQ(merged.stream_length(), ref.stream_length()) << "age " << age;
+  EXPECT_EQ(answer_lines(eng.hierarchy(), merged.output(0.1)),
+            answer_lines(eng.hierarchy(), ref.output(0.1)))
+      << "age " << age;
+}
+
 // Rotations, every snapshot flavor and lock-free stats polls interleaved
 // with live producers: the quiesce protocol (epoch_req_/epoch_acked/
 // epoch_resume_) and the rotation bookkeeping under maximum contention.
+// Between its rotations the rotator polls trend/window snapshots (or
+// skips, so the next poll lags) and checks every cached sealed merge
+// against a recompute, while the snapshotter races it for the cache.
 TEST(ScheduleStress, RotateVsSnapshotChaos) {
   EngineConfig cfg = small_engine(2, 2);
   cfg.history_depth = 3;
@@ -165,8 +200,27 @@ TEST(ScheduleStress, RotateVsSnapshotChaos) {
     producers.emplace_back([&, p] { ingest_stream(eng, p, kPerProducer, 100 + p); });
   }
   std::thread rotator([&] {
+    Xoroshiro128 rng(0x207A);
     for (int i = 0; i < 25; ++i) {
       eng.rotate_epoch();
+      switch (rng.bounded(3)) {
+        case 0: {
+          const TrendSnapshot tr = eng.trend_snapshot();
+          for (std::size_t age = 0; age < tr.sealed_windows(); ++age) {
+            expect_matches_recompute(eng, tr.window_algorithm(age), age,
+                                     tr.window_drops(age));
+          }
+          break;
+        }
+        case 1: {
+          const WindowedEngineSnapshot two = eng.window_snapshot();
+          EXPECT_TRUE(two.has_previous());
+          expect_matches_recompute(eng, two.previous_algorithm(), 0,
+                                   two.previous_drops());
+          break;
+        }
+        default: break;  // no poll: the next one shifts by more than one
+      }
       std::this_thread::yield();
     }
   });
@@ -186,6 +240,8 @@ TEST(ScheduleStress, RotateVsSnapshotChaos) {
     for (int i = 0; i < 400; ++i) {
       const EngineStats s = eng.stats();
       EXPECT_LE(s.consumed + s.dropped, 2 * kPerProducer);
+      // Each sealed window is merged for queries at most once.
+      EXPECT_LE(s.trend_sealed_merges, s.window_epochs);
       (void)eng.window_epochs();
       (void)eng.epochs();
       std::this_thread::yield();
@@ -409,6 +465,7 @@ TEST(ScheduleStress, MetricsConservationUnderChaos) {
   std::thread rotator([&] {
     for (int i = 0; i < 15; ++i) {
       eng.rotate_epoch();
+      (void)eng.trend_snapshot();  // a poller that queries every window
       std::this_thread::yield();
     }
   });
@@ -429,6 +486,9 @@ TEST(ScheduleStress, MetricsConservationUnderChaos) {
         << "conservation violated at scrape " << scrape;
     EXPECT_LE(offered - consumed - dropped, in_flight_cap)
         << "more in flight than the rings and batches can hold";
+    const EngineStats st = eng.stats();
+    EXPECT_LE(st.trend_sealed_merges, st.window_epochs)
+        << "a sealed window merged twice at scrape " << scrape;
     if ((scrape & 31) == 0) {
       const std::string text = reg.render_prometheus();
       EXPECT_NE(text.find("rhhh_engine_offered"), std::string::npos);
@@ -449,6 +509,11 @@ TEST(ScheduleStress, MetricsConservationUnderChaos) {
             s.offered);
   EXPECT_EQ(static_cast<std::uint64_t>(reg.value("rhhh_engine_epochs")),
             s.epochs);
+  // Queried after every rotation: exactly one merge per sealed window.
+  EXPECT_EQ(static_cast<std::uint64_t>(
+                reg.value("rhhh_engine_trend_sealed_merges")),
+            s.trend_sealed_merges);
+  EXPECT_EQ(s.trend_sealed_merges, s.window_epochs);
 }
 
 // TraceRing under concurrent writers and a dumping reader: every dump must

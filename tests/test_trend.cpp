@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -254,6 +255,7 @@ TEST(TrendCache, RepeatedPollsReuseSealedMergesUnchanged) {
   const TrendSnapshot second = eng.trend_snapshot();
   const TrendSnapshot third = eng.trend_snapshot();
   EXPECT_EQ(eng.stats().trend_cache_hits, 2u);
+  EXPECT_EQ(eng.stats().trend_sealed_merges, 4u);  // each window merged once
   ASSERT_EQ(second.sealed_windows(), first.sealed_windows());
   for (std::size_t age = 0; age < first.sealed_windows(); ++age) {
     EXPECT_EQ(second.window_length(age), first.window_length(age));
@@ -267,14 +269,121 @@ TEST(TrendCache, RepeatedPollsReuseSealedMergesUnchanged) {
   // The shared merges really are shared (no re-merge): same instances.
   EXPECT_EQ(&first.window_algorithm(0), &second.window_algorithm(0));
 
-  // A rotation invalidates the cache: the next poll re-merges (hit count
-  // unchanged) and the ages shift by one epoch.
+  // A rotation shifts the cache instead of clearing it: the next poll
+  // merges only the newly sealed window (no hit), and every older age is
+  // the very instance the first poll returned, one age further back.
   eng.rotate_epoch();
   const TrendSnapshot after = eng.trend_snapshot();
   EXPECT_EQ(eng.stats().trend_cache_hits, 2u);
+  EXPECT_EQ(eng.stats().trend_sealed_merges, 5u);
+  ASSERT_EQ(after.sealed_windows(), first.sealed_windows());
   EXPECT_NE(&after.window_algorithm(0), &first.window_algorithm(0));
+  for (std::size_t a = 0; a + 1 < first.sealed_windows(); ++a) {
+    EXPECT_EQ(&after.window_algorithm(a + 1), &first.window_algorithm(a))
+        << "age " << a;
+  }
   EXPECT_EQ(golden::digest_set(h, after.window(1, 0.15)),
             golden::digest_set(h, first.window(0, 0.15)));
+}
+
+/// A from-scratch network-wide merge of every shard's sealed window `age`,
+/// with that window's drops folded in -- what the cache must reproduce.
+std::unique_ptr<RhhhSpaceSaving> scratch_merge(const HhhEngine& eng, std::size_t age,
+                                               std::uint64_t drops) {
+  const auto [mode, lp] = lattice_config_of(eng.hierarchy(), eng.config().monitor);
+  auto out = std::make_unique<RhhhSpaceSaving>(eng.hierarchy(), mode, lp);
+  for (std::uint32_t w = 0; w < eng.workers(); ++w) out->merge(eng.shard_sealed(w, age));
+  if (drops != 0) out->advance_stream(drops);
+  return out;
+}
+
+TEST(TrendCache, LaggingPollerMatchesFromScratchMerges) {
+  EngineConfig cfg;
+  cfg.monitor.hierarchy = HierarchyKind::kIpv4TwoDimBytes;
+  cfg.monitor.eps = 0.05;
+  cfg.monitor.delta = 0.05;
+  cfg.monitor.seed = 24;
+  cfg.workers = 4;
+  cfg.producers = 1;
+  cfg.history_depth = 4;
+  HhhEngine eng(cfg);
+  const Hierarchy& h = eng.hierarchy();
+  const RampStream s = make_ramp_stream(h);
+  constexpr std::size_t kWindow = 20000;
+
+  eng.start();
+  HhhEngine::Producer& prod = eng.producer(0);
+  std::size_t next = 0;
+  std::uint64_t merges = 0;
+  // Between polls the engine rotates j = 1 .. K+1 times: a lag of j costs
+  // min(j, retained) merges, and the shifted entries stay exact.
+  for (std::size_t j = 1; j <= cfg.history_depth + 1; ++j) {
+    for (std::size_t r = 0; r < j; ++r) {
+      for (std::size_t i = 0; i < kWindow; ++i) prod.ingest(s.keys[next++]);
+      prod.flush();
+      eng.rotate_epoch();
+    }
+    const TrendSnapshot tr = eng.trend_snapshot();
+    const std::size_t m = tr.sealed_windows();
+    ASSERT_EQ(m, std::min<std::uint64_t>(eng.window_epochs(), cfg.history_depth));
+    EXPECT_EQ(eng.stats().trend_sealed_merges - merges, std::min(j, m)) << "lag " << j;
+    merges = eng.stats().trend_sealed_merges;
+    for (std::size_t age = 0; age < m; ++age) {
+      const auto ref = scratch_merge(eng, age, tr.window_drops(age));
+      EXPECT_EQ(tr.window_length(age), ref->stream_length())
+          << "lag " << j << " age " << age;
+      for (const double theta : {0.05, 0.15}) {
+        EXPECT_EQ(golden::digest_set(h, tr.window(age, theta)),
+                  golden::digest_set(h, ref->output(theta)))
+            << "lag " << j << " age " << age << " theta " << theta;
+      }
+    }
+  }
+  eng.stop();
+  const EngineStats st = eng.stats();
+  EXPECT_LE(st.trend_sealed_merges, st.window_epochs);
+}
+
+TEST(TrendCache, WindowSnapshotSharesTrendAgeZero) {
+  EngineConfig cfg;
+  cfg.monitor.hierarchy = HierarchyKind::kIpv4TwoDimBytes;
+  cfg.monitor.eps = 0.05;
+  cfg.monitor.delta = 0.05;
+  cfg.monitor.seed = 25;
+  cfg.workers = 2;
+  cfg.producers = 1;
+  cfg.history_depth = 3;
+  HhhEngine eng(cfg);
+  const RampStream s = make_ramp_stream(eng.hierarchy());
+  constexpr std::size_t kWindow = 10000;
+
+  eng.start();
+  HhhEngine::Producer& prod = eng.producer(0);
+  EXPECT_FALSE(eng.window_snapshot().has_previous());
+  std::size_t next = 0;
+  for (int epoch = 0; epoch < 6; ++epoch) {
+    for (std::size_t i = 0; i < kWindow; ++i) prod.ingest(s.keys[next++]);
+    prod.flush();
+    eng.rotate_epoch();
+    // Either query may be the one that merges the new window; the other
+    // must be served the same instance.
+    std::optional<WindowedEngineSnapshot> two;
+    std::optional<TrendSnapshot> tr;
+    if (epoch % 2 == 0) {
+      two.emplace(eng.window_snapshot());
+      tr.emplace(eng.trend_snapshot());
+    } else {
+      tr.emplace(eng.trend_snapshot());
+      two.emplace(eng.window_snapshot());
+    }
+    ASSERT_TRUE(two->has_previous());
+    EXPECT_EQ(&two->previous_algorithm(), &tr->window_algorithm(0)) << "epoch " << epoch;
+    EXPECT_EQ(two->previous_length(), tr->window_length(0));
+    // Polled after every rotation: exactly one merge per sealed window.
+    const EngineStats st = eng.stats();
+    EXPECT_EQ(st.trend_sealed_merges, st.window_epochs) << "epoch " << epoch;
+  }
+  eng.stop();
 }
 
 // --------------------------------------- duration-weighted EWMA baseline ----
