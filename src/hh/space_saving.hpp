@@ -187,52 +187,47 @@ class SpaceSaving {
   /// paper's Section 7 multi-device aggregation path ("analyzing data from
   /// multiple network devices").
   void merge(const SpaceSaving& other) {
-    struct Merged {
-      Key key;
-      std::uint64_t count;
-      std::uint64_t error;
-    };
     const std::uint64_t my_min = min_bound();
     const std::uint64_t their_min = other.min_bound();
-    std::vector<Merged> merged;
+    std::vector<HhEntry<Key>> merged;
     merged.reserve(size_ + other.size_);
     for_each([&](const Key& k, std::uint64_t up, std::uint64_t lo) {
-      const std::uint64_t extra = other.tracked(k) ? other.upper(k) : their_min;
-      const std::uint64_t extra_err =
-          other.tracked(k) ? other.upper(k) - other.lower(k) : their_min;
-      merged.push_back(Merged{k, up + extra, (up - lo) + extra_err});
+      const std::uint32_t* slot = other.index_.find(k);
+      if (slot == nullptr) {
+        merged.push_back(HhEntry<Key>{k, up + their_min, lo});
+      } else {
+        const Counter& oc = other.counters_[*slot];
+        merged.push_back(HhEntry<Key>{k, up + oc.count, lo + (oc.count - oc.error)});
+      }
     });
     other.for_each([&](const Key& k, std::uint64_t up, std::uint64_t lo) {
       if (tracked(k)) return;  // handled above
-      merged.push_back(Merged{k, up + my_min, (up - lo) + my_min});
+      merged.push_back(HhEntry<Key>{k, up + my_min, lo});
     });
     std::sort(merged.begin(), merged.end(),
-              [](const Merged& a, const Merged& b) { return a.count > b.count; });
+              [](const HhEntry<Key>& a, const HhEntry<Key>& b) { return a.upper > b.upper; });
     if (merged.size() > cap_) merged.resize(cap_);
 
     const std::uint64_t combined_total = total_ + other.total_;
-    // The rebuild below inserts <= cap_ entries into an empty structure, so
-    // it never evicts; churn from both input streams carries through.
+    // The rebuild never evicts; churn from both input streams carries through.
     const std::uint64_t combined_evictions = evictions_ + other.evictions_;
-    clear();
-    // Rebuild smallest-first so bucket insertion walks stay short.
-    for (auto it = merged.rbegin(); it != merged.rend(); ++it) {
-      increment(it->key, it->count);
-      counters_[*index_.find(it->key)].error = it->error;
-    }
+    // Rebuild smallest count first. The order, not speed, is why: it fixes
+    // the merged instance's counter-array layout (hence output()'s iteration
+    // order) and the within-bucket eviction order, so it must not change.
+    (void)rebuild(merged.rbegin(), merged.rend());  // keys are distinct
     total_ = combined_total;
     evictions_ = combined_evictions;
   }
 
   /// Rebuild this summary from a serialized roster (the durable store's
   /// reload path). Entries must arrive in the counter-array order for_each
-  /// emits, so the reloaded instance reproduces the original's iteration
-  /// order (hence byte-identical downstream HHH sets); each increment()
-  /// assigns array slots sequentially, which preserves exactly that order.
+  /// emits: the reloaded instance then reproduces the original's iteration
+  /// order (hence byte-identical downstream HHH sets) and eviction order.
   /// `total` restores the arrivals count, which merge() legitimately keeps
   /// above the sum of the retained counters. Throws std::invalid_argument
-  /// on impossible rosters (over capacity, zero counts, error > count) --
-  /// corrupt input must fail loudly, never corrupt the structure.
+  /// on impossible rosters (over capacity, zero counts, error > count, a
+  /// repeated key) -- corrupt input must fail loudly, never corrupt the
+  /// structure.
   void load(const std::vector<HhEntry<Key>>& entries, std::uint64_t total) {
     if (entries.size() > cap_) {
       throw std::invalid_argument("SpaceSaving::load: roster exceeds capacity");
@@ -242,10 +237,8 @@ class SpaceSaving {
         throw std::invalid_argument("SpaceSaving::load: impossible entry bounds");
       }
     }
-    clear();
-    for (const HhEntry<Key>& e : entries) {
-      increment(e.key, e.upper);
-      counters_[*index_.find(e.key)].error = e.upper - e.lower;
+    if (!rebuild(entries.begin(), entries.end())) {
+      throw std::invalid_argument("SpaceSaving::load: duplicate key in roster");
     }
     total_ = total;
   }
@@ -364,6 +357,50 @@ class SpaceSaving {
     }
     if (bn.next != kNil) buckets_[bn.next].prev = bn.prev;
     free_bucket(b);
+  }
+
+  /// Clear, then fill with at most cap_ entries of distinct keys, in
+  /// O(entries + distinct counts * log). The result is exactly the
+  /// structure successive increment(key, upper) calls build in an empty
+  /// summary: entry i takes array slot i, buckets are allocated in the
+  /// order their count is first seen, and each bucket lists its counters
+  /// newest first (the order eviction takes them in). On a repeated key it
+  /// returns false with the summary cleared.
+  template <class It>
+  [[nodiscard]] bool rebuild(It first, It last) {
+    clear();
+    FlatHashMap<std::uint64_t, std::uint32_t> bucket_of;
+    std::vector<std::uint32_t> order;  // allocated buckets
+    std::uint32_t b = kNil;            // the previous entry's bucket
+    for (; first != last; ++first) {
+      const HhEntry<Key>& e = *first;
+      const auto c = static_cast<std::uint32_t>(size_);
+      if (!index_.try_emplace(e.key, c).second) {
+        clear();
+        return false;
+      }
+      ++size_;
+      counters_[c] = Counter{e.key, e.upper, e.upper - e.lower, kNil, kNil, kNil};
+      // Runs of equal counts are common (merge() feeds them sorted).
+      if (b == kNil || buckets_[b].value != e.upper) {
+        auto [slot, fresh] = bucket_of.try_emplace(e.upper, kNil);
+        if (fresh) {
+          *slot = alloc_bucket(e.upper);
+          order.push_back(*slot);
+        }
+        b = *slot;
+      }
+      push_counter(c, b);
+    }
+    std::sort(order.begin(), order.end(), [&](std::uint32_t x, std::uint32_t y) {
+      return buckets_[x].value < buckets_[y].value;
+    });
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      buckets_[order[i]].prev = i > 0 ? order[i - 1] : kNil;
+      buckets_[order[i]].next = i + 1 < order.size() ? order[i + 1] : kNil;
+    }
+    bucket_head_ = order.empty() ? kNil : order.front();
+    return true;
   }
 
   /// Move counter c forward by w; `attached` says whether c currently sits

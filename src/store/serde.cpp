@@ -13,40 +13,6 @@ namespace {
   throw std::runtime_error("store: " + what);
 }
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> t{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    t[i] = c;
-  }
-  return t;
-}
-
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const std::array<std::uint32_t, 256> t = make_crc_table();
-  return t;
-}
-
-}  // namespace
-
-std::uint32_t crc32(const std::uint8_t* data, std::size_t len,
-                    std::uint32_t seed) noexcept {
-  const auto& t = crc_table();
-  std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < len; ++i) c = t[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFu;
-}
-
-void ByteWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
-std::uint8_t ByteReader::u8() {
-  if (remaining() < 1) fail("truncated record (u8 past end)");
-  return data_[pos_++];
-}
-
-namespace {
-
 /// Little-endian load: bulk copy on LE hosts, byte shifts elsewhere.
 template <class T>
 T load_le(const std::uint8_t* p) {
@@ -63,7 +29,61 @@ T load_le(const std::uint8_t* p) {
   }
 }
 
+/// Slicing-by-16 tables: t[0] is the classic bytewise table; t[k][b] is the
+/// CRC contribution of byte b followed by k zero bytes, so one lookup per
+/// byte of a 16-byte block replaces 16 dependent table steps.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 16>;
+
+CrcTables make_crc_tables() {
+  CrcTables t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+const CrcTables& crc_tables() {
+  static const CrcTables t = make_crc_tables();
+  return t;
+}
+
 }  // namespace
+
+std::uint32_t crc32(const std::uint8_t* data, std::size_t len,
+                    std::uint32_t seed) noexcept {
+  const CrcTables& t = crc_tables();
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  // Byte j of each block takes table 15 - j. Words are loaded little-endian,
+  // so the value is the same on any host.
+  for (; len >= 16; data += 16, len -= 16) {
+    const std::uint32_t a = load_le<std::uint32_t>(data) ^ c;
+    const std::uint32_t b = load_le<std::uint32_t>(data + 4);
+    const std::uint32_t d = load_le<std::uint32_t>(data + 8);
+    const std::uint32_t e = load_le<std::uint32_t>(data + 12);
+    c = t[15][a & 0xFFu] ^ t[14][(a >> 8) & 0xFFu] ^ t[13][(a >> 16) & 0xFFu] ^
+        t[12][a >> 24] ^ t[11][b & 0xFFu] ^ t[10][(b >> 8) & 0xFFu] ^
+        t[9][(b >> 16) & 0xFFu] ^ t[8][b >> 24] ^ t[7][d & 0xFFu] ^
+        t[6][(d >> 8) & 0xFFu] ^ t[5][(d >> 16) & 0xFFu] ^ t[4][d >> 24] ^
+        t[3][e & 0xFFu] ^ t[2][(e >> 8) & 0xFFu] ^ t[1][(e >> 16) & 0xFFu] ^
+        t[0][e >> 24];
+  }
+  for (; len > 0; ++data, --len) c = t[0][(c ^ *data) & 0xFFu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+void ByteWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+
+std::uint8_t ByteReader::u8() {
+  if (remaining() < 1) fail("truncated record (u8 past end)");
+  return data_[pos_++];
+}
 
 std::uint16_t ByteReader::u16() {
   if (remaining() < 2) fail("truncated record (u16 past end)");
@@ -271,7 +291,11 @@ std::unique_ptr<RhhhSpaceSaving> decode_window(const std::uint8_t* data,
       e.lower = e.upper - error;
       entries.push_back(e);
     }
-    lat->restore_node(d, entries, total);
+    try {
+      lat->restore_node(d, entries, total);
+    } catch (const std::invalid_argument& e) {
+      fail("node " + std::to_string(d) + " roster rejected: " + e.what());
+    }
   }
   if (r.remaining() != 0) fail("trailing bytes after the last node roster");
   lat->restore_stream(hdr.meta.stream_length, hdr.meta.updates);

@@ -38,8 +38,9 @@ namespace rhhh::store {
 
 using Bytes = std::vector<std::uint8_t>;
 
-/// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of `data`. `seed` chains
-/// incremental computations (pass a previous return value).
+/// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of `data`, computed
+/// slicing-by-16. `seed` chains incremental computations (pass a previous
+/// return value).
 [[nodiscard]] std::uint32_t crc32(const std::uint8_t* data, std::size_t len,
                                   std::uint32_t seed = 0) noexcept;
 [[nodiscard]] inline std::uint32_t crc32(const Bytes& b) noexcept {

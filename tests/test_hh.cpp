@@ -6,8 +6,10 @@
 // their respective guarantees.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hh/count_min.hpp"
@@ -220,6 +222,189 @@ TEST(SpaceSaving, WeightedOracle) {
     EXPECT_LE(ss.lower(k), f);
     EXPECT_GE(ss.upper(k), f);
     EXPECT_LE(ss.upper(k) - f, err_bound);
+  }
+}
+
+// ------------------------------------------- space saving bulk rebuild ----
+//
+// load() and merge() rebuild their roster in one linear pass. The result
+// must be the structure successive increment(key, count) calls build in an
+// empty summary: same counter-array order (for_each order) and the same
+// newest-first order within each count bucket, which decides who is
+// evicted next. Comparing (key, upper) sequences after a further stream
+// that evicts pins both.
+
+/// Distinct-key roster of `n` entries whose counts come from `distinct`
+/// values (ties when n > distinct), with random errors.
+std::vector<HhEntry<K64>> random_roster(Xoroshiro128& rng, std::size_t n,
+                                        std::uint32_t distinct) {
+  std::vector<std::uint64_t> counts;
+  for (std::uint32_t i = 0; i < distinct; ++i) counts.push_back(1 + rng.bounded(1000));
+  std::vector<HhEntry<K64>> out;
+  std::map<K64, bool> used;
+  while (out.size() < n) {
+    const K64 k = rng.bounded(1u << 20);
+    if (used[k]) continue;
+    used[k] = true;
+    const std::uint64_t up = counts[rng.bounded(distinct)];
+    out.push_back(HhEntry<K64>{k, up, up - rng.bounded(static_cast<std::uint32_t>(up))});
+  }
+  return out;
+}
+
+/// Unit and weighted arrivals over a universe several times the capacity,
+/// including the roster's own keys, so tracked counters move and evict.
+void churn(SpaceSaving<K64>& ss, const std::vector<K64>& universe,
+           std::uint64_t seed) {
+  Xoroshiro128 rng(seed);
+  for (std::size_t i = 0; i < 6 * universe.size(); ++i) {
+    const K64 k = universe[rng.bounded(static_cast<std::uint32_t>(universe.size()))];
+    ss.increment(k, rng.bounded(4) == 0 ? 1 + rng.bounded(50) : 1);
+  }
+}
+
+void expect_same_keys_and_counts(const SpaceSaving<K64>& a,
+                                 const SpaceSaving<K64>& b, const std::string& what) {
+  const auto ea = a.entries();
+  const auto eb = b.entries();
+  ASSERT_EQ(ea.size(), eb.size()) << what;
+  for (std::size_t i = 0; i < ea.size(); ++i) {
+    ASSERT_EQ(ea[i].key, eb[i].key) << what << " slot " << i;
+    ASSERT_EQ(ea[i].upper, eb[i].upper) << what << " slot " << i;
+  }
+  EXPECT_EQ(a.min_bound(), b.min_bound()) << what;
+}
+
+std::vector<K64> universe_of(const std::vector<HhEntry<K64>>& roster, std::size_t cap,
+                             std::uint64_t seed) {
+  std::vector<K64> u;
+  for (const auto& e : roster) u.push_back(e.key);
+  Xoroshiro128 rng(seed);
+  while (u.size() < 3 * cap) u.push_back((1u << 20) + rng.bounded(1u << 20));
+  return u;
+}
+
+TEST(SpaceSavingRebuild, LoadMatchesSuccessiveIncrements) {
+  Xoroshiro128 rng(0x10AD);
+  for (const std::size_t cap : {std::size_t{1}, std::size_t{7}, std::size_t{64},
+                                std::size_t{300}}) {
+    for (const std::size_t n : {std::size_t{1}, cap / 2 + 1, cap}) {
+      for (const std::uint32_t distinct : {1u, 2u, 5u, 4000u}) {
+        const std::string what = "cap " + std::to_string(cap) + " n " +
+                                 std::to_string(n) + " distinct " +
+                                 std::to_string(distinct);
+        const auto roster = random_roster(rng, n, distinct);
+        SpaceSaving<K64> loaded(cap);
+        loaded.increment(12345, 9);  // load() must discard prior state
+        loaded.load(roster, 777);
+        ASSERT_TRUE(loaded.validate()) << what;
+        EXPECT_EQ(loaded.total(), 777u) << what;
+        EXPECT_EQ(loaded.evictions(), 0u) << what;
+        const auto back = loaded.entries();
+        ASSERT_EQ(back.size(), roster.size()) << what;
+        for (std::size_t i = 0; i < back.size(); ++i) {
+          ASSERT_EQ(back[i].key, roster[i].key) << what;
+          ASSERT_EQ(back[i].upper, roster[i].upper) << what;
+          ASSERT_EQ(back[i].lower, roster[i].lower) << what;
+        }
+
+        SpaceSaving<K64> ref(cap);
+        for (const auto& e : roster) ref.increment(e.key, e.upper);
+        expect_same_keys_and_counts(loaded, ref, what);
+
+        const auto universe = universe_of(roster, cap, cap + n + distinct);
+        churn(loaded, universe, n * 31 + distinct);
+        churn(ref, universe, n * 31 + distinct);
+        ASSERT_TRUE(loaded.validate()) << what;
+        EXPECT_GT(ref.evictions(), 0u) << what;
+        EXPECT_EQ(loaded.evictions(), ref.evictions()) << what;
+        expect_same_keys_and_counts(loaded, ref, what + " after churn");
+      }
+    }
+  }
+}
+
+TEST(SpaceSavingRebuild, LoadRejectsDuplicateKeysAndStaysValid) {
+  SpaceSaving<K64> ss(8);
+  const std::vector<HhEntry<K64>> dup{{1, 5, 5}, {2, 3, 3}, {1, 4, 4}};
+  EXPECT_THROW(ss.load(dup, 12), std::invalid_argument);
+  EXPECT_TRUE(ss.validate());
+  EXPECT_EQ(ss.size(), 0u);
+  ss.increment(9, 2);  // still usable
+  EXPECT_EQ(ss.upper(9), 2u);
+  EXPECT_TRUE(ss.validate());
+}
+
+/// The merge as it was written before the linear rebuild: merged bounds,
+/// the same sort, then increment() smallest-first into an empty summary.
+/// Returns the summary and each kept key's expected lower bound.
+std::pair<SpaceSaving<K64>, std::map<K64, std::uint64_t>> reference_merge(
+    const SpaceSaving<K64>& a, const SpaceSaving<K64>& b) {
+  struct Merged {
+    K64 key;
+    std::uint64_t count;
+    std::uint64_t error;
+  };
+  std::vector<Merged> merged;
+  a.for_each([&](const K64& k, std::uint64_t up, std::uint64_t lo) {
+    const std::uint64_t extra = b.tracked(k) ? b.upper(k) : b.min_bound();
+    const std::uint64_t extra_err = b.tracked(k) ? b.upper(k) - b.lower(k) : b.min_bound();
+    merged.push_back(Merged{k, up + extra, (up - lo) + extra_err});
+  });
+  b.for_each([&](const K64& k, std::uint64_t up, std::uint64_t lo) {
+    if (a.tracked(k)) return;
+    merged.push_back(Merged{k, up + a.min_bound(), (up - lo) + a.min_bound()});
+  });
+  std::sort(merged.begin(), merged.end(),
+            [](const Merged& x, const Merged& y) { return x.count > y.count; });
+  if (merged.size() > a.capacity()) merged.resize(a.capacity());
+  SpaceSaving<K64> out(a.capacity());
+  std::map<K64, std::uint64_t> lower;
+  for (auto it = merged.rbegin(); it != merged.rend(); ++it) {
+    out.increment(it->key, it->count);
+    lower[it->key] = it->count - it->error;
+  }
+  return {std::move(out), std::move(lower)};
+}
+
+TEST(SpaceSavingRebuild, MergeMatchesIncrementRebuild) {
+  Xoroshiro128 rng(0x3E26E);
+  for (const std::size_t cap : {std::size_t{1}, std::size_t{8}, std::size_t{64},
+                                std::size_t{256}}) {
+    // Key domains below, at and well above the capacity: summaries under
+    // capacity (min bound 0), full ones, and merges that truncate.
+    for (const std::uint32_t domain :
+         {static_cast<std::uint32_t>(cap / 2 + 1), static_cast<std::uint32_t>(cap),
+          static_cast<std::uint32_t>(8 * cap)}) {
+      for (const std::uint32_t max_w : {1u, 3u, 40u}) {
+        const std::string what = "cap " + std::to_string(cap) + " domain " +
+                                 std::to_string(domain) + " max_w " +
+                                 std::to_string(max_w);
+        SpaceSaving<K64> a(cap);
+        SpaceSaving<K64> b(cap);
+        for (std::size_t i = 0; i < 20 * cap; ++i) {
+          a.increment(rng.bounded(domain), 1 + rng.bounded(max_w));
+          b.increment(rng.bounded(domain) + domain / 2, 1 + rng.bounded(max_w));
+        }
+        auto [ref, ref_lower] = reference_merge(a, b);
+        SpaceSaving<K64> merged = a;
+        merged.merge(b);
+        ASSERT_TRUE(merged.validate()) << what;
+        EXPECT_EQ(merged.total(), a.total() + b.total()) << what;
+        EXPECT_EQ(merged.evictions(), a.evictions() + b.evictions()) << what;
+        expect_same_keys_and_counts(merged, ref, what);
+        merged.for_each([&](const K64& k, std::uint64_t, std::uint64_t lo) {
+          EXPECT_EQ(lo, ref_lower.at(k)) << what << " key " << k;
+        });
+
+        std::vector<K64> universe;
+        for (std::uint32_t k = 0; k < 3 * cap + 2 * domain; ++k) universe.push_back(k);
+        churn(merged, universe, cap + domain + max_w);
+        churn(ref, universe, cap + domain + max_w);
+        ASSERT_TRUE(merged.validate()) << what;
+        expect_same_keys_and_counts(merged, ref, what + " after churn");
+      }
+    }
   }
 }
 

@@ -3,8 +3,11 @@
 // non-IPv4 frame skipping.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
+#include <string>
 #include <vector>
 
 #include "net/frame.hpp"
@@ -17,7 +20,11 @@ namespace {
 
 class PcapTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/rhhh_pcap_test.pcap";
+  // One file per test and process: ctest runs every case as its own
+  // process, so cases run in parallel under -j and must not share it.
+  std::string path_ = ::testing::TempDir() + "/rhhh_pcap_" +
+                      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+                      "_" + std::to_string(::getpid()) + ".pcap";
   void TearDown() override { std::remove(path_.c_str()); }
 
   [[nodiscard]] std::vector<std::uint8_t> file_bytes() const {

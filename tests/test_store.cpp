@@ -17,6 +17,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -326,6 +327,97 @@ TEST(SerdeCorruption, SameHDifferentKindRejectedWhenKindIsPinned) {
   EXPECT_THROW((void)store::decode_window(bytes.data(), bytes.size(), h4,
                                           nullptr, &expect),
                std::runtime_error);
+}
+
+TEST(SerdeCorruption, DuplicateKeyInRosterThrows) {
+  // A CRC-valid record whose roster repeats a key is corrupt: reloading it
+  // must fail loudly, not fold the two counts into one counter.
+  const Hierarchy h = make_hierarchy(HierarchyKind::kIpv4TwoDimBytes);
+  store::Bytes bytes = sample_record(h);
+  store::ByteReader r(bytes.data(), bytes.size());
+  (void)r.u32();
+  const std::uint32_t header_bytes = r.u32();
+  r.skip(header_bytes - 8);
+  // Find a node roster with two entries; copy entry 0's key over entry 1's.
+  std::size_t at = 0;
+  for (std::uint32_t d = 0; d < h.size() && at == 0; ++d) {
+    const std::uint32_t n = r.u32();
+    r.skip(12);
+    if (n >= 2) at = r.pos();
+    r.skip(32 * static_cast<std::size_t>(n));
+  }
+  ASSERT_NE(at, 0u);
+  std::copy_n(bytes.begin() + static_cast<std::ptrdiff_t>(at), 16,
+              bytes.begin() + static_cast<std::ptrdiff_t>(at + 32));
+  try {
+    (void)store::decode_window(bytes.data(), bytes.size(), h);
+    FAIL() << "duplicate key decoded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("store: ", 0), 0u) << e.what();
+    EXPECT_NE(std::string(e.what()).find("duplicate key"), std::string::npos)
+        << e.what();
+  }
+
+  // The segment log re-CRCs the payload, so only the decode can catch it.
+  TempDir tmp("dupkey");
+  {
+    store::SegmentWriter w((tmp.path / "00000001.seg").string());
+    w.append(bytes, 1, 0, 0);
+  }
+  const auto ar = store::WindowArchive::open_read(tmp.str());
+  ASSERT_EQ(ar.windows(), 1u);
+  EXPECT_THROW((void)ar.read(0), std::runtime_error);
+}
+
+// --------------------------------------------------------------- crc32 ----
+
+/// Bit-at-a-time CRC-32 (reflected 0xEDB88320): the reference the table
+/// implementation must match.
+std::uint32_t crc32_reference(const std::uint8_t* p, std::size_t n,
+                              std::uint32_t seed = 0) {
+  std::uint32_t c = ~seed;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return ~c;
+}
+
+TEST(Crc32, KnownAnswers) {
+  const std::string check = "123456789";
+  EXPECT_EQ(store::crc32(reinterpret_cast<const std::uint8_t*>(check.data()),
+                         check.size()),
+            0xCBF43926u);
+  EXPECT_EQ(store::crc32(store::Bytes{}), 0u);
+  EXPECT_EQ(store::crc32(nullptr, 0, 0x12345678u), 0x12345678u);
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  Xoroshiro128 rng(0xC3C32);
+  store::Bytes buf(16 + 96);
+  for (std::uint8_t& b : buf) b = static_cast<std::uint8_t>(rng());
+  for (std::size_t off = 0; off < 16; ++off) {
+    for (std::size_t len = 0; len <= 96; ++len) {
+      ASSERT_EQ(store::crc32(buf.data() + off, len),
+                crc32_reference(buf.data() + off, len))
+          << "offset " << off << " length " << len;
+      ASSERT_EQ(store::crc32(buf.data() + off, len, 0xDEADBEEFu),
+                crc32_reference(buf.data() + off, len, 0xDEADBEEFu))
+          << "offset " << off << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32, ChainsAcrossSplits) {
+  Xoroshiro128 rng(0xC4A1);
+  store::Bytes buf(200);
+  for (std::uint8_t& b : buf) b = static_cast<std::uint8_t>(rng());
+  const std::uint32_t whole = store::crc32(buf);
+  for (std::size_t cut = 0; cut <= buf.size(); ++cut) {
+    const std::uint32_t a = store::crc32(buf.data(), cut);
+    EXPECT_EQ(store::crc32(buf.data() + cut, buf.size() - cut, a), whole)
+        << "cut " << cut;
+  }
 }
 
 // ---------------------------------------------------------- segment log ----

@@ -3,11 +3,14 @@
 // file round-trips.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "trace/address_model.hpp"
@@ -236,7 +239,11 @@ TEST(TraceGen, GenerateBatch) {
 
 class TraceIoTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/rhhh_trace_test.rhht";
+  // One file per test and process: ctest runs every case as its own
+  // process, so cases run in parallel under -j and must not share it.
+  std::string path_ = ::testing::TempDir() + "/rhhh_trace_" +
+                      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+                      "_" + std::to_string(::getpid()) + ".rhht";
   void TearDown() override { std::remove(path_.c_str()); }
 };
 
