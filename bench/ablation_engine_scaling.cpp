@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
         eng->stop();  // drains every ring: all n records consumed
         const double dt = now_sec() - t0;
         s.add(static_cast<double>(keys.size()) / dt / 1e6);
-        last = eng->snapshot().stats();
+        last = eng->trend_snapshot().stats();
       }
       print_row({std::to_string(workers), xcell(std::to_string(mult)),
                  ci_cell(s), std::to_string(last.dropped),

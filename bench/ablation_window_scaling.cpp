@@ -6,13 +6,10 @@
 // HhhEngine, with a burst planted at 60% of the stream (30% of subsequent
 // traffic toward one /16 -> victim pair). Window epochs close every
 // `epoch` records through the engine's own packet budget
-// (EngineConfig::epoch_packets) -- the cooperative rotation scheme meters
-// the budget at worker batch boundaries and the worker that sees it spent
-// rotates in place, so the budget itself paces the run and the old
-// deterministic `rotate_epoch()` workaround (which existed because the
-// 200us polling clock drifted too far on busy hosts to pace a benchmark)
-// is gone. The driver probes the two-window snapshot's emerging() every
-// quarter epoch of ingested records.
+// (EngineConfig::epoch_packets) -- the workers meter the budget at their
+// batch boundaries and the one that sees it spent rotates in place, so the
+// budget itself paces the run. The bench probes trend_snapshot()'s
+// two-window emerging() every quarter epoch of ingested records.
 //
 // Columns: ingest throughput (Mpps, lossless blocking overflow, clock from
 // first push until every record is consumed, rotation + probe quiesces
@@ -22,10 +19,8 @@
 // drops. Smaller epochs detect sooner but quiesce more often; more workers
 // push Mpps up until transport (or the host's core count) binds.
 //
-// A second panel A/Bs the drift under cooperative rotation vs the demoted
-// 200us-timeslice fallback (cooperative_rotation = false): cooperative
-// drift is bounded by one worker batch, the fallback by a polling
-// timeslice, so the gap is normally well over an order of magnitude.
+// A second, probe-free panel measures the drift of worker-driven
+// (cooperative) rotation alone: it is bounded by one worker batch.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -63,7 +58,7 @@ struct SweepInput {
 };
 
 SweepResult run_config(const SweepInput& in, std::uint32_t workers,
-                       std::size_t epoch, bool cooperative, bool probes,
+                       std::size_t epoch, bool probes,
                        std::size_t ring_capacity = 1 << 16) {
   const Args& args = in.args;
   const std::size_t chunk = std::max<std::size_t>(epoch / 4, 1);
@@ -81,7 +76,6 @@ SweepResult run_config(const SweepInput& in, std::uint32_t workers,
     cfg.batch = 256;
     cfg.overflow = OverflowPolicy::kBlock;  // lossless: Mpps counts real work
     cfg.epoch_packets = epoch;              // the engine paces itself
-    cfg.cooperative_rotation = cooperative;
     const std::unique_ptr<HhhEngine> eng = make_engine(cfg);
     eng->start();
 
@@ -89,8 +83,8 @@ SweepResult run_config(const SweepInput& in, std::uint32_t workers,
     std::uint64_t run_latency = 0;
     const auto probe = [&](std::size_t processed) {
       if (run_detected) return;
-      const WindowedEngineSnapshot snap = eng->window_snapshot();
-      if (!snap.has_previous()) return;
+      const TrendSnapshot snap = eng->trend_snapshot();
+      if (snap.sealed_windows() == 0) return;
       for (const EmergingPrefix& e : snap.emerging(args.theta, in.growth)) {
         if (e.share_now > 0.15 && e.growth() >= in.growth &&
             in.h.generalizes(e.now.prefix, in.attack_bottom)) {
@@ -129,10 +123,10 @@ SweepResult run_config(const SweepInput& in, std::uint32_t workers,
       for (std::thread& t : producers) t.join();
       // Probe right behind the producers: the live window is fullest (and
       // the sealed one oldest) near a boundary -- the best moment for the
-      // straddling-onset case. The drift A/B below runs probe-free: every
+      // straddling-onset case. The drift panel below runs probe-free: every
       // probe quiesce parks the workers, so a budget crossing inside its
       // boundary drain charges the snapshot merge to the drift sample and
-      // swamps the rotation-scheme difference being measured.
+      // swamps the rotation drift being measured.
       if (probes) probe(hi);
     }
     eng->stop();
@@ -173,9 +167,9 @@ std::string drift_cell_of(const SweepResult& res) {
   return res.drift_ns.count() > 0 ? ci_cell(res.drift_ns) : "n/a";
 }
 
-/// Display-only drift cell: the probe-quiesce-inflated sweep rows and the
-/// timeslice baseline are scheduler-noise dominated, so a "~" prefix keeps
-/// them out of check_trajectory's numeric diff while staying readable.
+/// Display-only drift cell: the probe-quiesce-inflated sweep rows are
+/// scheduler-noise dominated, so a "~" prefix keeps them out of
+/// check_trajectory's numeric diff while staying readable.
 std::string drift_cell_untracked(const SweepResult& res) {
   if (res.drift_ns.count() == 0) return "n/a";
   // Append-built: `"~" + fmt(...)` trips GCC 12's -Wrestrict false
@@ -216,7 +210,7 @@ int main(int argc, char** argv) {
   for (const std::uint32_t workers : {1u, 2u, 4u}) {
     for (const std::size_t div : {16u, 4u}) {
       const std::size_t epoch = std::max<std::size_t>(n / div, 4);
-      const SweepResult res = run_config(in, workers, epoch, true, true);
+      const SweepResult res = run_config(in, workers, epoch, /*probes=*/true);
       print_row({std::to_string(workers),
                  xcell(std::string("1/") + std::to_string(div)),
                  ci_cell(res.mpps), detect_cell_of(res, args.runs),
@@ -225,32 +219,25 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Drift A/B at a fixed sweep point, probe-free so the sample measures the
-  // rotation scheme alone: cooperative rotation (budget checked at worker
-  // batch boundaries, crossing worker rotates in place) vs the demoted
-  // 200us-timeslice fallback clock. Small blocking rings keep the pipeline
-  // in steady state -- backpressure paces the producers to the workers'
-  // consumption rate, so rotations happen live instead of piling into the
-  // shutdown drain (which never rotates) on oversubscribed hosts. The
-  // cooperative row is the trajectory-gated drift cell; the timeslice
-  // baseline is scheduler-bound and stays display-only.
+  // Drift at a fixed sweep point, probe-free so the sample measures the
+  // rotation alone: the budget is checked at worker batch boundaries and
+  // the crossing worker rotates in place. Small blocking rings keep the
+  // pipeline in steady state -- backpressure paces the producers to the
+  // workers' consumption rate, so rotations happen live instead of piling
+  // into the shutdown drain (which never rotates) on oversubscribed hosts.
+  // This is the trajectory-gated drift cell.
   print_row({"rotation", "epoch/n", "drift ns (95% CI)", "windows"});
-  const std::size_t ab_epoch = std::max<std::size_t>(n / 16, 4);
-  for (const bool cooperative : {true, false}) {
-    const SweepResult res = run_config(in, /*workers=*/2, ab_epoch,
-                                       cooperative, false, /*ring=*/1 << 10);
-    print_row({cooperative ? "cooperative" : "timeslice", xcell("1/16"),
-               cooperative ? drift_cell_of(res) : drift_cell_untracked(res),
-               std::to_string(res.windows)});
-  }
+  const std::size_t drift_epoch = std::max<std::size_t>(n / 16, 4);
+  const SweepResult res = run_config(in, /*workers=*/2, drift_epoch,
+                                     /*probes=*/false, /*ring=*/1 << 10);
+  print_row({"cooperative", xcell("1/16"), drift_cell_of(res),
+             std::to_string(res.windows)});
 
   std::printf(
       "\n(expected shape: Mpps tracks the non-windowed engine ablation while\n"
       " cores last [this host: %u hardware threads]; fine epochs [1/16 of the\n"
       " stream] flag the planted burst after fewer packets than coarse ones\n"
-      " [1/4]; cooperative drift sits near one worker batch while the\n"
-      " timeslice fallback pays the 200us polling quantum -- typically a\n"
-      " >=10x gap)\n",
+      " [1/4]; cooperative drift sits near one worker batch)\n",
       std::thread::hardware_concurrency());
   return 0;
 }

@@ -42,16 +42,16 @@
 
 namespace {
 
-void print_view(const rhhh::HhhEngine& eng, const rhhh::EngineSnapshot& snap,
+void print_view(const rhhh::HhhEngine& eng, const rhhh::TrendSnapshot& snap,
                 double theta) {
-  const auto n = static_cast<double>(snap.stream_length());
+  const auto n = static_cast<double>(snap.current_length());
   const rhhh::EngineStats& s = snap.stats();
   std::printf("epoch %llu: N=%.0f offered=%llu consumed=%llu dropped=%llu\n",
-              static_cast<unsigned long long>(snap.epoch()), n,
+              static_cast<unsigned long long>(s.epochs), n,
               static_cast<unsigned long long>(s.offered),
               static_cast<unsigned long long>(s.consumed),
               static_cast<unsigned long long>(s.dropped));
-  for (const rhhh::HhhCandidate& c : snap.output(theta)) {
+  for (const rhhh::HhhCandidate& c : snap.current(theta)) {
     std::printf("  %-36s ~%5.2f%%\n", eng.hierarchy().format(c.prefix).c_str(),
                 100.0 * c.f_est / n);
   }
@@ -156,15 +156,15 @@ int main(int argc, char** argv) {
   }
 
   // A mid-stream epoch: quiesce, merge the four shard lattices, resume --
-  // the producers keep running across the snapshot.
+  // the producers keep running across the query.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  print_view(*eng, eng->snapshot(), theta);
+  print_view(*eng, eng->trend_snapshot(), theta);
 
   for (std::thread& t : producers) t.join();
   eng->stop();
 
   std::printf("\n");
-  const rhhh::EngineSnapshot final_snap = eng->snapshot();
+  const rhhh::TrendSnapshot final_snap = eng->trend_snapshot();
   print_view(*eng, final_snap, theta);
 
   const rhhh::EngineStats& s = final_snap.stats();

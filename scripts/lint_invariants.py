@@ -30,6 +30,12 @@ Checks things no generic tool enforces:
    contract, so there is never a correctness reason to drop back to the
    scalar loop). A deliberate exception carries a `// per-record:` comment
    on the same or the preceding line stating why batching cannot apply.
+6. Metric docs do not drift: the metric families registered in src/ (every
+   `"rhhh_...` string literal, cut at a `{` label set) must be exactly the
+   backticked `rhhh_...` names in the Family column of README's
+   Observability table. Each name is written out in full there, so a
+   family added, renamed or deleted in code without the table (or the
+   reverse) is a finding.
 
 Exit code 0 when clean, 1 with one line per finding otherwise.
 """
@@ -77,6 +83,12 @@ OBS_EMPTY_NAME_RE = re.compile(r"\b(gauge_fn|counter|gauge|histogram)\s*\(\s*\"\
 # keeps free functions and declarations out of scope.
 PER_RECORD_UPDATE_RE = re.compile(r"(?:\.|->)update\s*\(")
 PER_RECORD_WAIVER_RE = re.compile(r"//\s*per-record:")
+
+# Metric family literals in src/ and backticked family names in README's
+# Observability table; both stop at a `{` label set.
+METRIC_LITERAL_RE = re.compile(r'"(rhhh_[A-Za-z0-9_:]+)')
+README_FAMILY_RE = re.compile(r"`(rhhh_[A-Za-z0-9_:]+)")
+README_TABLE_HEADER = "| Family | Kind | What it measures |"
 
 
 def strip_strings(line: str) -> str:
@@ -217,6 +229,51 @@ def lint_pragma_once(path: Path, rel: str, findings: list[str]) -> None:
         return
 
 
+def registered_families(path: Path, families: set[str]) -> None:
+    for raw in path.read_text(encoding="utf-8").splitlines():
+        if raw.lstrip().startswith("//"):
+            continue
+        families.update(METRIC_LITERAL_RE.findall(raw))
+
+
+def readme_families(readme: Path, findings: list[str]) -> set[str]:
+    """Family-column names of README's Observability table."""
+    names: set[str] = set()
+    if not readme.is_file():
+        findings.append("README.md: missing (the metric family table lives there)")
+        return names
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    try:
+        start = lines.index(README_TABLE_HEADER)
+    except ValueError:
+        findings.append(
+            f"README.md: no Observability family table ('{README_TABLE_HEADER}')"
+        )
+        return names
+    for line in lines[start + 2:]:  # skip the header and its |---| rule
+        if not line.startswith("|"):
+            break
+        family_cell = line.split("|")[1]
+        names.update(README_FAMILY_RE.findall(family_cell))
+    return names
+
+
+def lint_metric_docs(
+    registered: set[str], readme: Path, findings: list[str]
+) -> None:
+    documented = readme_families(readme, findings)
+    for name in sorted(registered - documented):
+        findings.append(
+            f"README.md: metric family `{name}` is registered in src/ but "
+            "missing from the Observability table (write the full name)"
+        )
+    for name in sorted(documented - registered):
+        findings.append(
+            f"README.md: Observability table lists `{name}`, which nothing "
+            "in src/ registers"
+        )
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--root", type=Path, default=Path(__file__).parent.parent)
@@ -227,10 +284,12 @@ def main() -> int:
         return 1
 
     findings: list[str] = []
+    registered: set[str] = set()
     for path in sorted(src.rglob("*")):
         if path.suffix not in (".hpp", ".cpp") or not path.is_file():
             continue
         rel = path.relative_to(args.root).as_posix()
+        registered_families(path, registered)
         lint_atomics(path, rel, findings)
         lint_obs_call_sites(path, rel, findings)
         if "src/engine/" in rel:
@@ -250,6 +309,8 @@ def main() -> int:
                 continue
             rel = path.relative_to(args.root).as_posix()
             lint_obs_call_sites(path, rel, findings)
+
+    lint_metric_docs(registered, args.root / "README.md", findings)
 
     if findings:
         print(f"lint_invariants: {len(findings)} finding(s)")

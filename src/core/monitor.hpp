@@ -168,7 +168,7 @@ struct EngineConfig {
   ShardPolicy policy = ShardPolicy::kKeyHash;
   OverflowPolicy overflow = OverflowPolicy::kBlock;
 
-  // -- windowed change detection (HhhEngine::window_snapshot) ---------------
+  // -- windowed change detection (HhhEngine::trend_snapshot) ----------------
   /// >0: a window epoch closes once this many records have been CONSUMED
   /// into shard lattices since the last boundary. The budget basis is
   /// consumed-only by contract: drop-tail drops are attributed to the
@@ -179,18 +179,14 @@ struct EngineConfig {
   std::uint64_t epoch_packets = 0;
   /// >0: a window epoch closes every this many wall-clock milliseconds.
   /// 0 disables the wall budget. Either budget (or manual
-  /// HhhEngine::rotate_epoch() calls) drives the same rotation.
+  /// HhhEngine::rotate_epoch() calls) drives the same rotation: workers
+  /// meter the budget at batch boundaries and the one that sees it spent
+  /// elects itself rotator (one CAS on an epoch-due token), so boundary
+  /// drift is bounded by one worker batch; a coordinator clock thread
+  /// rotates idle streams that have no batch boundary to meter at.
   std::uint32_t epoch_millis = 0;
-  /// When true (default), workers meter the epoch budget at batch
-  /// boundaries and the one that sees it spent elects itself rotator (one
-  /// CAS on an epoch-due token) and drives the rotation -- boundary drift
-  /// is bounded by one worker batch. The coordinator clock thread is then
-  /// only a fallback for idle streams. When false, rotation reverts to the
-  /// clock thread's 200us polling timeslice (the pre-cooperative baseline;
-  /// kept as an escape hatch and for drift A/B measurement).
-  bool cooperative_rotation = true;
   /// Sealed windows each shard retains (>= 1). 1 is the classic
-  /// live/previous pair; larger K unlocks HhhEngine::trend_snapshot()'s
+  /// live/previous pair; larger K adds HhhEngine::trend_snapshot()'s
   /// k-epoch growth curves and sustained-ramp alarms at the cost of K
   /// extra lattices per shard.
   std::size_t history_depth = 1;
@@ -206,7 +202,7 @@ struct EngineConfig {
   // -- always-on telemetry (src/obs/) ---------------------------------------
   /// When true (the default -- the layer costs <3% update throughput, see
   /// bench/ablation_obs_overhead), the engine registers latency histograms
-  /// (push/pop batch, quiesce, rotation, snapshot/trend merge), occupancy
+  /// (push/pop batch, quiesce, rotation, trend_snapshot merge), occupancy
   /// and queue-depth gauges, and EngineStats counter mirrors against
   /// `metrics` (the process-global registry when null), and records
   /// rotation/quiesce/seal/archive events into the global TraceRing.

@@ -1,6 +1,6 @@
 // Epoch-window rotation primitives shared by the single-threaded
-// WindowedHhhMonitor (core/windowed.hpp) and the sharded engine's windowed
-// snapshot paths (engine/engine.hpp): a ring of one live plus K sealed
+// WindowedHhhMonitor (core/windowed.hpp) and the sharded engine's
+// trend_snapshot() (engine/engine.hpp): a ring of one live plus K sealed
 // same-configuration HHH instances that rotates at epoch boundaries, plus
 // the change-detection queries over those windows -- the two-epoch
 // emerging comparison and the K-epoch trend / sustained-growth queries.

@@ -18,8 +18,7 @@
 //                             blip does not.
 //
 // For the same semantics at multi-core scale, see the engine's windowed
-// snapshot paths (engine/engine.hpp, rotate_epoch / window_snapshot /
-// trend_snapshot).
+// query (engine/engine.hpp, rotate_epoch / trend_snapshot).
 #pragma once
 
 #include <cstdint>

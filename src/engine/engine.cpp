@@ -221,8 +221,6 @@ void HhhEngine::bind_metrics() {
   obs_.rotation_drift_ns = &reg.histogram(
       "rhhh_engine_rotation_drift_ns",
       "budget-spent to rotation-start drift (ns, budget-driven rotations)");
-  obs_.snapshot_ns = &reg.histogram("rhhh_engine_snapshot_merge_ns",
-                                    "snapshot/window_snapshot merge time (ns)");
   obs_.trend_ns = &reg.histogram("rhhh_engine_trend_merge_ns",
                                  "trend_snapshot merge time (ns)");
   obs_.archive_q_depth = &reg.gauge("rhhh_engine_archive_queue_depth",
@@ -695,16 +693,14 @@ void HhhEngine::worker_loop(std::uint32_t w) {
   WorkerState& ws = *workers_[w];
   std::vector<Key128> batch(pop_batch_);
   std::uint64_t acked = 0;
-  // Cooperative rotation state, all thread-local so non-windowed engines
+  // Worker-driven rotation state, all thread-local so non-windowed engines
   // pay nothing past two immutable bools. `metering` (packet budget
-  // configured) drives the countdown whether or not the cooperative path is
-  // on -- the fallback clock reads the same countdown, and the drift mark
-  // set at the crossing keeps the baseline's drift measurement honest.
+  // configured) drives the countdown the fallback clock reads too.
   // `claimed` tracks ownership of the epoch-due token across batches while
   // snap_mu_ is busy (the claim survives quiesce boundaries: a try-lock
   // miss below never blocks this worker from acking them).
   const bool metering = cfg_.epoch_packets > 0;
-  const bool cooperative = windowed() && cfg_.cooperative_rotation;
+  const bool windowed_engine = windowed();
   bool claimed = false;
   for (;;) {
     // TEST HOOK (see test_block_worker): park while singled out. Costs the
@@ -718,8 +714,8 @@ void HhhEngine::worker_loop(std::uint32_t w) {
     }
     const std::size_t got = drain_pass(w, batch);
     if (metering && got != 0) meter_consumed(got);
-    if (cooperative && got != 0 && !claimed && budget_due()) {
-      // Amortized cooperative check: one relaxed load + compare per batch
+    if (windowed_engine && got != 0 && !claimed && budget_due()) {
+      // Amortized budget check: one relaxed load + compare per batch
       // (plus one clock read when a wall budget is configured), so the
       // per-record update stays O(1). The budget is spent and unclaimed:
       // elect ourselves rotator with a single CAS.
@@ -885,15 +881,12 @@ bool HhhEngine::try_rotate_cooperative(std::uint32_t w,
 }
 
 void HhhEngine::clock_loop(std::uint64_t gen) {
-  // The DEMOTED fallback clock: with cooperative rotation (the default) the
-  // workers meter the budget at their batch boundaries and rotate
-  // themselves, so this thread matters only for idle streams -- a wall
-  // budget with no traffic has no batch boundary to piggyback on. With
-  // cooperative_rotation == false it is the sole automatic rotator (the
-  // pre-cooperative 200us-timeslice baseline the drift bench compares
-  // against). Either way it meters the same consumed-only budget lock-free
-  // and only takes snap_mu_ when a rotation is actually due -- a stream of
-  // concurrent snapshots must not starve the clock, and an idle clock must
+  // The fallback clock: the workers meter the budget at their batch
+  // boundaries and rotate themselves, so this thread matters only for idle
+  // streams -- a wall budget with no traffic has no batch boundary to
+  // piggyback on. It meters the same consumed-only budget lock-free and
+  // only takes snap_mu_ when a rotation is actually due -- a stream of
+  // concurrent queries must not starve the clock, and an idle clock must
   // not contend with them. A stale generation token (this thread has been
   // retired by stop(), possibly with a successor already running) exits
   // without touching anything.
@@ -1095,47 +1088,20 @@ std::size_t HhhEngine::merge_sealed(std::size_t depth) {
   return merges;
 }
 
-EngineSnapshot HhhEngine::snapshot() {
-  std::lock_guard<std::mutex> snap_lk(snap_mu_);
-  const obs::ScopedTimer obs_t(obs_.snapshot_ns);
-  LiveWindow live = merge_live();
-  if (obs_.trace != nullptr) {
-    obs_.trace->record(obs::TraceEvent::kSnapshot,
-                       static_cast<std::int64_t>(obs::now_ns()), live.epoch, 0);
-  }
-  return EngineSnapshot(std::move(live.merged), std::move(live.stats), live.epoch);
-}
-
 void HhhEngine::rotate_locked(std::uint32_t self, std::vector<Key128>* self_batch,
                               std::uint64_t* self_acked) {
   const std::uint64_t obs_t0 = obs_.rotation_ns != nullptr ? obs::now_ns() : 0;
   // Drift metering: a budget-driven rotation measures rotation-start minus
-  // the instant the budget was first observed spent. The mark must fall
+  // the instant the budget was first observed spent. The mark is read
+  // inside the quiesce, just before the reset (see there), and must fall
   // inside the closing window -- an observation that raced the previous
-  // reset can deposit a mark from the OLD window after the clear below; the
+  // reset can deposit a mark from the OLD window after the clear; the
   // validity check discards it (costing at most one sample, never faking
   // one). Manual rotations (no mark) record nothing.
-  {
-    const std::int64_t rot_start_ns =
-        std::chrono::steady_clock::now().time_since_epoch().count();
-    // order: relaxed x2 -- both are stable or stale-tolerant under snap_mu_
-    // (held): the mark is validated below, the start is written only under
-    // this lock.
-    const std::int64_t mark = budget_spent_ns_.load(std::memory_order_relaxed);
-    const std::int64_t started = win_started_ns_.load(std::memory_order_relaxed);
-    if (mark != 0 && mark > started) {
-      const std::uint64_t drift =
-          rot_start_ns > mark ? static_cast<std::uint64_t>(rot_start_ns - mark)
-                              : 0;
-      // order: relaxed x3 -- drift statistics, written only under snap_mu_.
-      budget_rotations_.fetch_add(1, std::memory_order_relaxed);
-      drift_ns_total_.fetch_add(drift, std::memory_order_relaxed);
-      if (drift > static_cast<std::uint64_t>(kLateRotationNs)) {
-        late_rotations_.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (obs_.rotation_drift_ns != nullptr) obs_.rotation_drift_ns->record(drift);
-    }
-  }
+  const std::int64_t rot_start_ns =
+      std::chrono::steady_clock::now().time_since_epoch().count();
+  std::int64_t mark = 0;
+  std::int64_t started = 0;
   std::uint64_t sealed_drop = 0;
   std::uint64_t duration_ns = 0;
   const std::int64_t wall_start_ns = win_started_wall_ns_;
@@ -1160,11 +1126,19 @@ void HhhEngine::rotate_locked(std::uint32_t self, std::vector<Key128>* self_batc
     const std::int64_t now_ns =
         std::chrono::steady_clock::now().time_since_epoch().count();
     // order: relaxed -- written only under snap_mu_ (held), stable here.
-    const std::int64_t started = win_started_ns_.load(std::memory_order_relaxed);
+    started = win_started_ns_.load(std::memory_order_relaxed);
     duration_ns =
         now_ns > started ? static_cast<std::uint64_t>(now_ns - started) : 0;
     sealed_durations_ns_.insert(sealed_durations_ns_.begin(), duration_ns);
     sealed_durations_ns_.resize(cfg_.history_depth);
+    // order: relaxed -- the worker whose decrement crossed zero CASes its
+    // mark before it acks this boundary under ctl_mu_, and quiesced() took
+    // ctl_mu_ to see every ack: that ctl_mu_ edge orders the mark before
+    // this load. Any earlier read could miss the mark of a crossing worker
+    // preempted between its decrement and its CAS (another worker may
+    // rotate on the spent budget meanwhile), and the reset below would
+    // wipe it: an uncounted budget rotation.
+    mark = budget_spent_ns_.load(std::memory_order_relaxed);
     // Reset the whole budget state for the fresh window while every worker
     // is parked past its boundary drain (or IS this thread): no metering
     // decrement can race these stores, and the ctl_mu_ hand-off at resume
@@ -1185,6 +1159,17 @@ void HhhEngine::rotate_locked(std::uint32_t self, std::vector<Key128>* self_batc
       self, self_batch);
   // A rotating worker must not re-park at the boundary it just drove.
   if (self_acked != nullptr) *self_acked = e;
+  if (mark != 0 && mark > started) {
+    const std::uint64_t drift =
+        rot_start_ns > mark ? static_cast<std::uint64_t>(rot_start_ns - mark) : 0;
+    // order: relaxed x3 -- drift statistics, written only under snap_mu_.
+    budget_rotations_.fetch_add(1, std::memory_order_relaxed);
+    drift_ns_total_.fetch_add(drift, std::memory_order_relaxed);
+    if (drift > static_cast<std::uint64_t>(kLateRotationNs)) {
+      late_rotations_.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (obs_.rotation_drift_ns != nullptr) obs_.rotation_drift_ns->record(drift);
+  }
   win_started_wall_ns_ = wall_end_ns;
   // The merged-window cache is left alone: its entries stay valid, and the
   // next query shifts them by the new window count (merge_sealed()).
@@ -1235,28 +1220,9 @@ void HhhEngine::stamp_certificate(std::uint64_t sealed_epoch,
       static_cast<std::int64_t>(obs::now_ns())));
 }
 
-WindowedEngineSnapshot HhhEngine::window_snapshot() {
-  std::lock_guard<std::mutex> snap_lk(snap_mu_);
-  const obs::ScopedTimer obs_t(obs_.snapshot_ns);
-  LiveWindow live = merge_live();
-  // The previous window is the cache's age-0 entry, shared with
-  // trend_snapshot() and merged after the workers resumed (see there).
-  std::shared_ptr<const RhhhSpaceSaving> prev;
-  std::uint64_t prev_drops = 0;
-  if (shard_sealed_windows() != 0) {
-    merge_sealed(1);
-    prev = trend_cache_[0];
-    prev_drops = sealed_drops_[0];
-  }
-  // order: relaxed -- stable under snap_mu_ (held).
-  const std::uint64_t we = window_epochs_.load(std::memory_order_relaxed);
-  return WindowedEngineSnapshot(std::move(live.merged), std::move(prev),
-                                std::move(live.stats), we, live.drops, prev_drops);
-}
-
 TrendSnapshot HhhEngine::trend_snapshot() {
   std::lock_guard<std::mutex> snap_lk(snap_mu_);
-  const obs::ScopedTimer obs_t(obs_.trend_ns);
+  const std::uint64_t obs_t0 = obs_.trend_ns != nullptr ? obs::now_ns() : 0;
   LiveWindow live = merge_live();
   // The sealed merges run after the workers resumed: sealed shard windows
   // are immutable until the next rotation (which needs snap_mu_, held
@@ -1287,6 +1253,13 @@ TrendSnapshot HhhEngine::trend_snapshot() {
   // Pure wall-clock rotation produces unequal-length windows; weigh the
   // sustained-growth baseline by duration there (see window_ring.hpp).
   const bool weighted = cfg_.epoch_millis > 0 && cfg_.epoch_packets == 0;
+  if (obs_.trend_ns != nullptr) {
+    const std::uint64_t now = obs::now_ns();
+    const std::uint64_t dur = now >= obs_t0 ? now - obs_t0 : 0;
+    obs_.trend_ns->record(dur);
+    obs_.trace->record(obs::TraceEvent::kSnapshot, static_cast<std::int64_t>(now),
+                       live.epoch, dur);
+  }
   return TrendSnapshot(std::move(live.merged), std::move(sealed),
                        std::move(sealed_drops), std::move(sealed_durs),
                        std::move(live.stats), we, live.drops, cur_dur, weighted);

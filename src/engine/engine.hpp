@@ -4,7 +4,7 @@
 // summaries" design, applied to RHHH):
 //
 //   producer 0 ──ring──▶ worker 0 [LatticeHhh shard]
-//      │    └───ring──▶ worker 1 [LatticeHhh shard]      snapshot(): quiesce
+//      │    └───ring──▶ worker 1 [LatticeHhh shard]   trend_snapshot(): quiesce
 //   producer 1 ──ring──▶ worker 0         │           ─▶ at an epoch boundary,
 //      │    └───ring──▶ worker 1 ─────────┘              LatticeHhh::merge all
 //      ⋮                    ⋮                             shards, answer
@@ -21,33 +21,26 @@
 // drains its visible ring backlog first), the coordinator operates on the
 // shard lattices, and workers resume.
 //
-// Four operations use it:
-//   * snapshot()        -- merge the live lattices (LatticeHhh::merge, the
-//                          multi-switch collector of paper Section 7) into
-//                          one instance whose stream length N spans every
-//                          shard plus counted drops. The lifetime view when
-//                          no window rotation is used; the current-window
-//                          view otherwise.
+// Two operations use it:
 //   * rotate_epoch()    -- seal the current window: every shard rotates its
 //                          window ring on the shared boundary. Driven
-//                          manually, cooperatively by the workers
+//                          manually, by the workers themselves
 //                          (EngineConfig::epoch_packets / epoch_millis:
 //                          each worker meters the budget at its batch
 //                          boundaries and the one that sees it spent
 //                          elects itself rotator via one CAS), or -- for
 //                          idle streams -- by the fallback coordinator
 //                          clock thread.
-//   * window_snapshot() -- merge the live side and the newest sealed side
-//                          of every ring into a current-window and a
-//                          previous-window lattice, with each window's
-//                          drops folded into its N: the WindowedHhhMonitor
-//                          semantics (current/previous/emerging) at engine
-//                          scale.
-//   * trend_snapshot()  -- merge every retained sealed window index-aligned
-//                          across shards (shared rotation boundary => ring
-//                          slot i of every shard covers the same epoch)
-//                          into one network-wide lattice per epoch: the
-//                          monitor's trend()/emerging_sustained() k-epoch
+//   * trend_snapshot()  -- merge the live shard lattices (LatticeHhh::merge,
+//                          the multi-switch collector of paper Section 7)
+//                          into the current window, and every retained
+//                          sealed window index-aligned across shards
+//                          (shared rotation boundary => ring slot i of
+//                          every shard covers the same epoch) into one
+//                          network-wide lattice per epoch, each window's
+//                          drops folded into its N. Without rotations this
+//                          is the lifetime view; with them it answers the
+//                          WindowedHhhMonitor's emerging/trend/sustained
 //                          queries at engine scale.
 //
 // Accounting: drops are counted per ring (OverflowPolicy::kDropTail, the
@@ -132,8 +125,8 @@ class HhhEngine {
     void ingest(const PacketRecord& p);
 
     /// Push out every partially filled batch (and publish the offered
-    /// count). Call before snapshot() for results that include everything
-    /// this producer ingested.
+    /// count). Call before trend_snapshot() for results that include
+    /// everything this producer ingested.
     void flush();
 
     /// Packets this handle has accepted and published. Updated on each
@@ -171,45 +164,31 @@ class HhhEngine {
   /// Handle for producer `i` in [0, producers()). Hand each to one thread.
   [[nodiscard]] Producer& producer(std::uint32_t i) { return *producers_[i]; }
 
-  /// Epoch-based network-wide query: quiesces every worker at the next
-  /// epoch boundary, merges the live shard lattices into a fresh instance,
-  /// folds counted drops into its stream length, and resumes the workers.
-  /// Packets still buffered in producer handles (not flushed) are not yet
-  /// part of the snapshot. With window rotation in use this covers only the
-  /// current (partial) window, with only that window's drops folded in --
-  /// the same lattice as window_snapshot()'s current side. Serialized with
-  /// itself and with start()/stop(); callable before start() and after
-  /// stop() (no quiesce needed once workers are gone).
-  [[nodiscard]] EngineSnapshot snapshot();
-
   /// Close the current window on a shared boundary: quiesce, rotate every
   /// shard's window ring (the oldest retained sealed window is discarded),
   /// attribute the drops counted since the last boundary to the newly
   /// sealed window, resume. With EngineConfig::epoch_packets /
-  /// epoch_millis set this happens automatically -- cooperatively by the
-  /// workers (bounding boundary drift by one worker batch) with the
-  /// coordinator clock thread as an idle-stream fallback; manual calls
+  /// epoch_millis set this happens automatically -- by the workers
+  /// (bounding boundary drift by one worker batch) with the coordinator
+  /// clock thread as an idle-stream fallback; manual calls
   /// compose with both (the packet/wall budgets reset either way). The
   /// packet budget meters CONSUMED records only -- see
   /// EngineConfig::epoch_packets for the basis contract.
   void rotate_epoch();
 
-  /// Two-window network-wide query: quiesce, merge the live sides of every
-  /// ring into a current-window lattice, resume; the previous window
-  /// (absent before the first rotation) is the newest sealed sides merged
-  /// once and shared with trend_snapshot()'s age 0. Each window's drops are
-  /// folded into its stream length. Does NOT rotate -- observing is
-  /// separate from sealing, so several window snapshots can watch one
-  /// window evolve.
-  [[nodiscard]] WindowedEngineSnapshot window_snapshot();
-
-  /// K-window network-wide query: quiesce, merge the live window, resume;
-  /// every retained sealed window is merged across shards index-aligned
-  /// (all shards rotate together, so age i covers the same epoch on every
-  /// shard) at most once and then served from a cache that shifts with the
-  /// rotations. Each window's own drops are folded into its stream length.
-  /// Answers trend() and emerging_sustained() over up to
-  /// EngineConfig::history_depth sealed epochs. Does NOT rotate.
+  /// The engine's network-wide query: quiesce every worker at the next
+  /// epoch boundary, merge the live shard lattices into the current
+  /// window, resume; every retained sealed window is merged across shards
+  /// index-aligned (all shards rotate together, so age i covers the same
+  /// epoch on every shard) at most once and then served from a cache that
+  /// shifts with the rotations. Each window's own drops are folded into
+  /// its stream length. Packets still buffered in producer handles (not
+  /// flushed) are not yet part of it. An engine that never rotated has no
+  /// sealed windows, so the query costs one live merge and current() is
+  /// the lifetime view. Does NOT rotate -- observing is separate from
+  /// sealing, so several queries can watch one window evolve. Serialized
+  /// with itself and with start()/stop(); callable before start() and
+  /// after stop() (no quiesce needed once workers are gone).
   [[nodiscard]] TrendSnapshot trend_snapshot();
 
   /// Live ingest counters (no quiesce; individually-consistent atomics).
@@ -223,7 +202,7 @@ class HhhEngine {
   }
   [[nodiscard]] const Hierarchy& hierarchy() const noexcept { return *hierarchy_; }
   [[nodiscard]] const EngineConfig& config() const noexcept { return cfg_; }
-  /// Quiesce generations so far (snapshots + rotations + window snapshots).
+  /// Quiesce generations so far (queries + rotations).
   [[nodiscard]] std::uint64_t epochs() const noexcept {
     // order: relaxed -- monotonic counter read for display/tests; no payload
     // is synchronized through it.
@@ -246,11 +225,6 @@ class HhhEngine {
   /// knows better).
   [[nodiscard]] const RhhhSpaceSaving& shard(std::uint32_t w) const noexcept {
     return workers_[w]->ring.live();
-  }
-  /// The newest sealed (previous-window) shard lattice of worker `w`, or
-  /// nullptr before the first rotation. Same quiescence caveat as shard().
-  [[nodiscard]] const RhhhSpaceSaving* shard_sealed(std::uint32_t w) const noexcept {
-    return workers_[w]->ring.sealed_or_null();
   }
   /// The sealed shard lattice of worker `w` from `age` epochs back (0 =
   /// newest). Requires age < shard_sealed_windows(). Same quiescence caveat.
@@ -481,9 +455,9 @@ class HhhEngine {
   std::atomic<std::uint64_t> clock_gen_{0};
   std::thread clock_thread_;
 
-  // Merged-sealed-window cache for trend_snapshot() and window_snapshot():
-  // a sealed window (and its drops) never changes, so its cross-shard merge
-  // is built once and reused for as long as the rings retain the window.
+  // Merged-sealed-window cache for trend_snapshot(): a sealed window (and
+  // its drops) never changes, so its cross-shard merge is built once and
+  // reused for as long as the rings retain the window.
   // Rotations leave the cache alone; merge_sealed() shifts it by the
   // rotations since trend_cache_epoch_. All fields written under snap_mu_.
   // Entries are immutable shared merges (nullptr = not merged yet), handed
@@ -531,7 +505,6 @@ class HhhEngine {
     obs::Histogram* quiesce_ns = nullptr;     ///< request -> all-acked wait
     obs::Histogram* rotation_ns = nullptr;    ///< full rotate_locked() cost
     obs::Histogram* rotation_drift_ns = nullptr;  ///< budget-spent -> rotation
-    obs::Histogram* snapshot_ns = nullptr;    ///< snapshot/window merge time
     obs::Histogram* trend_ns = nullptr;       ///< trend_snapshot merge time
     obs::Gauge* archive_q_depth = nullptr;    ///< sealed windows queued
     obs::TraceRing* trace = nullptr;          ///< global control-plane trace

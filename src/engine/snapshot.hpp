@@ -1,26 +1,17 @@
-// EngineSnapshot / WindowedEngineSnapshot / TrendSnapshot: the results of
-// quiescing the sharded engine at an epoch boundary.
+// TrendSnapshot: the result of HhhEngine::trend_snapshot(), the engine's
+// one network-wide query, taken by quiescing the shards at an epoch
+// boundary.
 //
-// EngineSnapshot is the lifetime view -- one merged LatticeHhh over every
-// shard's sub-stream plus the ingest counters frozen at the same instant,
-// answering network-wide (all shards, all producers) exactly like the
-// multi-switch collector of examples/multi_switch_merge.cpp.
-//
-// WindowedEngineSnapshot is the two-window change-detection view: when the
-// engine rotates window epochs (coordinator clock or rotate_epoch()), each
-// shard keeps a ring of window lattices and the snapshot merges the live
-// sides and the newest sealed sides -- the current (partial) window and
-// the sealed previous window -- into two network-wide lattices, with the
-// drops of each window folded into its stream length.
-// current()/previous()/emerging() then mirror the single-threaded
-// WindowedHhhMonitor at multi-core scale.
-//
-// TrendSnapshot is the K-window view: every retained sealed window of
-// every shard is merged index-aligned (all shards rotate on one shared
-// boundary, so sealed(i) of every shard covers the same epoch) into one
-// network-wide lattice per epoch, each with its own window's drops folded
-// into its stream length. trend()/emerging_sustained() then mirror the
-// monitor's k-epoch growth curves and EWMA sustained-ramp alarms.
+// It holds the current (live, partial) window merged across every shard,
+// plus every retained sealed window merged index-aligned (all shards
+// rotate on one shared boundary, so sealed(i) of every shard covers the
+// same epoch) into one lattice per epoch, each window's drops folded into
+// its stream length -- the multi-switch collector of paper Section 7
+// applied per window. On an engine that never rotated there are no sealed
+// windows and current() is the lifetime view; with history_depth = 1,
+// current()/window(0)/emerging() are the WindowedHhhMonitor's
+// current/previous/emerging pair; deeper histories add the monitor's
+// k-epoch trend() growth curves and emerging_sustained() EWMA alarms.
 #pragma once
 
 #include <cstdint>
@@ -49,10 +40,9 @@ struct EngineStats {
   /// trend_snapshot() calls served from the merged-sealed-window cache
   /// alone (every retained sealed window was already merged).
   std::uint64_t trend_cache_hits = 0;
-  /// Sealed windows merged across shards to fill that cache (shared by
-  /// trend_snapshot() and window_snapshot()). Each window is merged at most
-  /// once, so this never exceeds window_epochs; a poller that queries after
-  /// every rotation keeps the two equal.
+  /// Sealed windows merged across shards to fill that cache. Each window
+  /// is merged at most once, so this never exceeds window_epochs; a poller
+  /// that queries after every rotation keeps the two equal.
   std::uint64_t trend_sealed_merges = 0;
   /// Rotations triggered by a spent packet/wall budget (manual
   /// rotate_epoch() calls are excluded -- they have no boundary to drift
@@ -74,105 +64,8 @@ struct EngineStats {
   std::vector<std::uint64_t> per_ring_popped;      ///< [producer * W + worker]
 };
 
-class EngineSnapshot {
- public:
-  EngineSnapshot(std::unique_ptr<RhhhSpaceSaving> merged, EngineStats stats,
-                 std::uint64_t epoch)
-      : merged_(std::move(merged)), stats_(std::move(stats)), epoch_(epoch) {}
-
-  /// The network-wide approximate HHH set at threshold theta.
-  [[nodiscard]] HhhSet output(double theta) const { return merged_->output(theta); }
-
-  /// N of the merged stream: every consumed packet plus every counted drop
-  /// (a drop still happened on the wire, so thresholds must see it -- the
-  /// same convention as DistributedMeasurement's advance_stream()).
-  [[nodiscard]] std::uint64_t stream_length() const {
-    return merged_->stream_length();
-  }
-
-  [[nodiscard]] const RhhhSpaceSaving& algorithm() const noexcept { return *merged_; }
-  [[nodiscard]] const EngineStats& stats() const noexcept { return stats_; }
-  /// 1-based epoch number this snapshot closed.
-  [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
-
- private:
-  std::unique_ptr<RhhhSpaceSaving> merged_;
-  EngineStats stats_;
-  std::uint64_t epoch_;
-};
-
-/// The two-window network-wide view produced by HhhEngine::window_snapshot().
-/// `previous` is absent (empty set, zero length) until the engine's first
-/// window rotation, mirroring WindowedHhhMonitor::previous().
-class WindowedEngineSnapshot {
- public:
-  WindowedEngineSnapshot(std::unique_ptr<RhhhSpaceSaving> current,
-                         std::shared_ptr<const RhhhSpaceSaving> previous,
-                         EngineStats stats, std::uint64_t window_epochs,
-                         std::uint64_t current_drops, std::uint64_t previous_drops)
-      : current_(std::move(current)),
-        previous_(std::move(previous)),
-        stats_(std::move(stats)),
-        window_epochs_(window_epochs),
-        current_drops_(current_drops),
-        previous_drops_(previous_drops) {}
-
-  /// Network-wide HHH set of the current (partial) window.
-  [[nodiscard]] HhhSet current(double theta) const { return current_->output(theta); }
-  /// Network-wide HHH set of the sealed previous window; empty before the
-  /// first rotation.
-  [[nodiscard]] HhhSet previous(double theta) const {
-    if (previous_ == nullptr) return HhhSet(current_->hierarchy().size());
-    return previous_->output(theta);
-  }
-  /// Prefixes heavy in the current window whose share grew by
-  /// >= growth_factor vs the previous window (new prefixes: infinite
-  /// growth) -- WindowedHhhMonitor::emerging at engine scale.
-  [[nodiscard]] std::vector<EmergingPrefix> emerging(double theta,
-                                                     double growth_factor) const {
-    return emerging_from(*current_, previous_.get(), theta, growth_factor);
-  }
-
-  /// N of the current window (shard sub-streams + this window's drops).
-  [[nodiscard]] std::uint64_t current_length() const {
-    return current_->stream_length();
-  }
-  /// N of the previous window (0 before the first rotation).
-  [[nodiscard]] std::uint64_t previous_length() const {
-    return previous_ == nullptr ? 0 : previous_->stream_length();
-  }
-  [[nodiscard]] bool has_previous() const noexcept { return previous_ != nullptr; }
-
-  [[nodiscard]] const RhhhSpaceSaving& current_algorithm() const noexcept {
-    return *current_;
-  }
-  /// Valid only when has_previous().
-  [[nodiscard]] const RhhhSpaceSaving& previous_algorithm() const noexcept {
-    return *previous_;
-  }
-
-  /// Drops attributed to each window (already folded into the lengths).
-  [[nodiscard]] std::uint64_t current_drops() const noexcept { return current_drops_; }
-  [[nodiscard]] std::uint64_t previous_drops() const noexcept {
-    return previous_drops_;
-  }
-
-  [[nodiscard]] const EngineStats& stats() const noexcept { return stats_; }
-  /// Completed window rotations when this snapshot was taken.
-  [[nodiscard]] std::uint64_t window_epochs() const noexcept { return window_epochs_; }
-
- private:
-  std::unique_ptr<RhhhSpaceSaving> current_;
-  /// nullptr before the 1st rotation; shared with the engine's cache.
-  std::shared_ptr<const RhhhSpaceSaving> previous_;
-  EngineStats stats_;
-  std::uint64_t window_epochs_;
-  std::uint64_t current_drops_;
-  std::uint64_t previous_drops_;
-};
-
-/// The K-window network-wide view produced by HhhEngine::trend_snapshot():
-/// one merged lattice per retained epoch (each shard ring's sealed windows
+/// The network-wide view produced by HhhEngine::trend_snapshot(): one
+/// merged lattice per retained epoch (each shard ring's sealed windows
 /// merged index-aligned) plus the live (partial) window, every window's
 /// drops folded into its stream length. Sealed windows are indexed by age:
 /// window 0 is the most recently sealed epoch. The sealed merges are
@@ -201,7 +94,8 @@ class TrendSnapshot {
   /// Sealed epochs retained in this snapshot (<= EngineConfig::history_depth).
   [[nodiscard]] std::size_t sealed_windows() const noexcept { return sealed_.size(); }
 
-  /// Network-wide HHH set of the current (partial) window.
+  /// Network-wide HHH set of the current (partial) window -- the lifetime
+  /// answer on an engine that never rotated.
   [[nodiscard]] HhhSet current(double theta) const { return current_->output(theta); }
   /// Network-wide HHH set of the sealed window `age` epochs back (0 = the
   /// most recently sealed). Requires age < sealed_windows().
@@ -216,7 +110,8 @@ class TrendSnapshot {
     return trend_of(ordered_windows(), p);
   }
   /// Two-window emerging comparison against the most recently sealed epoch
-  /// (WindowedHhhMonitor::emerging semantics).
+  /// (WindowedHhhMonitor::emerging semantics; before the first rotation
+  /// every heavy prefix is new).
   [[nodiscard]] std::vector<EmergingPrefix> emerging(double theta,
                                                      double growth_factor) const {
     return emerging_from(*current_,

@@ -6,7 +6,7 @@
 // catalog -- every record of every segment, oldest first -- is the full
 // history, and queries are answered by decoding the relevant records and
 // merging them with LatticeHhh::merge exactly like the engine's own
-// snapshot paths:
+// trend_snapshot():
 //
 //   * last(k)        -- the k most recent windows, newest first (the age
 //                       order trend_snapshot() uses), each reproducing its

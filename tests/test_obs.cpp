@@ -752,6 +752,14 @@ TEST(ObsExporter, ScrapesLiveEngineWithoutQuiescing) {
     p.flush();
   });
 
+  // Wait (bounded) for the producer's first published batch: otherwise
+  // the five scrapes can finish before its thread is first scheduled.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (eng.producer(0).offered() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
   std::uint64_t last_offered = 0;
   for (int scrape = 0; scrape < 5; ++scrape) {
     const std::string body = obs::http_get_local(exp.port(), "/metrics");

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -344,7 +343,7 @@ TEST(TrendCache, LaggingPollerMatchesFromScratchMerges) {
   EXPECT_LE(st.trend_sealed_merges, st.window_epochs);
 }
 
-TEST(TrendCache, WindowSnapshotSharesTrendAgeZero) {
+TEST(TrendCache, TwoPollsPerEpochShareAgeZero) {
   EngineConfig cfg;
   cfg.monitor.hierarchy = HierarchyKind::kIpv4TwoDimBytes;
   cfg.monitor.eps = 0.05;
@@ -359,26 +358,20 @@ TEST(TrendCache, WindowSnapshotSharesTrendAgeZero) {
 
   eng.start();
   HhhEngine::Producer& prod = eng.producer(0);
-  EXPECT_FALSE(eng.window_snapshot().has_previous());
+  EXPECT_EQ(eng.trend_snapshot().sealed_windows(), 0u);
   std::size_t next = 0;
   for (int epoch = 0; epoch < 6; ++epoch) {
     for (std::size_t i = 0; i < kWindow; ++i) prod.ingest(s.keys[next++]);
     prod.flush();
     eng.rotate_epoch();
-    // Either query may be the one that merges the new window; the other
-    // must be served the same instance.
-    std::optional<WindowedEngineSnapshot> two;
-    std::optional<TrendSnapshot> tr;
-    if (epoch % 2 == 0) {
-      two.emplace(eng.window_snapshot());
-      tr.emplace(eng.trend_snapshot());
-    } else {
-      tr.emplace(eng.trend_snapshot());
-      two.emplace(eng.window_snapshot());
-    }
-    ASSERT_TRUE(two->has_previous());
-    EXPECT_EQ(&two->previous_algorithm(), &tr->window_algorithm(0)) << "epoch " << epoch;
-    EXPECT_EQ(two->previous_length(), tr->window_length(0));
+    // The first poll merges the new window; the second must be served the
+    // same instance.
+    const TrendSnapshot first = eng.trend_snapshot();
+    const TrendSnapshot second = eng.trend_snapshot();
+    ASSERT_NE(second.sealed_windows(), 0u);
+    EXPECT_EQ(&second.window_algorithm(0), &first.window_algorithm(0))
+        << "epoch " << epoch;
+    EXPECT_EQ(second.window_length(0), first.window_length(0));
     // Polled after every rotation: exactly one merge per sealed window.
     const EngineStats st = eng.stats();
     EXPECT_EQ(st.trend_sealed_merges, st.window_epochs) << "epoch " << epoch;
