@@ -188,7 +188,7 @@ int main(int argc, char** argv) {
       " payload dominates the frame overhead -- with segment count inverse\n"
       " to size; query/replay pay one decode per selected window; the\n"
       " engine's Mpps columns should agree within CI on multi-core hosts --\n"
-      " a rotation only snapshots flat per-shard blobs, while the decode +\n"
+      " a rotation only queues the sealed window's record, while the\n"
       " merge + I/O run on the archiver thread, whose backlog surfaces as\n"
       " stop-drain time at these tiny epochs; a single-core host has no\n"
       " spare core, so the archiver's CPU time serializes with ingest --\n"

@@ -36,6 +36,10 @@ Checks things no generic tool enforces:
    Observability table. Each name is written out in full there, so a
    family added, renamed or deleted in code without the table (or the
    reverse) is a finding.
+7. Trace docs do not drift: the event names `to_string(TraceEvent)` returns
+   (src/obs/trace_ring.hpp) must be exactly the backticked names in the
+   Event column of README's trace event table, the same way rule 6 pins
+   the metric families.
 
 Exit code 0 when clean, 1 with one line per finding otherwise.
 """
@@ -89,6 +93,13 @@ PER_RECORD_WAIVER_RE = re.compile(r"//\s*per-record:")
 METRIC_LITERAL_RE = re.compile(r'"(rhhh_[A-Za-z0-9_:]+)')
 README_FAMILY_RE = re.compile(r"`(rhhh_[A-Za-z0-9_:]+)")
 README_TABLE_HEADER = "| Family | Kind | What it measures |"
+
+# Trace event names: the `case TraceEvent::kX: return "x";` arms of
+# to_string(TraceEvent), and the Event column of README's /trace table.
+TRACE_HEADER = Path("src/obs/trace_ring.hpp")
+TRACE_NAME_RE = re.compile(r'case\s+TraceEvent::\w+\s*:\s*return\s+"([^"]+)"')
+README_EVENT_RE = re.compile(r"`([a-z_]+)`")
+README_EVENT_HEADER = "| Event | arg0 | arg1 |"
 
 
 def strip_strings(line: str) -> str:
@@ -236,32 +247,32 @@ def registered_families(path: Path, families: set[str]) -> None:
         families.update(METRIC_LITERAL_RE.findall(raw))
 
 
-def readme_families(readme: Path, findings: list[str]) -> set[str]:
-    """Family-column names of README's Observability table."""
+def readme_column(
+    readme: Path, header: str, name_re: re.Pattern[str], findings: list[str]
+) -> set[str]:
+    """Backticked names in the first column of the README table that starts
+    with the `header` row."""
     names: set[str] = set()
     if not readme.is_file():
-        findings.append("README.md: missing (the metric family table lives there)")
+        findings.append("README.md: missing (the documented tables live there)")
         return names
     lines = readme.read_text(encoding="utf-8").splitlines()
     try:
-        start = lines.index(README_TABLE_HEADER)
+        start = lines.index(header)
     except ValueError:
-        findings.append(
-            f"README.md: no Observability family table ('{README_TABLE_HEADER}')"
-        )
+        findings.append(f"README.md: no table with the header '{header}'")
         return names
     for line in lines[start + 2:]:  # skip the header and its |---| rule
         if not line.startswith("|"):
             break
-        family_cell = line.split("|")[1]
-        names.update(README_FAMILY_RE.findall(family_cell))
+        names.update(name_re.findall(line.split("|")[1]))
     return names
 
 
 def lint_metric_docs(
     registered: set[str], readme: Path, findings: list[str]
 ) -> None:
-    documented = readme_families(readme, findings)
+    documented = readme_column(readme, README_TABLE_HEADER, README_FAMILY_RE, findings)
     for name in sorted(registered - documented):
         findings.append(
             f"README.md: metric family `{name}` is registered in src/ but "
@@ -271,6 +282,27 @@ def lint_metric_docs(
         findings.append(
             f"README.md: Observability table lists `{name}`, which nothing "
             "in src/ registers"
+        )
+
+
+def lint_trace_docs(root: Path, findings: list[str]) -> None:
+    header = root / TRACE_HEADER
+    if not header.is_file():
+        findings.append(f"{TRACE_HEADER.as_posix()}: missing (TraceEvent lives there)")
+        return
+    emitted = set(TRACE_NAME_RE.findall(header.read_text(encoding="utf-8")))
+    documented = readme_column(
+        root / "README.md", README_EVENT_HEADER, README_EVENT_RE, findings
+    )
+    for name in sorted(emitted - documented):
+        findings.append(
+            f"README.md: trace event `{name}` is named by to_string(TraceEvent) "
+            "but missing from the trace event table"
+        )
+    for name in sorted(documented - emitted):
+        findings.append(
+            f"README.md: trace event table lists `{name}`, which "
+            "to_string(TraceEvent) does not name"
         )
 
 
@@ -311,6 +343,7 @@ def main() -> int:
             lint_obs_call_sites(path, rel, findings)
 
     lint_metric_docs(registered, args.root / "README.md", findings)
+    lint_trace_docs(args.root, findings)
 
     if findings:
         print(f"lint_invariants: {len(findings)} finding(s)")

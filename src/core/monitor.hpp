@@ -113,7 +113,11 @@ struct ArchiveConfig {
   std::uint64_t retain_bytes = 0;
   /// Bounded depth of the rotation -> archiver queue. A full queue drops
   /// the sealed window (counted in EngineStats::archive_queue_drops)
-  /// rather than ever blocking a rotation on I/O.
+  /// rather than ever blocking a rotation on I/O. A queued window is not
+  /// copied: it shares the engine's sealed shard lattices, whose ring
+  /// slots are reused history_depth rotations later, so a rotation that
+  /// evicts a queued window the archiver has not merged yet waits for or
+  /// runs that merge first.
   std::size_t queue_windows = 8;
   /// Durability cadence for the segment writer (all I/O stays on the
   /// archiver thread, so even kPerRecord never stalls a rotation).

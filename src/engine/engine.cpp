@@ -14,7 +14,7 @@ namespace rhhh {
 namespace {
 
 /// Seed salt of every merged sealed window, xor'ed with the window's own
-/// epoch: the query cache and the archiver build byte-identical lattices.
+/// epoch: the merge's bytes do not depend on which reader builds it.
 constexpr std::uint64_t kSealedSalt = 0x6e7ac000ULL;
 
 /// EngineStats as a flat JSON object -- the "stats" section of the stall
@@ -144,8 +144,6 @@ HhhEngine::HhhEngine(const EngineConfig& cfg)
                 "the durable store requires a reloadable backend");
 
   pop_batch_ = std::clamp<std::size_t>(cfg.batch, 1, 4096);
-  sealed_drops_.assign(cfg.history_depth, 0);
-  sealed_durations_ns_.assign(cfg.history_depth, 0);
   workers_.reserve(cfg.workers);
   for (std::uint32_t w = 0; w < cfg.workers; ++w) {
     auto ws = std::make_unique<WorkerState>();
@@ -297,9 +295,10 @@ void HhhEngine::bind_metrics() {
   own_counter("rhhh_engine_late_rotations", late_rotations_,
               "budget rotations later than the 200us fallback timeslice");
   own_counter("rhhh_engine_trend_cache_hits", trend_cache_hits_,
-              "trend_snapshot sealed-merge cache hits");
+              "trend_snapshot calls that merged no sealed window");
   own_counter("rhhh_engine_trend_sealed_merges", trend_sealed_merges_,
-              "sealed windows merged across shards for queries (<= window_epochs)");
+              "sealed windows merged across shards, by queries or the archiver "
+              "(at most once each: <= window_epochs)");
   for (std::uint32_t p = 0; p < producers(); ++p) {
     for (std::uint32_t w = 0; w < workers(); ++w) {
       own("rhhh_engine_ring_occupancy{ring=\"p" + std::to_string(p) + "w" +
@@ -503,14 +502,14 @@ void HhhEngine::stop() {
     // more for pathological interleavings, then seal the segment so a
     // cold reader gets the footer-indexed fast path.
     for (;;) {
-      ArchiveItem item;
+      std::shared_ptr<SealedWindow> w;
       {
         std::lock_guard<std::mutex> lk(arch_mu_);
         if (archive_q_.empty()) break;
-        item = std::move(archive_q_.front());
+        w = std::move(archive_q_.front());
         archive_q_.pop_front();
       }
-      archive_one(arch.get(), item);
+      archive_one(arch.get(), *w);
     }
     try {
       arch->close();
@@ -523,7 +522,7 @@ void HhhEngine::stop() {
 
 void HhhEngine::archive_loop(store::WindowArchive* arch, std::uint64_t gen) {
   for (;;) {
-    ArchiveItem item;
+    std::shared_ptr<SealedWindow> w;
     {
       std::unique_lock<std::mutex> lk(arch_mu_);
       arch_cv_.wait(lk, [&] {
@@ -536,44 +535,42 @@ void HhhEngine::archive_loop(store::WindowArchive* arch, std::uint64_t gen) {
       // Retired AND drained: exit. While records remain, keep draining
       // even after retirement so stop() loses nothing.
       if (archive_q_.empty()) return;
-      item = std::move(archive_q_.front());
+      w = std::move(archive_q_.front());
       archive_q_.pop_front();
       if (obs_.archive_q_depth != nullptr) {
         obs_.archive_q_depth->set(static_cast<std::int64_t>(archive_q_.size()));
       }
     }
-    // Decoding, merging, serialization and disk I/O all happen here,
-    // outside every engine lock: an archiver stalled on a slow disk
-    // delays nothing but the queue.
-    archive_one(arch, item);
+    // The merge (unless a query built it first), serialization and disk
+    // I/O all happen here, outside every engine lock: an archiver stalled
+    // on a slow disk delays nothing but the queue.
+    archive_one(arch, *w);
   }
 }
 
-void HhhEngine::archive_one(store::WindowArchive* arch, const ArchiveItem& item) {
+void HhhEngine::archive_one(store::WindowArchive* arch, SealedWindow& w) {
   try {
-    // Replay the exact cross-shard merge trend_snapshot() performs for its
-    // newest sealed window: a fresh same-configuration lattice, each shard
-    // merged in worker order (the decoded blobs reproduce the shard
-    // lattices' counter order, so the merge -- and therefore the persisted
-    // HHH sets -- are byte-identical to the in-memory view), this window's
-    // drops folded into N.
-    auto merged = make_shard_lattice(kSealedSalt ^ item.meta.epoch);
-    for (const store::Bytes& blob : item.shard_blobs) {
-      const auto shard = store::decode_window(blob.data(), blob.size(), *hierarchy_,
-                                              nullptr, &cfg_.monitor.hierarchy);
-      merged->merge(*shard);
-    }
-    if (item.meta.drops != 0) merged->advance_stream(item.meta.drops);
+    // The same instance trend_snapshot() serves for this window, so the
+    // persisted HHH sets are byte-identical to the in-memory view.
+    const RhhhSpaceSaving& lattice = *merged(w);
+    store::WindowMeta meta;
+    meta.epoch = w.epoch;
+    meta.wall_start_ns = w.wall_start_ns;
+    meta.wall_end_ns = w.wall_end_ns;
+    meta.duration_ns = w.duration_ns;
+    meta.drops = w.drops;
+    meta.stream_length = lattice.stream_length();  // drops included
+    meta.updates = lattice.updates_performed();
     const std::uint64_t append_t0 =
         obs_.trace != nullptr ? obs::now_ns() : 0;
-    arch->append(item.meta, cfg_.monitor.hierarchy, *merged);
+    arch->append(meta, cfg_.monitor.hierarchy, lattice);
     // order: relaxed -- success counter; readers that need it consistent
     // with the on-disk state reopen the store instead.
     archived_windows_.fetch_add(1, std::memory_order_relaxed);
     if (obs_.trace != nullptr) {
       const std::uint64_t now = obs::now_ns();
       obs_.trace->record(obs::TraceEvent::kArchive,
-                         static_cast<std::int64_t>(now), item.meta.epoch,
+                         static_cast<std::int64_t>(now), w.epoch,
                          now >= append_t0 ? now - append_t0 : 0);
     }
   } catch (const std::exception&) {
@@ -582,77 +579,25 @@ void HhhEngine::archive_one(store::WindowArchive* arch, const ArchiveItem& item)
     archive_errors_.fetch_add(1, std::memory_order_relaxed);
     if (obs_.trace != nullptr) {
       obs_.trace->record(obs::TraceEvent::kArchiveError,
-                         static_cast<std::int64_t>(obs::now_ns()),
-                         item.meta.epoch, 0);
+                         static_cast<std::int64_t>(obs::now_ns()), w.epoch, 0);
     }
   }
 }
 
-void HhhEngine::enqueue_archive(std::uint64_t sealed_drop,
-                                std::uint64_t duration_ns,
-                                std::int64_t wall_start_ns,
-                                std::int64_t wall_end_ns) {
-  // A backlogged archiver (slow disk) means this window is going to be
-  // dropped anyway: check before paying for the blobs, so drops are
-  // near-free exactly when the system is already struggling. The final
-  // push re-checks under the same lock.
+void HhhEngine::enqueue_archive(const std::shared_ptr<SealedWindow>& w) {
   {
     std::lock_guard<std::mutex> lk(arch_mu_);
     if (archive_q_.size() >= cfg_.archive.queue_windows) {
       // order: relaxed -- drop counter; the queue itself is under arch_mu_.
       archive_queue_drops_.fetch_add(1, std::memory_order_relaxed);
       if (obs_.trace != nullptr) {
-        // order: relaxed -- window_epochs_ stable under snap_mu_ (held).
         obs_.trace->record(obs::TraceEvent::kArchiveDrop,
-                           static_cast<std::int64_t>(obs::now_ns()),
-                           window_epochs_.load(std::memory_order_relaxed), 0);
+                           static_cast<std::int64_t>(obs::now_ns()), w->epoch, 0);
       }
       return;
     }
-  }
-  // Workers are already ingesting the next window; the just-sealed shard
-  // windows are immutable until the next rotation, which needs snap_mu_
-  // (held here). The rotation path pays only these flat per-shard
-  // serializations -- the cross-shard merge and all I/O run on the
-  // archiver thread -- and the queue hand-off below never blocks.
-  ArchiveItem item;
-  // order: relaxed -- window_epochs_ is only advanced under snap_mu_, which
-  // the rotation calling us holds; the value is stable here.
-  item.meta.epoch = window_epochs_.load(std::memory_order_relaxed);
-  item.meta.wall_start_ns = wall_start_ns;
-  item.meta.wall_end_ns = wall_end_ns;
-  item.meta.duration_ns = duration_ns;
-  item.meta.drops = sealed_drop;
-  item.shard_blobs.reserve(workers_.size());
-  std::uint64_t n = sealed_drop;
-  std::uint64_t updates = 0;
-  for (const auto& ws : workers_) {
-    const RhhhSpaceSaving& shard = ws->ring.sealed(0);
-    n += shard.stream_length();
-    updates += shard.updates_performed();
-    // Each blob carries its own shard's stream counters, so the decoded
-    // instances merge exactly like the live shard lattices would.
-    store::WindowMeta shard_meta = item.meta;
-    shard_meta.stream_length = shard.stream_length();
-    shard_meta.updates = shard.updates_performed();
-    item.shard_blobs.push_back(
-        store::encode_window(shard_meta, cfg_.monitor.hierarchy, shard));
-  }
-  item.meta.stream_length = n;
-  item.meta.updates = updates;
-  {
-    std::lock_guard<std::mutex> lk(arch_mu_);
-    if (archive_q_.size() >= cfg_.archive.queue_windows) {
-      // order: relaxed -- drop counter (same as the pre-check above).
-      archive_queue_drops_.fetch_add(1, std::memory_order_relaxed);
-      if (obs_.trace != nullptr) {
-        obs_.trace->record(obs::TraceEvent::kArchiveDrop,
-                           static_cast<std::int64_t>(obs::now_ns()),
-                           item.meta.epoch, 0);
-      }
-      return;
-    }
-    archive_q_.push_back(std::move(item));
+    w->archiving = true;
+    archive_q_.push_back(w);
     if (obs_.archive_q_depth != nullptr) {
       obs_.archive_q_depth->set(static_cast<std::int64_t>(archive_q_.size()));
     }
@@ -959,7 +904,7 @@ EngineStats HhhEngine::collect_stats() const {
     // order: relaxed -- backpressure-retry counter.
     s.backpressure_waits += b->load(std::memory_order_relaxed);
   }
-  // order: acquire -- pairs with merge_sealed()'s release add, and is read
+  // order: acquire -- pairs with merged()'s release add, and is read
   // before window_epochs_: a scrape that sees a merge also sees the rotation
   // that sealed its window, so trend_sealed_merges <= window_epochs holds.
   s.trend_sealed_merges = trend_sealed_merges_.load(std::memory_order_acquire);
@@ -1060,37 +1005,37 @@ HhhEngine::LiveWindow HhhEngine::merge_live() {
   return v;
 }
 
-std::size_t HhhEngine::merge_sealed(std::size_t depth) {
-  // order: relaxed -- window_epochs_ only changes under snap_mu_ (held).
-  const std::uint64_t we = window_epochs_.load(std::memory_order_relaxed);
-  // Shift, don't clear: the entry cached at age a covers age a + shift now.
-  // Entries shifted past the retained depth fell off every shard ring too.
-  const std::size_t m = workers_[0]->ring.sealed_count();
-  const auto shift =
-      static_cast<std::size_t>(std::min<std::uint64_t>(we - trend_cache_epoch_, m));
-  trend_cache_.insert(trend_cache_.begin(), shift, nullptr);
-  trend_cache_.resize(m);
-  trend_cache_epoch_ = we;
-  std::size_t merges = 0;
-  for (std::size_t age = 0; age < depth; ++age) {
-    if (trend_cache_[age] != nullptr) continue;
-    // All shards rotate on one shared boundary, so age i of every shard ring
-    // covers the same network-wide epoch: merge index-aligned, seeded by the
-    // window's own epoch so the bytes never depend on when it was queried.
-    auto merged = make_shard_lattice(kSealedSalt ^ (we - age));
-    for (const auto& ws : workers_) merged->merge(ws->ring.sealed(age));
-    if (sealed_drops_[age] != 0) merged->advance_stream(sealed_drops_[age]);
-    trend_cache_[age] = std::move(merged);
-    ++merges;
-  }
-  // order: release -- pairs with collect_stats()'s acquire load (see there).
-  if (merges != 0) trend_sealed_merges_.fetch_add(merges, std::memory_order_release);
-  return merges;
+const std::shared_ptr<const RhhhSpaceSaving>& HhhEngine::merged(SealedWindow& w,
+                                                                bool* built) {
+  std::call_once(w.merge_once, [&] {
+    // All shards rotate on one shared boundary, so every shard's slot
+    // covers the same network-wide epoch: merge them in worker order,
+    // seeded by the window's own epoch so the bytes never depend on who
+    // merged it or when.
+    auto m = make_shard_lattice(kSealedSalt ^ w.epoch);
+    for (const RhhhSpaceSaving* shard : w.shards) m->merge(*shard);
+    if (w.drops != 0) m->advance_stream(w.drops);
+    w.lattice = std::move(m);
+    w.shards.clear();  // no reader needs the ring slots again
+    // order: release -- pairs with collect_stats()'s acquire load (see there).
+    trend_sealed_merges_.fetch_add(1, std::memory_order_release);
+    if (built != nullptr) *built = true;
+  });
+  return w.lattice;
 }
 
 void HhhEngine::rotate_locked(std::uint32_t self, std::vector<Key128>* self_batch,
                               std::uint64_t* self_acked) {
   const std::uint64_t obs_t0 = obs_.rotation_ns != nullptr ? obs::now_ns() : 0;
+  // This rotation clears the oldest retained window's shard slots. If the
+  // archiver still holds that window, build its merge first: a no-op when
+  // the archiver already did, otherwise this waits for or runs the merge
+  // -- the only merge a rotation ever runs, before the quiesce so the
+  // workers keep ingesting (and before the drift clock starts, so a
+  // boundary it delays counts as drift).
+  if (sealed_.size() == cfg_.history_depth && sealed_.back()->archiving) {
+    (void)merged(*sealed_.back());
+  }
   // Drift metering: a budget-driven rotation measures rotation-start minus
   // the instant the budget was first observed spent. The mark is read
   // inside the quiesce, just before the reset (see there), and must fall
@@ -1115,13 +1060,9 @@ void HhhEngine::rotate_locked(std::uint32_t self, std::vector<Key128>* self_batc
     // are stable; the ctl_mu_ hand-off already ordered their last writes.
     for (const auto& dr : ring_dropped_) d += dr->load(std::memory_order_relaxed);
     // Drops since the last boundary happened while the just-sealed window
-    // was live: attribute them to it. The per-window drop ring ages in
-    // lockstep with the shard rings (newest first, oldest falls off), and
-    // the duration ring tracks how long each window was live (the
+    // was live: attribute them to it, along with how long it was live (the
     // wall-clock mode's duration-weighted baselines and archive metadata).
     sealed_drop = d - win_drops_base_;
-    sealed_drops_.insert(sealed_drops_.begin(), sealed_drop);
-    sealed_drops_.resize(cfg_.history_depth);
     win_drops_base_ = d;
     const std::int64_t now_ns =
         std::chrono::steady_clock::now().time_since_epoch().count();
@@ -1129,8 +1070,6 @@ void HhhEngine::rotate_locked(std::uint32_t self, std::vector<Key128>* self_batc
     started = win_started_ns_.load(std::memory_order_relaxed);
     duration_ns =
         now_ns > started ? static_cast<std::uint64_t>(now_ns - started) : 0;
-    sealed_durations_ns_.insert(sealed_durations_ns_.begin(), duration_ns);
-    sealed_durations_ns_.resize(cfg_.history_depth);
     // order: relaxed -- the worker whose decrement crossed zero CASes its
     // mark before it acks this boundary under ctl_mu_, and quiesced() took
     // ctl_mu_ to see every ack: that ctl_mu_ edge orders the mark before
@@ -1171,37 +1110,36 @@ void HhhEngine::rotate_locked(std::uint32_t self, std::vector<Key128>* self_batc
     if (obs_.rotation_drift_ns != nullptr) obs_.rotation_drift_ns->record(drift);
   }
   win_started_wall_ns_ = wall_end_ns;
-  // The merged-window cache is left alone: its entries stay valid, and the
-  // next query shifts them by the new window count (merge_sealed()).
   // order: release -- pairs with window_epochs()'s acquire load: a poller
-  // that observes rotation N also observes the sealed drop/duration rings
-  // written above.
-  window_epochs_.fetch_add(1, std::memory_order_release);
-  // Archiving runs after the workers resumed: the merge + queue hand-off
-  // cost control-plane time only, and never touch the disk (the archiver
-  // thread owns all I/O).
-  if (archive_ != nullptr) {
-    enqueue_archive(sealed_drop, duration_ns, wall_start_ns, wall_end_ns);
-  }
-  // Certificate stamping shares enqueue_archive()'s contract: the workers
-  // have resumed into the fresh window, but the just-sealed shard windows
-  // stay immutable until the next rotation (which needs snap_mu_, held
-  // here) -- so probing them costs control-plane time only.
-  if (health_ != nullptr) {
-    // order: relaxed -- just bumped under snap_mu_ (held); stable here.
-    stamp_certificate(window_epochs_.load(std::memory_order_relaxed),
-                      sealed_drop);
-  }
+  // that observes rotation N also observes the sealed shard windows.
+  const std::uint64_t epoch = window_epochs_.fetch_add(1, std::memory_order_release) + 1;
+  // The window's record is created after the bump, so any merge of it --
+  // and its trend_sealed_merges_ count -- happens after the bump too. The
+  // workers have resumed into the fresh window, but the just-sealed shard
+  // windows stay immutable until their slots leave the ring, which takes
+  // history_depth more rotations (each needs snap_mu_, held here).
+  auto w = std::make_shared<SealedWindow>();
+  w->epoch = epoch;
+  w->drops = sealed_drop;
+  w->duration_ns = duration_ns;
+  w->wall_start_ns = wall_start_ns;
+  w->wall_end_ns = wall_end_ns;
+  w->shards.reserve(workers_.size());
+  for (const auto& ws : workers_) w->shards.push_back(&ws->ring.sealed(0));
+  sealed_.push_front(w);
+  if (sealed_.size() > cfg_.history_depth) sealed_.pop_back();
+  // The hand-off never blocks: the archiver merges and writes on its own.
+  if (archive_ != nullptr) enqueue_archive(w);
+  // Probing the sealed shard windows costs control-plane time only.
+  if (health_ != nullptr) stamp_certificate(epoch, sealed_drop);
   if (obs_.rotation_ns != nullptr) {
     const std::uint64_t now = obs::now_ns();
     const std::uint64_t rot_ns = now >= obs_t0 ? now - obs_t0 : 0;
     obs_.rotation_ns->record(rot_ns);
-    // order: relaxed -- just bumped under snap_mu_ (held); stable here.
-    const std::uint64_t we = window_epochs_.load(std::memory_order_relaxed);
     obs_.trace->record(obs::TraceEvent::kRotate,
-                       static_cast<std::int64_t>(now), we, rot_ns);
+                       static_cast<std::int64_t>(now), epoch, rot_ns);
     obs_.trace->record(obs::TraceEvent::kSeal, static_cast<std::int64_t>(now),
-                       we, duration_ns);
+                       epoch, duration_ns);
   }
 }
 
@@ -1225,25 +1163,29 @@ TrendSnapshot HhhEngine::trend_snapshot() {
   const std::uint64_t obs_t0 = obs_.trend_ns != nullptr ? obs::now_ns() : 0;
   LiveWindow live = merge_live();
   // The sealed merges run after the workers resumed: sealed shard windows
-  // are immutable until the next rotation (which needs snap_mu_, held
-  // here), so only the live-window merge needs the quiesce pause. Each
-  // sealed window is merged once and then shifts through the cache, so a
-  // poller querying once per window pays one W-shard merge per epoch and
+  // are immutable while retained (evicting one needs snap_mu_, held here),
+  // so only the live-window merge needs the quiesce pause. Each sealed
+  // window is merged once, by the first query or the archiver, so a poller
+  // querying once per window pays at most one W-shard merge per epoch and
   // repeated polls between rotations pay the live merge only.
-  const std::size_t m = shard_sealed_windows();
-  if (merge_sealed(m) == 0 && m != 0) {
+  std::vector<std::shared_ptr<const RhhhSpaceSaving>> sealed;
+  std::vector<std::uint64_t> sealed_drops;
+  std::vector<std::uint64_t> sealed_durs;
+  sealed.reserve(sealed_.size());
+  sealed_drops.reserve(sealed_.size());
+  sealed_durs.reserve(sealed_.size());
+  bool any_built = false;
+  for (const auto& w : sealed_) {
+    sealed.push_back(merged(*w, &any_built));
+    sealed_drops.push_back(w->drops);
+    sealed_durs.push_back(w->duration_ns);
+  }
+  if (!sealed_.empty() && !any_built) {
     // order: relaxed -- cache-hit counter, diagnostic only.
     trend_cache_hits_.fetch_add(1, std::memory_order_relaxed);
   }
   // order: relaxed -- stable under snap_mu_ (held).
   const std::uint64_t we = window_epochs_.load(std::memory_order_relaxed);
-  std::vector<std::shared_ptr<const RhhhSpaceSaving>> sealed = trend_cache_;
-  std::vector<std::uint64_t> sealed_drops(sealed_drops_.begin(),
-                                          sealed_drops_.begin() +
-                                              static_cast<std::ptrdiff_t>(m));
-  std::vector<std::uint64_t> sealed_durs(
-      sealed_durations_ns_.begin(),
-      sealed_durations_ns_.begin() + static_cast<std::ptrdiff_t>(m));
   const std::int64_t now_ns =
       std::chrono::steady_clock::now().time_since_epoch().count();
   // order: relaxed -- written only under snap_mu_ (held), so stable here.

@@ -51,15 +51,14 @@
 // worker.
 //
 // Durable archiving (EngineConfig::archive, src/store/): when enabled,
-// every rotation merges the just-sealed shard windows into one
-// network-wide lattice *after* the workers have resumed (sealed slots are
-// immutable until the next rotation, which also needs snap_mu_) and hands
-// it to a background archiver thread through a bounded queue -- the packet
-// path never waits on the merge and no thread ever waits on the disk; a
-// full queue drops the window and counts it. The archiver serializes each
-// window (store/serde.hpp) and appends it to the segment log
-// (store/archive.hpp), where WindowArchive answers last-N / time-range
-// queries that reproduce trend_snapshot()'s sealed windows byte for byte.
+// every rotation hands its sealed window -- the one record trend_snapshot()
+// reads too -- to a background archiver thread through a bounded queue;
+// a full queue drops the window and counts it, and no thread ever waits on
+// the disk. The archiver takes the window's cross-shard merge (built once,
+// by whichever of a query or the archiver needs it first) and appends it
+// to the segment log (store/archive.hpp), where WindowArchive answers
+// last-N / time-range queries that reproduce trend_snapshot()'s sealed
+// windows byte for byte.
 #pragma once
 
 #include <atomic>
@@ -78,7 +77,6 @@
 #include "engine/shard_router.hpp"
 #include "engine/snapshot.hpp"
 #include "hhh/lattice_hhh.hpp"
-#include "store/serde.hpp"
 #include "util/spsc_ring.hpp"
 
 namespace rhhh::store {
@@ -180,8 +178,8 @@ class HhhEngine {
   /// epoch boundary, merge the live shard lattices into the current
   /// window, resume; every retained sealed window is merged across shards
   /// index-aligned (all shards rotate together, so age i covers the same
-  /// epoch on every shard) at most once and then served from a cache that
-  /// shifts with the rotations. Each window's own drops are folded into
+  /// epoch on every shard) at most once -- by this query, an earlier one or
+  /// the archiver -- and then shared. Each window's own drops are folded into
   /// its stream length. Packets still buffered in producer handles (not
   /// flushed) are not yet part of it. An engine that never rotated has no
   /// sealed windows, so the query costs one live merge and current() is
@@ -213,7 +211,7 @@ class HhhEngine {
   [[nodiscard]] std::uint64_t window_epochs() const noexcept {
     // order: acquire -- pairs with rotate_locked()'s release fetch_add so a
     // poller that observes rotation N also observes every write the rotation
-    // published before bumping the count (sealed drop/duration rings).
+    // published before bumping the count (the sealed shard windows).
     return window_epochs_.load(std::memory_order_acquire);
   }
   /// True when a coordinator clock (packet or wall) is configured.
@@ -319,19 +317,36 @@ class HhhEngine {
   bool try_rotate_cooperative(std::uint32_t w, std::vector<Key128>& batch,
                               std::uint64_t& acked);
   [[nodiscard]] EngineStats collect_stats() const;
-  struct ArchiveItem;  // defined with the archiver state below
+  /// One sealed window, shared by trend_snapshot() and the archiver.
+  /// `shards` are the window's ring slot in every worker: valid while the
+  /// window is retained (a slot is cleared when its window leaves the
+  /// ring, history_depth rotations later).
+  struct SealedWindow {
+    std::uint64_t epoch = 0;        ///< window_epochs_ after its rotation
+    std::uint64_t drops = 0;        ///< drops attributed (folded into N)
+    std::uint64_t duration_ns = 0;  ///< steady-clock live duration
+    std::int64_t wall_start_ns = 0;
+    std::int64_t wall_end_ns = 0;
+    std::vector<const RhhhSpaceSaving*> shards;  ///< [worker]
+    bool archiving = false;  ///< queued for the archiver (snap_mu_)
+    std::once_flag merge_once;
+    std::shared_ptr<const RhhhSpaceSaving> lattice;  ///< set by merged()
+  };
+  /// The window's cross-shard merge, built on first use: a fresh lattice
+  /// seeded kSealedSalt ^ epoch, every shard merged in worker order, the
+  /// drops folded into N. Concurrent callers wait for the one build, which
+  /// bumps trend_sealed_merges_ and sets *built (left alone otherwise).
+  const std::shared_ptr<const RhhhSpaceSaving>& merged(SealedWindow& w,
+                                                       bool* built = nullptr);
   /// Archiver thread body: drains the sealed-window queue into `arch`
   /// until its generation is retired.
   void archive_loop(store::WindowArchive* arch, std::uint64_t gen);
-  /// Snapshot the newest sealed shard windows as serialized blobs and
-  /// enqueue them for the archiver (or drop + count on a full queue).
-  /// Caller must hold snap_mu_, after the rotation completed.
-  void enqueue_archive(std::uint64_t sealed_drop, std::uint64_t duration_ns,
-                       std::int64_t wall_start_ns, std::int64_t wall_end_ns);
-  /// Archiver-side work for one queued window: decode the shard blobs,
-  /// merge them network-wide exactly like trend_snapshot()'s age-0 merge,
-  /// and append to `arch`. Counts success/failure.
-  void archive_one(store::WindowArchive* arch, const ArchiveItem& item);
+  /// Queue `w` for the archiver (or drop + count on a full queue). Caller
+  /// must hold snap_mu_.
+  void enqueue_archive(const std::shared_ptr<SealedWindow>& w);
+  /// Archiver-side work for one queued window: take its merge and append
+  /// it to `arch`. Counts success/failure.
+  void archive_one(store::WindowArchive* arch, SealedWindow& w);
   /// Parks every worker at the next quiesce boundary, runs fn while they
   /// are parked, resumes them; returns the quiesce generation. Caller must
   /// hold snap_mu_. When the caller IS a worker (cooperative rotation),
@@ -352,12 +367,6 @@ class HhhEngine {
   /// Quiesce, merge the live shard lattices, resume. Caller must hold
   /// snap_mu_.
   LiveWindow merge_live();
-  /// Bring trend_cache_ up to the current window count (shift it by the
-  /// rotations since it was last touched) and merge whichever of ages
-  /// [0, depth) it lacks; depth <= shard_sealed_windows(). Returns the
-  /// number of merges. Caller must hold snap_mu_; runs without a quiesce
-  /// (sealed windows are immutable until the next rotation).
-  std::size_t merge_sealed(std::size_t depth);
   /// rotate_epoch() body; caller must hold snap_mu_. `self`/`self_batch`
   /// as in quiesced(); a rotating worker's local ack mark is updated
   /// through `self_acked` so it does not re-park on its own boundary.
@@ -382,7 +391,7 @@ class HhhEngine {
   /// Probe the just-sealed shard windows and stamp this window's
   /// AccuracyCertificate into the ledger. Caller must hold snap_mu_, after
   /// the workers have resumed (sealed(0) is immutable until the next
-  /// rotation, same contract as enqueue_archive()).
+  /// rotation, which needs snap_mu_).
   void stamp_certificate(std::uint64_t sealed_epoch, std::uint64_t sealed_drop);
 
   EngineConfig cfg_;
@@ -415,13 +424,9 @@ class HhhEngine {
   // frequent snapshots cannot starve either path).
   std::atomic<std::uint64_t> window_epochs_{0};
   std::uint64_t win_drops_base_ = 0;  ///< total drops at the last rotation
-  /// Drops attributed to each retained sealed window, by age (index 0 = the
-  /// newest sealed window); size == cfg_.history_depth, slots beyond
-  /// shard_sealed_windows() are zero. Written under snap_mu_.
-  std::vector<std::uint64_t> sealed_drops_;
-  /// Steady-clock live duration of each retained sealed window, by age
-  /// (parallel to sealed_drops_). Written under snap_mu_.
-  std::vector<std::uint64_t> sealed_durations_ns_;
+  /// The retained sealed windows by age (front = newest), in lockstep with
+  /// the shard rings: at most history_depth. Under snap_mu_.
+  std::deque<std::shared_ptr<SealedWindow>> sealed_;
   /// Packet-budget countdown for the current window: reset to epoch_packets
   /// at every boundary (inside the quiesced rotation, all workers parked),
   /// decremented by each worker's consumed batch size. The worker whose
@@ -455,34 +460,20 @@ class HhhEngine {
   std::atomic<std::uint64_t> clock_gen_{0};
   std::thread clock_thread_;
 
-  // Merged-sealed-window cache for trend_snapshot(): a sealed window (and
-  // its drops) never changes, so its cross-shard merge is built once and
-  // reused for as long as the rings retain the window.
-  // Rotations leave the cache alone; merge_sealed() shifts it by the
-  // rotations since trend_cache_epoch_. All fields written under snap_mu_.
-  // Entries are immutable shared merges (nullptr = not merged yet), handed
-  // to the snapshots by shared_ptr.
-  std::vector<std::shared_ptr<const RhhhSpaceSaving>> trend_cache_;  ///< [age]
-  std::uint64_t trend_cache_epoch_ = 0;  ///< window_epochs_ the ages refer to
-  std::atomic<std::uint64_t> trend_cache_hits_{0};
-  std::atomic<std::uint64_t> trend_sealed_merges_{0};  ///< cache fills
+  std::atomic<std::uint64_t> trend_cache_hits_{0};  ///< queries that merged none
+  std::atomic<std::uint64_t> trend_sealed_merges_{0};  ///< merged() builds
 
   // Background archiver (EngineConfig::archive). The queue is bounded:
-  // rotations enqueue (or drop + count) and never wait; the rotation-path
-  // cost is one flat serialization of each shard's just-sealed lattice
-  // (sealed slots are reused after K more rotations, so the archiver
-  // cannot read them in place). The archiver owns everything expensive:
-  // it decodes the shard blobs, replays the exact cross-shard merge
-  // trend_snapshot() would do (so the persisted window is byte-identical
-  // to the in-memory view), and appends to the segment log. start() opens
-  // the store and spawns the thread; stop() retires the generation, joins,
-  // drains the remainder synchronously and seals the segment. Queue state
-  // under arch_mu_.
-  struct ArchiveItem {
-    store::WindowMeta meta;
-    std::vector<store::Bytes> shard_blobs;  ///< [worker] sealed(0) images
-  };
-  std::deque<ArchiveItem> archive_q_;
+  // rotations enqueue their SealedWindow (or drop + count) without waiting
+  // or serializing anything. The archiver takes the window's merge -- the
+  // instance trend_snapshot() serves -- and appends it to the segment log.
+  // A queued window's shard slots are reused once it leaves the ring, so
+  // the rotation that evicts a queued window first calls its merged(): a
+  // no-op when the archiver got there first, otherwise the one merge a
+  // rotation ever runs. start() opens the store and spawns the thread;
+  // stop() retires the generation, joins, drains the remainder
+  // synchronously and seals the segment. Queue state under arch_mu_.
+  std::deque<std::shared_ptr<SealedWindow>> archive_q_;
   std::mutex arch_mu_;
   std::condition_variable arch_cv_;
   std::atomic<std::uint64_t> archive_gen_{0};

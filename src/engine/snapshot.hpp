@@ -37,12 +37,13 @@ struct EngineStats {
   /// (rotation never blocks on I/O; see ArchiveConfig::queue_windows).
   std::uint64_t archive_queue_drops = 0;
   std::uint64_t archive_errors = 0;  ///< archiver I/O failures (window skipped)
-  /// trend_snapshot() calls served from the merged-sealed-window cache
-  /// alone (every retained sealed window was already merged).
+  /// trend_snapshot() calls that merged no sealed window (every retained
+  /// one was already merged, by an earlier query or the archiver).
   std::uint64_t trend_cache_hits = 0;
-  /// Sealed windows merged across shards to fill that cache. Each window
-  /// is merged at most once, so this never exceeds window_epochs; a poller
-  /// that queries after every rotation keeps the two equal.
+  /// Sealed windows merged across shards, by queries or the archiver. Each
+  /// window is merged at most once, so this never exceeds window_epochs; a
+  /// poller that queries after every rotation, or an archiver that drops no
+  /// window, keeps the two equal.
   std::uint64_t trend_sealed_merges = 0;
   /// Rotations triggered by a spent packet/wall budget (manual
   /// rotate_epoch() calls are excluded -- they have no boundary to drift
@@ -69,10 +70,10 @@ struct EngineStats {
 /// merged index-aligned) plus the live (partial) window, every window's
 /// drops folded into its stream length. Sealed windows are indexed by age:
 /// window 0 is the most recently sealed epoch. The sealed merges are
-/// shared with the engine's per-epoch cache (they are immutable), which
-/// shifts with rotations: each sealed window is merged once, so a poll
-/// after a rotation pays one new merge and repeated polls between
-/// rotations pay only the live-window merge.
+/// immutable and shared with the engine's sealed-window records and the
+/// archiver: each sealed window is merged once, so a poll after a rotation
+/// pays at most one new merge and repeated polls between rotations pay
+/// only the live-window merge.
 class TrendSnapshot {
  public:
   TrendSnapshot(std::unique_ptr<RhhhSpaceSaving> current,
@@ -83,8 +84,8 @@ class TrendSnapshot {
                 std::uint64_t current_duration_ns, bool duration_weighted)
       : current_(std::move(current)),
         sealed_(std::move(sealed)),
-        sealed_drops_(std::move(sealed_drops)),
-        sealed_durations_ns_(std::move(sealed_durations_ns)),
+        drops_(std::move(sealed_drops)),
+        durations_ns_(std::move(sealed_durations_ns)),
         stats_(std::move(stats)),
         window_epochs_(window_epochs),
         current_drops_(current_drops),
@@ -147,14 +148,14 @@ class TrendSnapshot {
   /// Drops attributed to each window (already folded into the lengths).
   [[nodiscard]] std::uint64_t current_drops() const noexcept { return current_drops_; }
   [[nodiscard]] std::uint64_t window_drops(std::size_t age) const {
-    return sealed_drops_[age];
+    return drops_[age];
   }
   /// Wall-clock (steady) duration each window spent live.
   [[nodiscard]] std::uint64_t current_duration_ns() const noexcept {
     return current_duration_ns_;
   }
   [[nodiscard]] std::uint64_t window_duration_ns(std::size_t age) const {
-    return sealed_durations_ns_[age];
+    return durations_ns_[age];
   }
   /// True when emerging_sustained() weighs baseline windows by duration
   /// (the engine's pure wall-clock rotation mode).
@@ -188,7 +189,7 @@ class TrendSnapshot {
     std::vector<std::uint64_t> out;
     out.reserve(sealed_.size() + 1);
     for (std::size_t age = sealed_.size(); age-- > 0;) {
-      out.push_back(sealed_durations_ns_[age]);
+      out.push_back(durations_ns_[age]);
     }
     out.push_back(current_duration_ns_);
     return out;
@@ -196,10 +197,10 @@ class TrendSnapshot {
 
   std::unique_ptr<RhhhSpaceSaving> current_;
   /// Merged sealed windows by age (0 = newest sealed epoch); shared with
-  /// the engine's cache, immutable once sealed.
+  /// the engine and the archiver, immutable once merged.
   std::vector<std::shared_ptr<const RhhhSpaceSaving>> sealed_;
-  std::vector<std::uint64_t> sealed_drops_;  ///< [age], parallel to sealed_
-  std::vector<std::uint64_t> sealed_durations_ns_;  ///< [age]
+  std::vector<std::uint64_t> drops_;  ///< [age], parallel to sealed_
+  std::vector<std::uint64_t> durations_ns_;  ///< [age]
   EngineStats stats_;
   std::uint64_t window_epochs_;
   std::uint64_t current_drops_;

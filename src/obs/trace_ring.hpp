@@ -19,7 +19,7 @@ enum class TraceEvent : std::uint8_t {
   kRotate = 0,     // arg0 = sealed epoch, arg1 = rotation duration ns
   kQuiesce,        // arg0 = epoch, arg1 = wait-for-ack duration ns
   kSnapshot,       // arg0 = epoch, arg1 = merge duration ns
-  kSeal,           // arg0 = sealed epoch, arg1 = window stream length
+  kSeal,           // arg0 = sealed epoch, arg1 = window live duration ns
   kArchive,        // arg0 = archived epoch, arg1 = append duration ns
   kArchiveDrop,    // arg0 = dropped epoch (bounded queue full)
   kArchiveError,   // arg0 = failed epoch

@@ -424,15 +424,80 @@ TEST(ShutdownEdges, ArchiveQueueDrainedExactlyOnce) {
   }  // destructor: one more stop() on the torn-down engine
 }
 
+// The archiver behind the history ring: with history_depth = 1 each
+// rotation clears the previous window's shard slots, so back-to-back
+// rotations overtake an archiver still merging. The rotation that evicts a
+// queued window must wait for or run its merge -- never a second one --
+// and the persisted bytes must still be what a polled engine serves.
+TEST(ScheduleStress, ArchiverBehindHistoryMergesEachWindowOnce) {
+  TempDir dir("archiver_behind");
+  EngineConfig twin_cfg = small_engine(2, 1);
+  twin_cfg.history_depth = 1;
+  EngineConfig cfg = twin_cfg;
+  cfg.archive.dir = dir.str();
+  cfg.archive.queue_windows = 64;
+  constexpr std::uint64_t kRotations = 40;
+  constexpr std::uint64_t kWindow = 2'000;
+  const auto feed = [](HhhEngine& eng, std::uint64_t window) {
+    HhhEngine::Producer& prod = eng.producer(0);
+    Xoroshiro128 rng(9'000 + window);
+    for (std::uint64_t i = 0; i < kWindow; ++i) {
+      prod.ingest(Key128::from_pair(static_cast<std::uint32_t>(rng.bounded(64)),
+                                    static_cast<std::uint32_t>(rng())));
+    }
+    prod.flush();
+  };
+
+  HhhEngine eng(cfg);
+  eng.start();
+  for (std::uint64_t r = 0; r < kRotations; ++r) {
+    feed(eng, r);
+    eng.rotate_epoch();  // no poll: only the archiver and evictions merge
+  }
+  eng.stop();
+  const EngineStats s = eng.stats();
+  EXPECT_EQ(s.window_epochs, kRotations);
+  EXPECT_EQ(s.archived_windows, s.window_epochs);
+  EXPECT_EQ(s.archive_queue_drops, 0u);
+  EXPECT_EQ(s.archive_errors, 0u);
+  EXPECT_EQ(s.trend_sealed_merges, s.window_epochs)
+      << "each sealed window merged exactly once";
+
+  // The same windows on an engine without an archive, polled after every
+  // rotation: its window(0) is the query-side merge of each epoch.
+  HhhEngine twin(twin_cfg);
+  twin.start();
+  std::vector<TrendSnapshot> polled;
+  polled.reserve(kRotations);
+  for (std::uint64_t r = 0; r < kRotations; ++r) {
+    feed(twin, r);
+    twin.rotate_epoch();
+    polled.push_back(twin.trend_snapshot());
+  }
+  twin.stop();
+
+  const store::WindowArchive arch = store::WindowArchive::open_read(dir.str());
+  ASSERT_EQ(arch.windows(), kRotations);
+  for (std::size_t i = 0; i < arch.windows(); ++i) {
+    const store::ArchivedWindow rec = arch.read(i);
+    ASSERT_EQ(rec.meta.epoch, i + 1);
+    EXPECT_EQ(store::encode_window(rec.meta, cfg.monitor.hierarchy, *rec.window),
+              store::encode_window(rec.meta, cfg.monitor.hierarchy,
+                                   polled[i].window_algorithm(0)))
+        << "epoch " << rec.meta.epoch;
+  }
+}
+
 // ------------------------------------------------------------- telemetry --
 
 // Conservation at every scrape: with the engine's gauge_fns sampled in the
-// order consumed, dropped, offered (each strictly before the next), the
-// identity `offered >= consumed + dropped` must hold at any instant --
-// offered is published before the ring push, consumption counted after the
-// pop -- and the slack is bounded by what can be in flight (per-worker
-// batches mid-push plus ring occupancy). Rotations and Prometheus renders
-// run concurrently as chaos; after stop() the identity is exact.
+// order consumed, dropped, offered, consumed, dropped (each strictly before
+// the next), `offered >= consumed + dropped` must hold against the first
+// pair -- offered is published before the ring push, consumption counted
+// after the pop -- and the slack against the second pair is bounded by
+// what can be in flight (per-worker batches mid-push plus ring occupancy).
+// Rotations and Prometheus renders run concurrently as chaos; after stop()
+// the identity is exact.
 TEST(ScheduleStress, MetricsConservationUnderChaos) {
   obs::MetricsRegistry reg;
   EngineConfig cfg = small_engine(2, 2);
@@ -460,16 +525,22 @@ TEST(ScheduleStress, MetricsConservationUnderChaos) {
   const std::uint64_t in_flight_cap =
       static_cast<std::uint64_t>(cfg.producers) * cfg.workers *
       (cfg.ring_capacity + cfg.batch);
+  const auto settled = [&] {
+    return static_cast<std::uint64_t>(reg.value("rhhh_engine_consumed")) +
+           static_cast<std::uint64_t>(reg.value("rhhh_engine_dropped"));
+  };
   for (int scrape = 0; scrape < 300; ++scrape) {
-    const auto consumed =
-        static_cast<std::uint64_t>(reg.value("rhhh_engine_consumed"));
-    const auto dropped =
-        static_cast<std::uint64_t>(reg.value("rhhh_engine_dropped"));
+    // Offered is bracketed by two consumed + dropped reads: the first pair
+    // cannot include a record offered after it, and the second one sees
+    // every record the rings and batches no longer hold. Offers that land
+    // between the reads loosen neither bound.
+    const std::uint64_t settled_before = settled();
     const auto offered =
         static_cast<std::uint64_t>(reg.value("rhhh_engine_offered"));
-    ASSERT_GE(offered, consumed + dropped)
+    const std::uint64_t settled_after = settled();
+    ASSERT_GE(offered, settled_before)
         << "conservation violated at scrape " << scrape;
-    EXPECT_LE(offered - consumed - dropped, in_flight_cap)
+    EXPECT_LE(offered, settled_after + in_flight_cap)
         << "more in flight than the rings and batches can hold";
     const EngineStats st = eng.stats();
     EXPECT_LE(st.trend_sealed_merges, st.window_epochs)

@@ -10,10 +10,13 @@
 // epoch, exactly the k-epoch growth curve trend() exists to expose.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,6 +25,7 @@
 #include "engine/engine.hpp"
 #include "net/ipv4.hpp"
 #include "stats/normal.hpp"
+#include "store/archive.hpp"
 #include "trace/trace_gen.hpp"
 #include "util/random.hpp"
 
@@ -344,39 +348,69 @@ TEST(TrendCache, LaggingPollerMatchesFromScratchMerges) {
 }
 
 TEST(TrendCache, TwoPollsPerEpochShareAgeZero) {
-  EngineConfig cfg;
-  cfg.monitor.hierarchy = HierarchyKind::kIpv4TwoDimBytes;
-  cfg.monitor.eps = 0.05;
-  cfg.monitor.delta = 0.05;
-  cfg.monitor.seed = 25;
-  cfg.workers = 2;
-  cfg.producers = 1;
-  cfg.history_depth = 3;
-  HhhEngine eng(cfg);
-  const RampStream s = make_ramp_stream(eng.hierarchy());
-  constexpr std::size_t kWindow = 10000;
+  // Without and with an archive: the archiver shares the query's merge, so
+  // each window is still merged once and persisted as the polls saw it.
+  for (const bool archiving : {false, true}) {
+    SCOPED_TRACE(archiving ? "archiving" : "no archive");
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) /
+        ("rhhh_trend_cache_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    EngineConfig cfg;
+    cfg.monitor.hierarchy = HierarchyKind::kIpv4TwoDimBytes;
+    cfg.monitor.eps = 0.05;
+    cfg.monitor.delta = 0.05;
+    cfg.monitor.seed = 25;
+    cfg.workers = 2;
+    cfg.producers = 1;
+    cfg.history_depth = 3;
+    if (archiving) cfg.archive.dir = dir.string();
+    HhhEngine eng(cfg);
+    const RampStream s = make_ramp_stream(eng.hierarchy());
+    constexpr std::size_t kWindow = 10000;
 
-  eng.start();
-  HhhEngine::Producer& prod = eng.producer(0);
-  EXPECT_EQ(eng.trend_snapshot().sealed_windows(), 0u);
-  std::size_t next = 0;
-  for (int epoch = 0; epoch < 6; ++epoch) {
-    for (std::size_t i = 0; i < kWindow; ++i) prod.ingest(s.keys[next++]);
-    prod.flush();
-    eng.rotate_epoch();
-    // The first poll merges the new window; the second must be served the
-    // same instance.
-    const TrendSnapshot first = eng.trend_snapshot();
-    const TrendSnapshot second = eng.trend_snapshot();
-    ASSERT_NE(second.sealed_windows(), 0u);
-    EXPECT_EQ(&second.window_algorithm(0), &first.window_algorithm(0))
-        << "epoch " << epoch;
-    EXPECT_EQ(second.window_length(0), first.window_length(0));
-    // Polled after every rotation: exactly one merge per sealed window.
+    eng.start();
+    HhhEngine::Producer& prod = eng.producer(0);
+    EXPECT_EQ(eng.trend_snapshot().sealed_windows(), 0u);
+    std::vector<TrendSnapshot> polled;
+    std::size_t next = 0;
+    for (int epoch = 0; epoch < 6; ++epoch) {
+      for (std::size_t i = 0; i < kWindow; ++i) prod.ingest(s.keys[next++]);
+      prod.flush();
+      eng.rotate_epoch();
+      // The first poll merges the new window (unless the archiver already
+      // did); the second must be served the same instance.
+      const TrendSnapshot first = eng.trend_snapshot();
+      TrendSnapshot second = eng.trend_snapshot();
+      ASSERT_NE(second.sealed_windows(), 0u);
+      EXPECT_EQ(&second.window_algorithm(0), &first.window_algorithm(0))
+          << "epoch " << epoch;
+      EXPECT_EQ(second.window_length(0), first.window_length(0));
+      // Polled after every rotation: exactly one merge per sealed window.
+      const EngineStats st = eng.stats();
+      EXPECT_EQ(st.trend_sealed_merges, st.window_epochs) << "epoch " << epoch;
+      polled.push_back(std::move(second));
+    }
+    eng.stop();
     const EngineStats st = eng.stats();
-    EXPECT_EQ(st.trend_sealed_merges, st.window_epochs) << "epoch " << epoch;
+    EXPECT_EQ(st.trend_sealed_merges, st.window_epochs);
+    if (!archiving) continue;
+
+    // Cold read: each epoch's record is the polled age-0 window, byte for
+    // byte.
+    EXPECT_EQ(st.archived_windows, st.window_epochs);
+    const store::WindowArchive ar = store::WindowArchive::open_read(dir.string());
+    ASSERT_EQ(ar.windows(), polled.size());
+    for (std::size_t i = 0; i < ar.windows(); ++i) {
+      const store::ArchivedWindow rec = ar.read(i);
+      ASSERT_EQ(rec.meta.epoch, i + 1);
+      EXPECT_EQ(store::encode_window(rec.meta, cfg.monitor.hierarchy, *rec.window),
+                store::encode_window(rec.meta, cfg.monitor.hierarchy,
+                                     polled[i].window_algorithm(0)))
+          << "epoch " << rec.meta.epoch;
+    }
+    std::filesystem::remove_all(dir);
   }
-  eng.stop();
 }
 
 // --------------------------------------- duration-weighted EWMA baseline ----
