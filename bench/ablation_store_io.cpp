@@ -6,8 +6,9 @@
 //     windows through WindowArchive (the archiver thread's exact work) --
 //     windows/s, MB/s, resulting segments/bytes.
 //   * cold query path vs segment size: reopen the store and answer a
-//     merged last-8 query and a full replay -- the collector-restart and
-//     offline-reprocessing costs.
+//     merged last-8 query, the same 8 windows as a range() merged by hand
+//     (LatticeHhh::merge, the engine's pairwise path) and a full replay --
+//     the collector-restart and offline-reprocessing costs.
 //   * engine rotation overhead: the same windowed engine run with
 //     archiving off vs on (ingest Mpps side by side). The archiver merges
 //     off the packet path and does I/O on its own thread, so the two
@@ -78,11 +79,15 @@ int main(int argc, char** argv) {
   std::printf("\n-- archive write + cold query vs segment size, %zu windows --\n",
               kEpochs);
   print_row({"segment KiB", "write win/s", "write MB/s", "segments",
-             "last-8 query ms", "replay ms"});
+             "last-8 query ms", "range-8 + merge ms", "replay ms"});
+  // Window e spans [e, e+1] seconds: this range selects the last 8.
+  const std::int64_t last8_from = static_cast<std::int64_t>(kEpochs - 8) * 1'000'000'000 + 1;
+  const std::int64_t last8_to = static_cast<std::int64_t>(kEpochs) * 1'000'000'000;
   for (const std::uint64_t seg_kib : {256u, 1024u, 4096u}) {
     RunningStats win_per_s;
     RunningStats write_mbs;
     RunningStats query_ms;
+    RunningStats range_ms;
     RunningStats replay_ms;
     std::size_t segments = 0;
     for (int r = 0; r < args.runs; ++r) {
@@ -114,6 +119,17 @@ int main(int argc, char** argv) {
       query_ms.add((now_sec() - q0) * 1e3);
       if (merged == nullptr || merged->stream_length() == 0) std::printf("?");
 
+      const double r0 = now_sec();
+      std::vector<store::ArchivedWindow> picked = cold.range(last8_from, last8_to);
+      for (std::size_t i = 1; i < picked.size(); ++i) {
+        picked.front().window->merge(*picked[i].window);
+      }
+      range_ms.add((now_sec() - r0) * 1e3);
+      if (picked.size() != 8 ||
+          picked.front().window->stream_length() != merged->stream_length()) {
+        std::printf("?");
+      }
+
       const double p0 = now_sec();
       store::WindowArchive::Replay it = cold.replay();
       store::ArchivedWindow w;
@@ -123,7 +139,8 @@ int main(int argc, char** argv) {
       if (total == 0) std::printf("?");
     }
     print_row({std::to_string(seg_kib), ci_cell(win_per_s), ci_cell(write_mbs),
-               std::to_string(segments), ci_cell(query_ms), ci_cell(replay_ms)});
+               std::to_string(segments), ci_cell(query_ms), ci_cell(range_ms),
+               ci_cell(replay_ms)});
     std::filesystem::remove_all(dir);
   }
 

@@ -21,6 +21,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 namespace rhhh {
 
@@ -29,6 +30,19 @@ struct HhEntry {
   Key key{};
   std::uint64_t upper = 0;
   std::uint64_t lower = 0;
+};
+
+/// A counter summary in flat form: its entries in counter-array order (the
+/// order for_each() visits), its arrivals total and evictions, and the
+/// capacity it was kept under. Space-Saving merges from this form, so a
+/// summary held only as bytes (an archived window) merges without being
+/// built first.
+template <class Key>
+struct Roster {
+  std::span<const HhEntry<Key>> entries;
+  std::uint64_t total = 0;
+  std::uint64_t evictions = 0;
+  std::size_t capacity = 0;
 };
 
 /// Uniform construction parameters for all backends. `capacity` is the

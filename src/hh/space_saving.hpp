@@ -14,11 +14,15 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "hh/backend.hpp"
+#include "util/bits.hpp"
 #include "util/flat_hash_map.hpp"
 #include "util/key128.hpp"
 
@@ -171,50 +175,114 @@ class SpaceSaving {
   }
 
   void clear() {
-    index_.clear();
+    // A summary that holds no counter has an empty index and its bucket
+    // free list in initial order (size_ only returns to 0 through here), so
+    // the O(capacity) walks are skipped -- a freshly built instance about
+    // to be load()ed pays them once, in the constructor.
+    if (size_ != 0) {
+      index_.clear();
+      reset_freelist();
+    }
     size_ = 0;
     total_ = 0;
     evictions_ = 0;
     bucket_head_ = kNil;
-    reset_freelist();
   }
 
-  /// Merge another summary into this one (mergeable-summaries semantics:
-  /// Agarwal et al.). Counts add where keys overlap; a key tracked on only
-  /// one side is charged the other side's min bound as additional count and
-  /// error; the top `capacity()` merged counters are kept. Upper/lower
-  /// bound guarantees are preserved for the combined stream. This is the
-  /// paper's Section 7 multi-device aggregation path ("analyzing data from
-  /// multiple network devices").
+  /// Merge another summary into this one; see merge(const Roster&).
   void merge(const SpaceSaving& other) {
-    const std::uint64_t my_min = min_bound();
-    const std::uint64_t their_min = other.min_bound();
-    std::vector<HhEntry<Key>> merged;
-    merged.reserve(size_ + other.size_);
-    for_each([&](const Key& k, std::uint64_t up, std::uint64_t lo) {
-      const std::uint32_t* slot = other.index_.find(k);
-      if (slot == nullptr) {
-        merged.push_back(HhEntry<Key>{k, up + their_min, lo});
-      } else {
-        const Counter& oc = other.counters_[*slot];
-        merged.push_back(HhEntry<Key>{k, up + oc.count, lo + (oc.count - oc.error)});
-      }
-    });
-    other.for_each([&](const Key& k, std::uint64_t up, std::uint64_t lo) {
-      if (tracked(k)) return;  // handled above
-      merged.push_back(HhEntry<Key>{k, up + my_min, lo});
-    });
-    std::sort(merged.begin(), merged.end(),
-              [](const HhEntry<Key>& a, const HhEntry<Key>& b) { return a.upper > b.upper; });
-    if (merged.size() > cap_) merged.resize(cap_);
+    const std::vector<HhEntry<Key>> entries = other.entries();
+    merge(Roster<Key>{entries, other.total_, other.evictions_, other.cap_});
+  }
 
-    const std::uint64_t combined_total = total_ + other.total_;
+  /// Merge a summary given in flat form into this one (mergeable-summaries
+  /// semantics: Agarwal et al.). Counts add where keys overlap; a key
+  /// tracked on only one side is charged the other side's min bound as
+  /// additional count and error; the top `capacity()` merged counters are
+  /// kept. Upper/lower bound guarantees are preserved for the combined
+  /// stream. This is the paper's Section 7 multi-device aggregation path
+  /// ("analyzing data from multiple network devices"). The roster's min
+  /// bound is its smallest count when it fills its capacity, else 0.
+  ///
+  /// The merged list is this summary's counters in array order, then the
+  /// roster's unmatched entries in roster order; it is sorted by upper
+  /// bound, descending, and rebuilt smallest first. That order is kept on
+  /// purpose: equal counts keep the order std::sort leaves them in, and
+  /// that tie order fixes the merged counter-array layout (hence output()'s
+  /// iteration order) and which counter is evicted first. The sort runs on
+  /// 16-byte {upper, index} proxies with the same std::sort and comparator,
+  /// so it makes the same comparisons and yields the same permutation, ties
+  /// included.
+  ///
+  /// Throws std::invalid_argument, leaving this summary unchanged, when the
+  /// roster repeats a key.
+  void merge(const Roster<Key>& other) {
+    const std::span<const HhEntry<Key>> in = other.entries;
+    const std::size_t n = in.size();
+    // Hash the roster up front: the probe loop prefetches index slots a few
+    // entries ahead, and the duplicate check reuses the hashes.
+    std::vector<std::uint64_t> hash(n);
+    std::uint64_t their_min = ~std::uint64_t{0};
+    for (std::size_t j = 0; j < n; ++j) {
+      hash[j] = hash_of(in[j].key);
+      their_min = std::min(their_min, in[j].upper);
+    }
+    if (n == 0 || n != other.capacity) their_min = 0;
+
+    // One probe of this summary's index per roster entry; partner[i] is the
+    // roster entry holding counter i's key.
+    std::vector<std::uint32_t> partner(size_, kNil);
+    std::vector<std::uint32_t> unmatched;
+    unmatched.reserve(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j + kMergePrefetch < n) index_.prefetch(hash[j + kMergePrefetch]);
+      const std::uint32_t* slot = index_.find_hashed(in[j].key, hash[j]);
+      if (slot == nullptr) {
+        unmatched.push_back(static_cast<std::uint32_t>(j));
+      } else if (partner[*slot] == kNil) {
+        partner[*slot] = static_cast<std::uint32_t>(j);
+      } else {
+        throw std::invalid_argument("SpaceSaving::merge: duplicate key in roster");
+      }
+    }
+    if (!distinct_keys(in, hash, unmatched)) {
+      throw std::invalid_argument("SpaceSaving::merge: duplicate key in roster");
+    }
+
+    const std::uint64_t my_min = min_bound();
+    std::vector<HhEntry<Key>> merged;
+    merged.reserve(size_ + unmatched.size());
+    for (std::size_t i = 0; i < size_; ++i) {
+      const Counter& c = counters_[i];
+      const std::uint64_t lo = c.count - c.error;
+      if (partner[i] == kNil) {
+        merged.push_back(HhEntry<Key>{c.key, c.count + their_min, lo});
+      } else {
+        const HhEntry<Key>& o = in[partner[i]];
+        merged.push_back(HhEntry<Key>{c.key, c.count + o.upper, lo + o.lower});
+      }
+    }
+    for (const std::uint32_t j : unmatched) {
+      merged.push_back(HhEntry<Key>{in[j].key, in[j].upper + my_min, in[j].lower});
+    }
+    struct Proxy {
+      std::uint64_t upper;
+      std::uint32_t index;
+    };
+    std::vector<Proxy> order(merged.size());
+    for (std::size_t i = 0; i < merged.size(); ++i) {
+      order[i] = Proxy{merged[i].upper, static_cast<std::uint32_t>(i)};
+    }
+    std::sort(order.begin(), order.end(),
+              [](const Proxy& a, const Proxy& b) { return a.upper > b.upper; });
+    const std::size_t kept = std::min(order.size(), cap_);
+
+    const std::uint64_t combined_total = total_ + other.total;
     // The rebuild never evicts; churn from both input streams carries through.
-    const std::uint64_t combined_evictions = evictions_ + other.evictions_;
-    // Rebuild smallest count first. The order, not speed, is why: it fixes
-    // the merged instance's counter-array layout (hence output()'s iteration
-    // order) and the within-bucket eviction order, so it must not change.
-    (void)rebuild(merged.rbegin(), merged.rend());  // keys are distinct
+    const std::uint64_t combined_evictions = evictions_ + other.evictions;
+    (void)rebuild(kept, [&](std::size_t i) -> const HhEntry<Key>& {
+      return merged[order[kept - 1 - i].index];  // smallest count first
+    });  // keys are distinct
     total_ = combined_total;
     evictions_ = combined_evictions;
   }
@@ -228,7 +296,7 @@ class SpaceSaving {
   /// on impossible rosters (over capacity, zero counts, error > count, a
   /// repeated key) -- corrupt input must fail loudly, never corrupt the
   /// structure.
-  void load(const std::vector<HhEntry<Key>>& entries, std::uint64_t total) {
+  void load(std::span<const HhEntry<Key>> entries, std::uint64_t total) {
     if (entries.size() > cap_) {
       throw std::invalid_argument("SpaceSaving::load: roster exceeds capacity");
     }
@@ -237,7 +305,8 @@ class SpaceSaving {
         throw std::invalid_argument("SpaceSaving::load: impossible entry bounds");
       }
     }
-    if (!rebuild(entries.begin(), entries.end())) {
+    if (!rebuild(entries.size(),
+                 [&](std::size_t i) -> const HhEntry<Key>& { return entries[i]; })) {
       throw std::invalid_argument("SpaceSaving::load: duplicate key in roster");
     }
     total_ = total;
@@ -359,42 +428,88 @@ class SpaceSaving {
     free_bucket(b);
   }
 
-  /// Clear, then fill with at most cap_ entries of distinct keys, in
-  /// O(entries + distinct counts * log). The result is exactly the
+  /// Index-slot lookahead of merge()'s probe loop and rebuild()'s inserts,
+  /// in entries (a power of two).
+  static constexpr std::size_t kMergePrefetch = 8;
+
+  /// True iff roster entries `which` (hashed in `hash`) carry distinct keys:
+  /// linear probing over 4-byte roster positions, keys compared on equal
+  /// hashes (a FlatHashMap of the keys measured ~3x slower here).
+  [[nodiscard]] static bool distinct_keys(std::span<const HhEntry<Key>> in,
+                                          const std::vector<std::uint64_t>& hash,
+                                          const std::vector<std::uint32_t>& which) {
+    std::vector<std::uint32_t> table(next_pow2(2 * which.size() + 1), kNil);
+    const std::size_t mask = table.size() - 1;
+    for (const std::uint32_t j : which) {
+      std::size_t i = hash[j] & mask;
+      for (; table[i] != kNil; i = (i + 1) & mask) {
+        if (hash[table[i]] == hash[j] && in[table[i]].key == in[j].key) return false;
+      }
+      table[i] = j;
+    }
+    return true;
+  }
+
+  /// Clear, then fill with the n entries get(0..n-1) -- at most cap_, keys
+  /// distinct -- in O(n + distinct counts * log). The result is exactly the
   /// structure successive increment(key, upper) calls build in an empty
   /// summary: entry i takes array slot i, buckets are allocated in the
   /// order their count is first seen, and each bucket lists its counters
-  /// newest first (the order eviction takes them in). On a repeated key it
-  /// returns false with the summary cleared.
-  template <class It>
-  [[nodiscard]] bool rebuild(It first, It last) {
+  /// newest first (the order eviction takes them in). While the counts
+  /// ascend (merge() feeds them so) every new count opens the next bucket
+  /// in order; the count-to-bucket map and the final bucket sort are only
+  /// needed once a count descends (load()'s arbitrary rosters). On a
+  /// repeated key it returns false with the summary cleared.
+  template <class Get>
+  [[nodiscard]] bool rebuild(std::size_t n, Get&& get) {
     clear();
-    FlatHashMap<std::uint64_t, std::uint32_t> bucket_of;
+    std::optional<FlatHashMap<std::uint64_t, std::uint32_t>> bucket_of;
     std::vector<std::uint32_t> order;  // allocated buckets
     std::uint32_t b = kNil;            // the previous entry's bucket
-    for (; first != last; ++first) {
-      const HhEntry<Key>& e = *first;
+    std::array<std::uint64_t, kMergePrefetch> ahead{};  // hashes of i..i+D-1
+    for (std::size_t i = 0; i < std::min(n, kMergePrefetch); ++i) {
+      ahead[i] = hash_of(get(i).key);
+      index_.prefetch(ahead[i]);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const HhEntry<Key>& e = get(i);
+      std::uint64_t& h = ahead[i & (kMergePrefetch - 1)];
       const auto c = static_cast<std::uint32_t>(size_);
-      if (!index_.try_emplace(e.key, c).second) {
+      if (!index_.try_emplace_hashed(e.key, h, c).second) {
         clear();
         return false;
       }
+      if (i + kMergePrefetch < n) {
+        h = hash_of(get(i + kMergePrefetch).key);
+        index_.prefetch(h);
+      }
       ++size_;
       counters_[c] = Counter{e.key, e.upper, e.upper - e.lower, kNil, kNil, kNil};
-      // Runs of equal counts are common (merge() feeds them sorted).
+      // Runs of equal counts share the previous entry's bucket.
       if (b == kNil || buckets_[b].value != e.upper) {
-        auto [slot, fresh] = bucket_of.try_emplace(e.upper, kNil);
-        if (fresh) {
-          *slot = alloc_bucket(e.upper);
-          order.push_back(*slot);
+        if (!bucket_of && (b == kNil || buckets_[b].value < e.upper)) {
+          b = alloc_bucket(e.upper);
+          order.push_back(b);
+        } else {
+          if (!bucket_of) {
+            bucket_of.emplace();
+            for (const std::uint32_t o : order) bucket_of->try_emplace(buckets_[o].value, o);
+          }
+          auto [slot, fresh] = bucket_of->try_emplace(e.upper, kNil);
+          if (fresh) {
+            *slot = alloc_bucket(e.upper);
+            order.push_back(*slot);
+          }
+          b = *slot;
         }
-        b = *slot;
       }
       push_counter(c, b);
     }
-    std::sort(order.begin(), order.end(), [&](std::uint32_t x, std::uint32_t y) {
-      return buckets_[x].value < buckets_[y].value;
-    });
+    if (bucket_of) {
+      std::sort(order.begin(), order.end(), [&](std::uint32_t x, std::uint32_t y) {
+        return buckets_[x].value < buckets_[y].value;
+      });
+    }
     for (std::size_t i = 0; i < order.size(); ++i) {
       buckets_[order[i]].prev = i > 0 ? order[i - 1] : kNil;
       buckets_[order[i]].next = i + 1 < order.size() ? order[i + 1] : kNil;

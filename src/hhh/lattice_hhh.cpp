@@ -8,26 +8,8 @@ namespace rhhh {
 template <class Backend>
 LatticeHhh<Backend>::LatticeHhh(const Hierarchy& h, LatticeMode mode, LatticeParams p)
     : h_(&h), mode_(mode), p_(p), rng_(p.seed) {
+  V_ = resolved_V(h, mode, p);
   H_ = static_cast<std::uint32_t>(h.size());
-  if (H_ >= (1u << 16)) {
-    // update_batch packs the lattice node into 16 bits of a pick word; every
-    // shipped hierarchy is orders of magnitude below this.
-    throw std::invalid_argument("LatticeHhh: hierarchy size must be < 65536");
-  }
-  if (!(p_.eps > 0.0) || p_.eps >= 1.0) {
-    throw std::invalid_argument("LatticeHhh: eps must be in (0,1)");
-  }
-  if (!(p_.delta > 0.0) || p_.delta >= 1.0) {
-    throw std::invalid_argument("LatticeHhh: delta must be in (0,1)");
-  }
-  if (p_.r == 0) throw std::invalid_argument("LatticeHhh: r must be >= 1");
-
-  V_ = (p_.V == 0) ? H_ : p_.V;
-  if (V_ < H_) throw std::invalid_argument("LatticeHhh: V must be >= H");
-  if (mode_ == LatticeMode::kMst) V_ = H_;  // unused by the update rule
-  if (mode_ != LatticeMode::kRhhh && p_.r != 1) {
-    throw std::invalid_argument("LatticeHhh: r applies to RHHH only");
-  }
 
   // Error-budget split (Theorem 6.6): eps = eps_a + eps_s,
   // delta = delta_a + 2*delta_s. MST is deterministic: no sampling share.
@@ -76,6 +58,31 @@ LatticeHhh<Backend>::LatticeHhh(const Hierarchy& h, LatticeMode mode, LatticePar
     }
   }
   if (p_.r > 1) name_ += "(r=" + std::to_string(p_.r) + ")";
+}
+
+template <class Backend>
+std::uint32_t LatticeHhh<Backend>::resolved_V(const Hierarchy& h, LatticeMode mode,
+                                              const LatticeParams& p) {
+  const auto H = static_cast<std::uint32_t>(h.size());
+  if (h.size() >= (1u << 16)) {
+    // update_batch packs the lattice node into 16 bits of a pick word; every
+    // shipped hierarchy is orders of magnitude below this.
+    throw std::invalid_argument("LatticeHhh: hierarchy size must be < 65536");
+  }
+  if (!(p.eps > 0.0) || p.eps >= 1.0) {
+    throw std::invalid_argument("LatticeHhh: eps must be in (0,1)");
+  }
+  if (!(p.delta > 0.0) || p.delta >= 1.0) {
+    throw std::invalid_argument("LatticeHhh: delta must be in (0,1)");
+  }
+  if (p.r == 0) throw std::invalid_argument("LatticeHhh: r must be >= 1");
+
+  const std::uint32_t V = (p.V == 0) ? H : p.V;
+  if (V < H) throw std::invalid_argument("LatticeHhh: V must be >= H");
+  if (mode != LatticeMode::kRhhh && p.r != 1) {
+    throw std::invalid_argument("LatticeHhh: r applies to RHHH only");
+  }
+  return mode == LatticeMode::kMst ? H : V;  // MST: V is unused by the update rule
 }
 
 template <class Backend>
@@ -295,18 +302,39 @@ HhhSet LatticeHhh<Backend>::output(double theta) const {
   return P;
 }
 
+namespace {
+constexpr const char* kMergeMismatch =
+    "LatticeHhh::merge: instances must share hierarchy, mode, V and r";
+}  // namespace
+
 template <class Backend>
 void LatticeHhh<Backend>::merge(const LatticeHhh& other) {
-  if (!mergeable_with(other)) {
-    throw std::invalid_argument(
-        "LatticeHhh::merge: instances must share hierarchy, mode, V and r");
-  }
+  if (!mergeable_with(other)) throw std::invalid_argument(kMergeMismatch);
   if constexpr (backend_mergeable()) {
     for (std::uint32_t d = 0; d < H_; ++d) hh_[d].merge(other.hh_[d]);
     n_ += other.n_;
     updates_ += other.updates_;
   } else {
     throw std::logic_error("LatticeHhh::merge: backend is not mergeable");
+  }
+}
+
+template <class Backend>
+void LatticeHhh<Backend>::require_mergeable(LatticeMode mode,
+                                            const LatticeParams& p) const {
+  const std::uint32_t V = resolved_V(*h_, mode, p);
+  if (mode != mode_ || V != V_ || p.r != p_.r) {
+    throw std::invalid_argument(kMergeMismatch);
+  }
+}
+
+template <class Backend>
+void LatticeHhh<Backend>::merge_node(std::uint32_t node, const Roster<Key128>& other) {
+  if (node >= H_) throw std::invalid_argument("LatticeHhh::merge_node: node out of range");
+  if constexpr (requires(Backend& b, const Roster<Key128>& r) { b.merge(r); }) {
+    hh_[node].merge(other);
+  } else {
+    throw std::logic_error("LatticeHhh::merge_node: backend has no roster merge");
   }
 }
 
@@ -322,7 +350,7 @@ std::vector<BackendProbe> LatticeHhh<Backend>::health_probes() const {
 
 template <class Backend>
 void LatticeHhh<Backend>::restore_node(std::uint32_t node,
-                                       const std::vector<HhEntry<Key128>>& entries,
+                                       std::span<const HhEntry<Key128>> entries,
                                        std::uint64_t total) {
   if (node >= H_) {
     throw std::invalid_argument("LatticeHhh::restore_node: node out of range");

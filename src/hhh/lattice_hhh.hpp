@@ -162,6 +162,15 @@ class LatticeHhh final : public HhhAlgorithm {
   /// otherwise).
   void merge(const LatticeHhh& other);
 
+  /// merge() from flat form, for an instance that would be built as
+  /// (hierarchy(), mode, p): the store's merged queries feed archived
+  /// windows through this without building them. require_mergeable()
+  /// throws std::invalid_argument exactly where building that instance or
+  /// merge() would; then merge_node() folds each node's roster in through
+  /// the backend's one merge, and restore_stream() adds its N and updates.
+  void require_mergeable(LatticeMode mode, const LatticeParams& p) const;
+  void merge_node(std::uint32_t node, const Roster<Key128>& other);
+
   /// True iff the backend supports merge() at all (Space-Saving and the
   /// linear sketches do; the windowed/exact backends currently do not).
   [[nodiscard]] static constexpr bool backend_mergeable() noexcept {
@@ -243,11 +252,11 @@ class LatticeHhh final : public HhhAlgorithm {
   /// std::logic_error otherwise and std::invalid_argument on impossible
   /// rosters. The reloaded node reproduces the serialized instance's
   /// estimates and iteration order exactly.
-  void restore_node(std::uint32_t node, const std::vector<HhEntry<Key128>>& entries,
+  void restore_node(std::uint32_t node, std::span<const HhEntry<Key128>> entries,
                     std::uint64_t total);
   /// True iff the backend supports restore_node().
   [[nodiscard]] static constexpr bool backend_loadable() noexcept {
-    return requires(Backend& b, const std::vector<HhEntry<Key128>>& e) {
+    return requires(Backend& b, std::span<const HhEntry<Key128>> e) {
       b.load(e, std::uint64_t{0});
     };
   }
@@ -260,6 +269,11 @@ class LatticeHhh final : public HhhAlgorithm {
   }
 
  private:
+  /// The V an instance built as (h, mode, p) resolves to. Throws
+  /// std::invalid_argument on parameters the constructor rejects.
+  [[nodiscard]] static std::uint32_t resolved_V(const Hierarchy& h, LatticeMode mode,
+                                                const LatticeParams& p);
+
   const Hierarchy* h_;
   LatticeMode mode_;
   LatticeParams p_;

@@ -318,16 +318,30 @@ std::unique_ptr<RhhhSpaceSaving> WindowArchive::merge_entries(
     const std::vector<const Entry*>& sel, std::uint64_t* drops_out) const {
   if (drops_out != nullptr) *drops_out = 0;
   if (sel.empty()) return nullptr;
-  std::unique_ptr<RhhhSpaceSaving> merged;
-  for (const Entry* e : sel) {
-    ArchivedWindow w = decode_entry(*e);
-    if (drops_out != nullptr) *drops_out += w.meta.drops;
-    if (merged == nullptr) {
-      merged = std::move(w.window);
-    } else {
-      merged->merge(*w.window);
-    }
+  ArchivedWindow oldest = decode_entry(*sel.front());
+  std::unique_ptr<RhhhSpaceSaving> merged = std::move(oldest.window);
+  std::uint64_t drops = oldest.meta.drops;
+  // Every newer window merges straight from its record bytes, node by
+  // node: no lattice, index or bucket list is built for it. The result is
+  // the oldest-first chain of LatticeHhh::merge over read() windows, byte
+  // for byte, and a record is rejected where read() or merge() would
+  // reject it, with the same exception type.
+  for (std::size_t i = 1; i < sel.size(); ++i) {
+    const Entry& e = *sel[i];
+    const Bytes payload = read_record_at(seg_paths_[e.seg], e.rec.offset, e.rec.length);
+    const WindowHeader hdr = read_window(
+        payload.data(), payload.size(), *hierarchy_, &kind_,
+        [&](const WindowHeader& h) {
+          merged->require_mergeable(h.config.mode, h.config.params);
+        },
+        [&](std::uint32_t d, const Roster<Key128>& roster) {
+          merged->merge_node(d, roster);
+        });
+    merged->restore_stream(merged->stream_length() + hdr.meta.stream_length,
+                           merged->updates_performed() + hdr.meta.updates);
+    drops += hdr.meta.drops;
   }
+  if (drops_out != nullptr) *drops_out = drops;
   return merged;
 }
 

@@ -14,7 +14,11 @@
 //   * range(a, b)    -- every window whose wall-clock span overlaps
 //                       [a, b], oldest first (time-range queries).
 //   * merged_last /  -- one network-wide lattice folding the selected
-//     merged_range      windows together, drops included in its N.
+//     merged_range      windows together, drops included in its N. Only
+//                       the oldest is decoded into a lattice; each newer
+//                       window merges in from its record's rosters, with
+//                       the same result as merging read() windows oldest
+//                       first.
 //   * replay()       -- a forward iterator over the whole history for
 //                       offline reprocessing.
 //

@@ -247,10 +247,10 @@ WindowHeader decode_window_header(const std::uint8_t* data, std::size_t len) {
   return read_header(r);
 }
 
-std::unique_ptr<RhhhSpaceSaving> decode_window(const std::uint8_t* data,
-                                               std::size_t len, const Hierarchy& h,
-                                               WindowMeta* meta_out,
-                                               const HierarchyKind* expected_kind) {
+WindowHeader read_window(const std::uint8_t* data, std::size_t len,
+                         const Hierarchy& h, const HierarchyKind* expected_kind,
+                         const std::function<void(const WindowHeader&)>& on_header,
+                         const std::function<void(std::uint32_t, const Roster<Key128>&)>& on_node) {
   ByteReader r(data, len);
   const WindowHeader hdr = read_header(r);
   if (hdr.config.H != h.size()) {
@@ -264,9 +264,9 @@ std::unique_ptr<RhhhSpaceSaving> decode_window(const std::uint8_t* data,
          std::string(to_string(hdr.config.hierarchy)) + ", store expects " +
          std::string(to_string(*expected_kind)));
   }
+  on_header(hdr);
 
-  auto lat = std::make_unique<RhhhSpaceSaving>(h, hdr.config.mode, hdr.config.params);
-  const std::size_t cap = lat->counters_per_node();
+  const std::size_t cap = hdr.config.params.counters_override;
   std::vector<HhEntry<Key128>> entries;
   for (std::uint32_t d = 0; d < hdr.config.H; ++d) {
     const std::uint32_t n = r.u32();
@@ -276,10 +276,9 @@ std::unique_ptr<RhhhSpaceSaving> decode_window(const std::uint8_t* data,
     }
     (void)r.u32();
     const std::uint64_t total = r.u64();
-    entries.clear();
-    entries.reserve(n);
+    entries.resize(n);
     for (std::uint32_t i = 0; i < n; ++i) {
-      HhEntry<Key128> e;
+      HhEntry<Key128>& e = entries[i];
       e.key.hi = r.u64();
       e.key.lo = r.u64();
       e.upper = r.u64();
@@ -289,15 +288,30 @@ std::unique_ptr<RhhhSpaceSaving> decode_window(const std::uint8_t* data,
              " has impossible count/error");
       }
       e.lower = e.upper - error;
-      entries.push_back(e);
     }
     try {
-      lat->restore_node(d, entries, total);
+      on_node(d, Roster<Key128>{entries, total, 0, cap});
     } catch (const std::invalid_argument& e) {
       fail("node " + std::to_string(d) + " roster rejected: " + e.what());
     }
   }
   if (r.remaining() != 0) fail("trailing bytes after the last node roster");
+  return hdr;
+}
+
+std::unique_ptr<RhhhSpaceSaving> decode_window(const std::uint8_t* data,
+                                               std::size_t len, const Hierarchy& h,
+                                               WindowMeta* meta_out,
+                                               const HierarchyKind* expected_kind) {
+  std::unique_ptr<RhhhSpaceSaving> lat;
+  const WindowHeader hdr = read_window(
+      data, len, h, expected_kind,
+      [&](const WindowHeader& hd) {
+        lat = std::make_unique<RhhhSpaceSaving>(h, hd.config.mode, hd.config.params);
+      },
+      [&](std::uint32_t d, const Roster<Key128>& roster) {
+        lat->restore_node(d, roster.entries, roster.total);
+      });
   lat->restore_stream(hdr.meta.stream_length, hdr.meta.updates);
   if (meta_out != nullptr) *meta_out = hdr.meta;
   return lat;

@@ -26,6 +26,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -154,6 +155,24 @@ struct WindowHeader {
 /// reconstruction. Throws std::runtime_error on truncation or version skew.
 [[nodiscard]] WindowHeader decode_window_header(const std::uint8_t* data,
                                                 std::size_t len);
+
+/// The one reader of a whole record, behind decode_window() and the
+/// archive's merged queries, so every check lives here: format version and
+/// header fields, the lattice size H against `h` and, when `expected_kind`
+/// is non-null, the exact hierarchy kind (see decode_window()), each node's
+/// roster against the stored counters-per-node capacity, zero counts,
+/// error > count, and trailing bytes -- each a std::runtime_error.
+/// `on_header` sees the header once it has passed; anything it throws
+/// propagates unchanged. Then `on_node(d, roster)` sees node d's roster in
+/// counter-array order, with the stored total, evictions 0 (records do not
+/// carry them) and the stored capacity; the entries are only valid during
+/// the call. A std::invalid_argument from `on_node` (an impossible roster,
+/// such as a repeated key) becomes a "store: node d roster rejected"
+/// std::runtime_error. Returns the header.
+WindowHeader read_window(const std::uint8_t* data, std::size_t len,
+                         const Hierarchy& h, const HierarchyKind* expected_kind,
+                         const std::function<void(const WindowHeader&)>& on_header,
+                         const std::function<void(std::uint32_t, const Roster<Key128>&)>& on_node);
 
 /// Fully decodes a record into a fresh lattice over `h`, which must match
 /// the stored hierarchy: the lattice sizes (H) must agree, and when

@@ -408,6 +408,132 @@ TEST(SpaceSavingRebuild, MergeMatchesIncrementRebuild) {
   }
 }
 
+/// The key type-agnostic part of the kernel check: `merged` (keys mapped to
+/// K64 by `id`) must equal reference_merge(a, b) in (key, upper, lower)
+/// order, total, evictions and min bound, and be structurally valid.
+template <class Key, class Id>
+void expect_reference_merge(const SpaceSaving<Key>& merged, const SpaceSaving<K64>& a,
+                            const SpaceSaving<K64>& b, Id id, const std::string& what) {
+  auto [ref, ref_lower] = reference_merge(a, b);
+  ASSERT_TRUE(merged.validate()) << what;
+  const auto got = merged.entries();
+  const auto want = ref.entries();
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(id(got[i].key), want[i].key) << what << " slot " << i;
+    ASSERT_EQ(got[i].upper, want[i].upper) << what << " slot " << i;
+    ASSERT_EQ(got[i].lower, ref_lower.at(want[i].key)) << what << " slot " << i;
+  }
+  EXPECT_EQ(merged.total(), a.total() + b.total()) << what;
+  EXPECT_EQ(merged.evictions(), a.evictions() + b.evictions()) << what;
+  EXPECT_EQ(merged.min_bound(), ref.min_bound()) << what;
+}
+
+TEST(SpaceSavingRebuild, MergeKernelEdgeCases) {
+  constexpr std::size_t kCap = 64;  // > 16: std::sort leaves insertion sort
+  const auto id64 = [](K64 k) { return k; };
+  const auto fill = [](SpaceSaving<K64>& ss, std::uint64_t seed, std::uint32_t domain,
+                       std::uint32_t max_w, std::size_t n) {
+    Xoroshiro128 rng(seed);
+    for (std::size_t i = 0; i < n; ++i) ss.increment(rng.bounded(domain), 1 + rng.bounded(max_w));
+  };
+  const SpaceSaving<K64> empty(kCap);
+
+  // Self-merge: every key matches itself; counts double.
+  SpaceSaving<K64> a(kCap);
+  fill(a, 1, 3 * kCap, 5, 20 * kCap);
+  SpaceSaving<K64> self = a;
+  self.merge(self);
+  expect_reference_merge(self, a, a, id64, "self");
+
+  // One side empty, either way round.
+  SpaceSaving<K64> into_empty = empty;
+  into_empty.merge(a);
+  expect_reference_merge(into_empty, empty, a, id64, "into empty");
+  SpaceSaving<K64> from_empty = a;
+  from_empty.merge(empty);
+  expect_reference_merge(from_empty, a, empty, id64, "from empty");
+
+  // A roster below capacity (min bound 0) into a full summary, and back.
+  SpaceSaving<K64> part(kCap);
+  fill(part, 2, 3 * kCap, 5, kCap / 2);
+  ASSERT_LT(part.size(), kCap);
+  SpaceSaving<K64> full_first = a;
+  full_first.merge(part);
+  expect_reference_merge(full_first, a, part, id64, "partial roster");
+  SpaceSaving<K64> part_first = part;
+  part_first.merge(a);
+  expect_reference_merge(part_first, part, a, id64, "partial summary");
+
+  // Both full, domain about the capacity, unit weights: count ties
+  // everywhere, so the tie order of the sort decides the layout.
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    SpaceSaving<K64> x(kCap);
+    SpaceSaving<K64> y(kCap);
+    fill(x, 10 + seed, kCap + 4, 1, 30 * kCap);
+    fill(y, 20 + seed, kCap + 4, 1, 30 * kCap);
+    ASSERT_EQ(x.size(), kCap);
+    ASSERT_EQ(y.size(), kCap);
+    SpaceSaving<K64> m = x;
+    m.merge(y);
+    expect_reference_merge(m, x, y, id64, "ties seed " + std::to_string(seed));
+  }
+
+  // Mostly disjoint full summaries: the merge truncates 2 * kCap to kCap.
+  SpaceSaving<K64> lo(kCap);
+  SpaceSaving<K64> hi(kCap);
+  fill(lo, 30, 8 * kCap, 3, 20 * kCap);
+  Xoroshiro128 rng(31);
+  for (std::size_t i = 0; i < 20 * kCap; ++i) {
+    hi.increment(8 * kCap + rng.bounded(8 * kCap), 1 + rng.bounded(3));
+  }
+  SpaceSaving<K64> truncated = lo;
+  truncated.merge(hi);
+  ASSERT_EQ(truncated.size(), kCap);
+  expect_reference_merge(truncated, lo, hi, id64, "truncating");
+
+  // Key128: the same streams under a bijective key map. Layout does not
+  // depend on the key hash, so the K64 reference applies.
+  const auto to128 = [](K64 k) { return Key128{k * 0x9e3779b97f4a7c15ULL, ~k}; };
+  const auto id128 = [](const Key128& k) { return ~k.lo; };
+  SpaceSaving<K64> p(kCap);
+  SpaceSaving<K64> q(kCap);
+  SpaceSaving<Key128> p128(kCap);
+  SpaceSaving<Key128> q128(kCap);
+  Xoroshiro128 krng(40);
+  for (std::size_t i = 0; i < 20 * kCap; ++i) {
+    const K64 k = krng.bounded(2 * kCap);
+    p.increment(k);
+    p128.increment(to128(k));
+    const K64 j = kCap + krng.bounded(2 * kCap);
+    q.increment(j);
+    q128.increment(to128(j));
+  }
+  p128.merge(q128);
+  expect_reference_merge(p128, p, q, id128, "Key128");
+}
+
+TEST(SpaceSavingRebuild, MergeRejectsRepeatedRosterKeysUnchanged) {
+  SpaceSaving<K64> ss(4);
+  ss.increment(1, 5);
+  ss.increment(2, 3);
+  const auto before = ss.entries();
+  // A repeated key this summary holds, then one it does not hold.
+  for (const std::vector<HhEntry<K64>>& dup :
+       {std::vector<HhEntry<K64>>{{1, 2, 2}, {7, 1, 1}, {1, 4, 4}},
+        std::vector<HhEntry<K64>>{{8, 2, 2}, {7, 1, 1}, {8, 1, 1}}}) {
+    EXPECT_THROW(ss.merge(Roster<K64>{dup, 9, 0, 4}), std::invalid_argument);
+    ASSERT_TRUE(ss.validate());
+    const auto after = ss.entries();
+    ASSERT_EQ(after.size(), before.size());
+    for (std::size_t i = 0; i < after.size(); ++i) {
+      EXPECT_EQ(after[i].key, before[i].key);
+      EXPECT_EQ(after[i].upper, before[i].upper);
+    }
+    EXPECT_EQ(ss.total(), 8u);
+  }
+}
+
 // -------------------------------------------------------- misra-gries ----
 
 TEST(MisraGriesTest, ExactBelowCapacity) {

@@ -369,6 +369,169 @@ TEST(SerdeCorruption, DuplicateKeyInRosterThrows) {
   EXPECT_THROW((void)ar.read(0), std::runtime_error);
 }
 
+/// Byte offset of node d's first roster entry in a record, and its count.
+std::vector<std::pair<std::size_t, std::uint32_t>> roster_spans(const store::Bytes& bytes,
+                                                                std::uint32_t H) {
+  store::ByteReader r(bytes.data(), bytes.size());
+  (void)r.u32();
+  const std::uint32_t header_bytes = r.u32();
+  r.skip(header_bytes - 8);
+  std::vector<std::pair<std::size_t, std::uint32_t>> out;
+  for (std::uint32_t d = 0; d < H; ++d) {
+    const std::uint32_t n = r.u32();
+    r.skip(12);
+    out.emplace_back(r.pos(), n);
+    r.skip(32 * static_cast<std::size_t>(n));
+  }
+  return out;
+}
+
+void put_le(store::Bytes& b, std::size_t at, std::uint64_t v, std::size_t width) {
+  for (std::size_t i = 0; i < width; ++i) b[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/// What `f` throws, by kind: "none", "invalid_argument", "store error" (a
+/// std::runtime_error whose message starts "store: "), "runtime_error" or
+/// "other".
+template <class F>
+std::string thrown_by(F&& f) {
+  try {
+    f();
+  } catch (const std::invalid_argument&) {
+    return "invalid_argument";
+  } catch (const std::runtime_error& e) {
+    return std::string(e.what()).rfind("store: ", 0) == 0 ? "store error" : "runtime_error";
+  } catch (const std::exception&) {
+    return "other";
+  }
+  return "none";
+}
+
+TEST(SerdeCorruption, MergedQueriesRejectWhatReadRejects) {
+  // merged_last/merged_range merge every window but the oldest straight
+  // from its record bytes. Each fault read() (or the pairwise merge()
+  // chain) rejects must be rejected there too, with the same exception.
+  const Hierarchy h = make_hierarchy(HierarchyKind::kIpv4TwoDimBytes);
+  const store::Bytes good0 = sample_record(h, 3);
+  const store::Bytes good1 = sample_record(h, 4);
+  const store::Bytes base = sample_record(h, 5);
+  const auto spans = roster_spans(base, h.size());
+  const auto [node0, n0] = spans[0];
+  ASSERT_GE(n0, 2u);
+  const auto entry = [](std::size_t first, std::size_t i) { return first + 32 * i; };
+
+  std::vector<std::pair<std::string, store::Bytes>> cases;
+  const auto edit = [&](const std::string& name, const auto& fn) {
+    store::Bytes b = base;
+    fn(b);
+    cases.emplace_back(name, std::move(b));
+  };
+  edit("version skew", [](store::Bytes& b) { b[0] = 99; });
+  for (const double f : {0.0, 0.1, 0.5, 0.9, 0.999}) {
+    edit("truncated at " + std::to_string(f), [f](store::Bytes& b) {
+      b.resize(static_cast<std::size_t>(static_cast<double>(b.size()) * f));
+    });
+  }
+  edit("trailing garbage", [](store::Bytes& b) { b.push_back(0xAB); });
+  cases.emplace_back("other H", [] {
+    const Hierarchy h1 = make_hierarchy(HierarchyKind::kIpv4OneDimBytes);
+    LatticeParams lp;
+    lp.eps = 0.1;
+    lp.delta = 0.1;
+    RhhhSpaceSaving lat(h1, LatticeMode::kRhhh, lp);
+    feed(lat, h1, 5, 2000);
+    return store::encode_window(meta_of(lat, 5), HierarchyKind::kIpv4OneDimBytes, lat);
+  }());
+  edit("same H, other kind", [](store::Bytes& b) {
+    b[8] = static_cast<std::uint8_t>(HierarchyKind::kIpv4OneDimBits);
+  });
+  edit("roster over capacity", [&](store::Bytes& b) { put_le(b, node0 - 16, 1000, 4); });
+  edit("zero count", [&](store::Bytes& b) { put_le(b, entry(node0, 1) + 16, 0, 8); });
+  edit("error > count", [&](store::Bytes& b) {
+    const std::uint64_t up = store::ByteReader(b.data() + entry(node0, 1) + 16, 8).u64();
+    put_le(b, entry(node0, 1) + 24, up + 1, 8);
+  });
+  // A repeated key the accumulator (windows 3 and 4) also holds...
+  {
+    // Held by window 3 alone and by windows 3 and 4 merged: the record's
+    // accumulator at either position below.
+    const auto first_acc = store::decode_window(good0.data(), good0.size(), h);
+    auto acc = store::decode_window(good0.data(), good0.size(), h);
+    acc->merge(*store::decode_window(good1.data(), good1.size(), h));
+    std::size_t from = 0;
+    std::size_t to = 0;
+    for (std::uint32_t d = 0; d < h.size() && to == 0; ++d) {
+      const auto [first, n] = spans[d];
+      for (std::uint32_t i = 0; i < n && n >= 2 && to == 0; ++i) {
+        store::ByteReader r(base.data() + entry(first, i), 16);
+        Key128 k;
+        k.hi = r.u64();
+        k.lo = r.u64();
+        if (!first_acc->instance(d).tracked(k) || !acc->instance(d).tracked(k)) continue;
+        from = entry(first, i);
+        to = entry(first, i == 0 ? 1 : 0);
+      }
+    }
+    ASSERT_NE(to, 0u);
+    edit("repeated key the accumulator holds", [&](store::Bytes& b) {
+      std::copy_n(b.begin() + static_cast<std::ptrdiff_t>(from), 16,
+                  b.begin() + static_cast<std::ptrdiff_t>(to));
+    });
+  }
+  // ...and one no one else holds, on node 0's two smallest counts: the
+  // merge truncates, so the second copy would not survive it.
+  edit("repeated key no one else holds", [&](store::Bytes& b) {
+    std::vector<std::pair<std::uint64_t, std::size_t>> by_count;
+    for (std::uint32_t i = 0; i < n0; ++i) {
+      by_count.emplace_back(store::ByteReader(b.data() + entry(node0, i) + 16, 8).u64(),
+                            entry(node0, i));
+    }
+    std::sort(by_count.begin(), by_count.end());
+    for (int c = 0; c < 2; ++c) {
+      put_le(b, by_count[static_cast<std::size_t>(c)].second, 0xD1D1D1D1ULL, 8);
+      put_le(b, by_count[static_cast<std::size_t>(c)].second + 8, 0xE2E2E2E2ULL, 8);
+    }
+  });
+  // Parameters: the constructor rejects eps = 0; merge() rejects another
+  // mode or V.
+  edit("eps out of range", [](store::Bytes& b) { put_le(b, 28, 0, 8); });
+  edit("mode mismatch", [](store::Bytes& b) {
+    b[9] = static_cast<std::uint8_t>(LatticeMode::kMst);
+  });
+  edit("V mismatch", [&](store::Bytes& b) { put_le(b, 16, 10 * h.size(), 4); });
+
+  TempDir tmp("merge_reject");
+  for (const auto& [name, bad] : cases) {
+    // The faulty record as the middle and as the newest of three windows.
+    for (const std::size_t at : {std::size_t{1}, std::size_t{2}}) {
+      const std::string what = name + " at " + std::to_string(at);
+      std::vector<const store::Bytes*> recs{&good0, &good1};
+      recs.insert(recs.begin() + static_cast<std::ptrdiff_t>(at), &bad);
+      fs::remove_all(tmp.path);
+      fs::create_directories(tmp.path);
+      {
+        store::SegmentWriter w((tmp.path / "00000001.seg").string());
+        for (std::size_t i = 0; i < recs.size(); ++i) {
+          const auto e = static_cast<std::int64_t>(i + 1);
+          w.append(*recs[i], i + 1, e * 1'000'000'000, e * 1'000'000'000 + 999'999'999);
+        }
+        w.seal();
+      }
+      const auto ar = store::WindowArchive::open_read(tmp.str());
+      ASSERT_EQ(ar.windows(), 3u) << what;
+      const std::string chain = thrown_by([&] {
+        auto m = ar.read(0).window;
+        m->merge(*ar.read(1).window);
+        m->merge(*ar.read(2).window);
+      });
+      EXPECT_NE(chain, "none") << what;
+      EXPECT_EQ(thrown_by([&] { (void)ar.merged_last(3); }), chain) << what;
+      EXPECT_EQ(thrown_by([&] { (void)ar.merged_range(0, 10'000'000'000); }), chain)
+          << what;
+    }
+  }
+}
+
 // --------------------------------------------------------------- crc32 ----
 
 /// Bit-at-a-time CRC-32 (reflected 0xEDB88320): the reference the table
@@ -603,6 +766,92 @@ TEST(WindowArchive, AppendRollQueryRetention) {
   EXPECT_LE(war.total_bytes(), budget);
   ASSERT_GT(war.windows(), 0u);
   EXPECT_EQ(war.list().back().epoch, 12u);  // newest retained
+}
+
+TEST(WindowArchive, MergedQueriesMatchPairwiseChainByteForByte) {
+  // merged_last/merged_range decode only the oldest window and merge the
+  // rest from their records' rosters; the image must equal merging read()
+  // windows oldest first, byte for byte, with the same folded drops.
+  struct Algo {
+    LatticeMode mode;
+    std::uint32_t v_factor;  ///< V = v_factor * H (RHHH only)
+  };
+  for (const HierarchyKind kind :
+       {HierarchyKind::kIpv4TwoDimBytes, HierarchyKind::kIpv4OneDimBits}) {
+    const Hierarchy h = make_hierarchy(kind);
+    for (const Algo algo : {Algo{LatticeMode::kRhhh, 1}, Algo{LatticeMode::kRhhh, 10},
+                            Algo{LatticeMode::kMst, 1}}) {
+      const std::string what = std::string(to_string(kind)) + " " +
+                               std::string(to_string(algo.mode)) + " V=" +
+                               std::to_string(algo.v_factor) + "H";
+      TempDir tmp("chain");
+      ArchiveConfig cfg;
+      cfg.dir = tmp.str();
+      {
+        auto ar = store::WindowArchive::open_write(cfg);
+        for (std::uint64_t e = 1; e <= 9; ++e) {
+          LatticeParams lp;
+          lp.eps = 0.05;
+          lp.delta = 0.1;
+          lp.seed = e;
+          if (algo.mode == LatticeMode::kRhhh) {
+            lp.V = algo.v_factor * static_cast<std::uint32_t>(h.size());
+          }
+          RhhhSpaceSaving lat(h, algo.mode, lp);
+          // Every third window is short enough to leave rosters below
+          // capacity (min bound 0).
+          feed(lat, h, e, e % 3 == 0 ? 150 : 6000);
+          const std::uint64_t drops = 7 * e;
+          lat.advance_stream(drops);
+          store::WindowMeta m = meta_of(lat, e);
+          m.drops = drops;
+          ar.append(m, kind, lat);
+        }
+      }
+      const auto ar = store::WindowArchive::open_read(tmp.str());
+      ASSERT_EQ(ar.windows(), 9u) << what;
+      // The record image of a merged lattice, its N and updates included.
+      const auto image = [&](const RhhhSpaceSaving& l) {
+        store::WindowMeta m;
+        m.stream_length = l.stream_length();
+        m.updates = l.updates_performed();
+        return store::encode_window(m, kind, l);
+      };
+      // read() windows [first, first + count) merged oldest first.
+      const auto chain = [&](std::size_t first, std::size_t count, std::uint64_t& drops) {
+        store::ArchivedWindow acc = ar.read(first);
+        drops = acc.meta.drops;
+        for (std::size_t i = first + 1; i < first + count; ++i) {
+          const store::ArchivedWindow w = ar.read(i);
+          acc.window->merge(*w.window);
+          drops += w.meta.drops;
+        }
+        return image(*acc.window);
+      };
+      for (std::size_t k = 1; k <= 8; ++k) {
+        std::uint64_t got_drops = 0;
+        std::uint64_t want_drops = 0;
+        const auto got = ar.merged_last(k, &got_drops);
+        ASSERT_NE(got, nullptr) << what;
+        EXPECT_TRUE(image(*got) == chain(9 - k, k, want_drops)) << what << " last " << k;
+        EXPECT_EQ(got_drops, want_drops) << what << " last " << k;
+      }
+      // Window e spans [e, e+1) seconds: ranges over epochs 2-4, 1-9 and 5.
+      for (const auto& [lo, hi] : {std::pair{2, 4}, std::pair{1, 9}, std::pair{5, 5}}) {
+        std::uint64_t got_drops = 0;
+        std::uint64_t want_drops = 0;
+        const auto got = ar.merged_range(std::int64_t{lo} * 1'000'000'000,
+                                         std::int64_t{hi} * 1'000'000'000 + 500'000'000,
+                                         &got_drops);
+        ASSERT_NE(got, nullptr) << what;
+        const auto first = static_cast<std::size_t>(lo - 1);
+        const auto count = static_cast<std::size_t>(hi - lo + 1);
+        EXPECT_TRUE(image(*got) == chain(first, count, want_drops))
+            << what << " range " << lo << "-" << hi;
+        EXPECT_EQ(got_drops, want_drops) << what << " range " << lo << "-" << hi;
+      }
+    }
+  }
 }
 
 TEST(WindowArchive, CompactRepairsTornSegment) {
