@@ -3,7 +3,7 @@
 // LatticeHhh::update_batch stages each popped batch through three passes --
 // block-RNG (every draw for the batch in one tight Lemire-bounded loop),
 // survivor compaction (keep only d < H), and a prefetched apply loop that
-// walks survivors with the backend's hash/probe split -- while remaining
+// walks survivors with Space-Saving's hash/probe split -- while remaining
 // byte-identical to per-packet update() (tests/test_batch.cpp pins this).
 // This bench isolates where the speedup comes from and what it costs:
 //
@@ -12,10 +12,9 @@
 //   * prefetch distance sweep: the apply-loop lookahead at a fixed batch
 //     size, including 0 (prefetching disabled -- isolates block-RNG +
 //     compaction from memory-level parallelism).
-//   * mode x backend panel: batched speedup across lattice modes and the
-//     three pipelined backends. 10-RHHH is the paper's deployment point:
-//     ~9/10 packets die in compaction, so the apply loop sees a dense
-//     stream of real work.
+//   * mode panel: batched speedup across the lattice modes. 10-RHHH is the
+//     paper's deployment point: ~9/10 packets die in compaction, so the
+//     apply loop sees a dense stream of real work.
 //
 // The "speedup" column is the acceptance metric: 10-RHHH batched over
 // per-packet must hold >= 1.3x single-core.
@@ -24,8 +23,6 @@
 #include <vector>
 
 #include "common/bench_common.hpp"
-#include "hh/count_min.hpp"
-#include "hh/count_sketch.hpp"
 #include "hhh/lattice_hhh.hpp"
 #include "util/random.hpp"
 
@@ -36,9 +33,7 @@ namespace {
 
 /// One pass over `keys`; batch = 0 means the per-packet update() path,
 /// otherwise update_batch in `batch`-sized chunks.
-template <class Backend>
-void feed(LatticeHhh<Backend>& alg, const std::vector<Key128>& keys,
-          std::size_t batch) {
+void feed(RhhhSpaceSaving& alg, const std::vector<Key128>& keys, std::size_t batch) {
   if (batch == 0) {
     for (const Key128& k : keys) alg.update(k);
   } else {
@@ -52,12 +47,11 @@ void feed(LatticeHhh<Backend>& alg, const std::vector<Key128>& keys,
 /// warm the counter arrays with an untimed quarter-pass, then clear + time
 /// (clear() keeps the allocations, so runs measure steady state, not page
 /// faults).
-template <class Backend>
 RunningStats measure(const Hierarchy& h, LatticeMode mode, LatticeParams lp,
                      const std::vector<Key128>& keys, std::size_t batch,
                      int runs, std::uint64_t seed) {
   lp.seed = seed;
-  LatticeHhh<Backend> alg(h, mode, lp);
+  RhhhSpaceSaving alg(h, mode, lp);
   const std::vector<Key128> warm(keys.begin(),
                                  keys.begin() + static_cast<std::ptrdiff_t>(
                                                     keys.size() / 4));
@@ -86,7 +80,7 @@ int main(int argc, char** argv) {
   Args args = Args::parse(argc, argv);
   print_figure_header(
       "Batch pipeline",
-      "update_batch staged pipeline: batch size, prefetch distance, mode x backend",
+      "update_batch staged pipeline: batch size, prefetch distance, mode",
       args);
 
   const Hierarchy h = Hierarchy::ipv4_2d(Granularity::kByte);
@@ -103,12 +97,12 @@ int main(int argc, char** argv) {
 
   std::printf("\n-- batch size, 10-RHHH / Space-Saving, 2D bytes (0 = per-packet) --\n");
   print_row({"batch", "Mpps (95% CI)", "speedup"});
-  const RunningStats base = measure<SpaceSaving<Key128>>(
-      h, LatticeMode::kRhhh, lp, keys, 0, args.runs, args.seed);
+  const RunningStats base =
+      measure(h, LatticeMode::kRhhh, lp, keys, 0, args.runs, args.seed);
   print_row({"per-packet", ci_cell(base), "1.00x"});
   for (const std::size_t batch : {32u, 256u, 2048u, 16384u}) {
-    const RunningStats s = measure<SpaceSaving<Key128>>(
-        h, LatticeMode::kRhhh, lp, keys, batch, args.runs, args.seed);
+    const RunningStats s =
+        measure(h, LatticeMode::kRhhh, lp, keys, batch, args.runs, args.seed);
     print_row({std::to_string(batch), ci_cell(s), speedup_cell(s, base)});
   }
 
@@ -117,12 +111,12 @@ int main(int argc, char** argv) {
   for (const std::uint32_t dist : {0u, 2u, 4u, 8u, 16u, 32u}) {
     LatticeParams dlp = lp;
     dlp.prefetch_distance = dist;
-    const RunningStats s = measure<SpaceSaving<Key128>>(
-        h, LatticeMode::kRhhh, dlp, keys, 2048, args.runs, args.seed);
+    const RunningStats s =
+        measure(h, LatticeMode::kRhhh, dlp, keys, 2048, args.runs, args.seed);
     print_row({std::to_string(dist), ci_cell(s), speedup_cell(s, base)});
   }
 
-  std::printf("\n-- mode x backend, batch 2048 vs per-packet --\n");
+  std::printf("\n-- lattice mode, batch 2048 vs per-packet --\n");
   print_row({"config", "per-packet Mpps", "batched Mpps", "speedup"});
   const struct {
     const char* name;
@@ -137,26 +131,10 @@ int main(int argc, char** argv) {
   for (const auto& m : modes) {
     LatticeParams mlp = lp;
     mlp.V = m.v_mult * static_cast<std::uint32_t>(h.size());
-    const RunningStats pp = measure<SpaceSaving<Key128>>(
-        h, m.mode, mlp, keys, 0, args.runs, args.seed);
-    const RunningStats bt = measure<SpaceSaving<Key128>>(
-        h, m.mode, mlp, keys, 2048, args.runs, args.seed);
+    const RunningStats pp = measure(h, m.mode, mlp, keys, 0, args.runs, args.seed);
+    const RunningStats bt = measure(h, m.mode, mlp, keys, 2048, args.runs, args.seed);
     print_row({std::string("SpaceSaving/") + m.name, ci_cell(pp), ci_cell(bt),
                speedup_cell(bt, pp)});
-  }
-  {
-    const RunningStats pp = measure<CountMinHh<Key128>>(
-        h, LatticeMode::kRhhh, lp, keys, 0, args.runs, args.seed);
-    const RunningStats bt = measure<CountMinHh<Key128>>(
-        h, LatticeMode::kRhhh, lp, keys, 2048, args.runs, args.seed);
-    print_row({"CountMin/10-RHHH", ci_cell(pp), ci_cell(bt), speedup_cell(bt, pp)});
-  }
-  {
-    const RunningStats pp = measure<CountSketchHh<Key128>>(
-        h, LatticeMode::kRhhh, lp, keys, 0, args.runs, args.seed);
-    const RunningStats bt = measure<CountSketchHh<Key128>>(
-        h, LatticeMode::kRhhh, lp, keys, 2048, args.runs, args.seed);
-    print_row({"CountSketch/10-RHHH", ci_cell(pp), ci_cell(bt), speedup_cell(bt, pp)});
   }
 
   std::printf(
@@ -164,7 +142,7 @@ int main(int argc, char** argv) {
       " the block-RNG pass amortizes -- ~2048 is plenty; distance 0 shows\n"
       " the pipeline's non-prefetch share, with the gap to ~8 the\n"
       " memory-level-parallelism win; 10-RHHH gains the most because\n"
-      " compaction deletes ~9/10 packets before any backend work, while MST\n"
+      " compaction deletes ~9/10 packets before any counter work, while MST\n"
       " gains least -- every packet updates all H nodes either way, so only\n"
       " prefetching helps. Acceptance: 10-RHHH batched >= 1.3x per-packet.)\n");
   return 0;

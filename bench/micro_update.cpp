@@ -79,7 +79,7 @@ void BM_LatticeUpdate(benchmark::State& state) {
     lp.V = static_cast<std::uint32_t>(state.range(1)) *
            static_cast<std::uint32_t>(h.size());
   }
-  LatticeHhh<SpaceSaving<Key128>> alg(h, Mode, lp);
+  RhhhSpaceSaving alg(h, Mode, lp);
   const auto& keys = keys_2d();
   std::size_t i = 0;
   for (auto _ : state) {
@@ -112,7 +112,7 @@ void BM_LatticeUpdateBatch(benchmark::State& state) {
     lp.V = static_cast<std::uint32_t>(state.range(1)) *
            static_cast<std::uint32_t>(h.size());
   }
-  LatticeHhh<SpaceSaving<Key128>> alg(h, Mode, lp);
+  RhhhSpaceSaving alg(h, Mode, lp);
   const auto& keys = keys_2d();
   const auto batch = static_cast<std::size_t>(state.range(2));
   std::size_t i = 0;
@@ -151,7 +151,7 @@ void BM_Output(benchmark::State& state) {
   LatticeParams lp;
   lp.eps = 0.01;
   lp.delta = 0.001;
-  LatticeHhh<SpaceSaving<Key128>> alg(h, LatticeMode::kRhhh, lp);
+  RhhhSpaceSaving alg(h, LatticeMode::kRhhh, lp);
   const auto& keys = keys_2d();
   for (const Key128& k : keys) alg.update(k);
   for (auto _ : state) {

@@ -33,7 +33,7 @@ done
 
 TABLE_BENCHES="fig2_accuracy fig3_coverage fig4_false_positives
 fig5_update_speed fig6_ovs_throughput fig7_dataplane_vsweep
-fig8_distributed_vsweep ablation_backends ablation_batch_pipeline
+fig8_distributed_vsweep ablation_batch_pipeline
 ablation_convergence
 ablation_engine_scaling ablation_hierarchy_scaling ablation_latency_tail
 ablation_obs_overhead ablation_store_io ablation_trend_depth

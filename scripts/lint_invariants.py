@@ -40,6 +40,10 @@ Checks things no generic tool enforces:
    (src/obs/trace_ring.hpp) must be exactly the backticked names in the
    Event column of README's trace event table, the same way rule 6 pins
    the metric families.
+8. /health docs do not drift: the JSON keys `certificate_json()` writes
+   (src/obs/health.cpp: each `append_*(out, "key", ...)` and each raw
+   `\"key\":` literal in its body) must be exactly the backticked names in
+   the Field column of README's certificate field table.
 
 Exit code 0 when clean, 1 with one line per finding otherwise.
 """
@@ -100,6 +104,15 @@ TRACE_HEADER = Path("src/obs/trace_ring.hpp")
 TRACE_NAME_RE = re.compile(r'case\s+TraceEvent::\w+\s*:\s*return\s+"([^"]+)"')
 README_EVENT_RE = re.compile(r"`([a-z_]+)`")
 README_EVENT_HEADER = "| Event | arg0 | arg1 |"
+
+# /health certificate keys: the body of certificate_json() in health.cpp,
+# and the Field column of README's certificate table.
+HEALTH_SOURCE = Path("src/obs/health.cpp")
+CERT_JSON_DEF = "std::string certificate_json(const AccuracyCertificate& c) {"
+CERT_APPEND_KEY_RE = re.compile(r'append_\w+\(\s*\w+\s*,\s*"([A-Za-z0-9_]+)"')
+CERT_RAW_KEY_RE = re.compile(r'\\"([A-Za-z0-9_]+)\\":')
+README_FIELD_RE = re.compile(r"`([a-z_]+)`")
+README_FIELD_HEADER = "| Field | Type | Meaning |"
 
 
 def strip_strings(line: str) -> str:
@@ -306,6 +319,47 @@ def lint_trace_docs(root: Path, findings: list[str]) -> None:
         )
 
 
+def certificate_keys(source: Path, findings: list[str]) -> set[str]:
+    """JSON keys written by certificate_json(): its body runs from the
+    definition line to the first line that is a lone closing brace."""
+    if not source.is_file():
+        findings.append(f"{HEALTH_SOURCE.as_posix()}: missing (certificate_json lives there)")
+        return set()
+    lines = source.read_text(encoding="utf-8").splitlines()
+    try:
+        start = lines.index(CERT_JSON_DEF)
+    except ValueError:
+        findings.append(
+            f"{HEALTH_SOURCE.as_posix()}: no certificate_json definition line "
+            f"'{CERT_JSON_DEF}'"
+        )
+        return set()
+    keys: set[str] = set()
+    for line in lines[start + 1:]:
+        if line == "}":
+            break
+        keys.update(CERT_APPEND_KEY_RE.findall(line))
+        keys.update(CERT_RAW_KEY_RE.findall(line))
+    return keys
+
+
+def lint_health_docs(root: Path, findings: list[str]) -> None:
+    written = certificate_keys(root / HEALTH_SOURCE, findings)
+    documented = readme_column(
+        root / "README.md", README_FIELD_HEADER, README_FIELD_RE, findings
+    )
+    for name in sorted(written - documented):
+        findings.append(
+            f"README.md: /health certificate key `{name}` is written by "
+            "certificate_json() but missing from the certificate field table"
+        )
+    for name in sorted(documented - written):
+        findings.append(
+            f"README.md: certificate field table lists `{name}`, which "
+            "certificate_json() does not write"
+        )
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--root", type=Path, default=Path(__file__).parent.parent)
@@ -344,6 +398,7 @@ def main() -> int:
 
     lint_metric_docs(registered, args.root / "README.md", findings)
     lint_trace_docs(args.root, findings)
+    lint_health_docs(args.root, findings)
 
     if findings:
         print(f"lint_invariants: {len(findings)} finding(s)")

@@ -138,10 +138,6 @@ HhhEngine::HhhEngine(const EngineConfig& cfg)
   }
   // Throws for the (unmergeable) trie algorithms.
   std::tie(mode_, params_) = lattice_config_of(*hierarchy_, cfg.monitor);
-  static_assert(RhhhSpaceSaving::backend_mergeable(),
-                "engine snapshots require a mergeable backend");
-  static_assert(RhhhSpaceSaving::backend_loadable(),
-                "the durable store requires a reloadable backend");
 
   pop_batch_ = std::clamp<std::size_t>(cfg.batch, 1, 4096);
   workers_.reserve(cfg.workers);

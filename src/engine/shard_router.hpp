@@ -34,7 +34,7 @@ enum class ShardPolicy : std::uint8_t { kKeyHash, kRoundRobin };
 
 class ShardRouter {
  public:
-  /// `salt` decorrelates the hash from the backends' own seeds; every router
+  /// `salt` decorrelates the hash from the summaries' index hash; every router
   /// of one engine must share it so a key maps to the same shard everywhere.
   /// `rr_start` staggers the round-robin cursor (e.g. by producer id) so M
   /// producers do not all hit worker 0 in lockstep.

@@ -1,22 +1,5 @@
-// Common vocabulary for heavy-hitter counter backends.
-//
-// RHHH is backend-agnostic (paper Definition 4): any counter algorithm that
-// solves (eps, delta)-Frequency Estimation and can enumerate its heavy
-// hitters plugs into the lattice. Every backend in src/hh implements:
-//
-//   void   increment(const Key&, uint64_t w)   -- process one arrival
-//   uint64_t upper(const Key&) const           -- upper bound on arrivals
-//   uint64_t lower(const Key&) const           -- lower bound on arrivals
-//   uint64_t total() const                     -- arrivals seen
-//   void   for_each(f) const                   -- f(key, upper, lower) per
-//                                                  tracked candidate
-//   std::vector<HhEntry<Key>> entries() const
-//   void   clear()
-//   static B make(const BackendConfig&)        -- uniform construction
-//
-// Bounds contract: lower(k) <= f_k <= upper(k) for every key (for the
-// sketch backend the upper/lower bounds hold with probability 1 - delta_a,
-// which Definition 4 permits).
+// Plain data shared by the Space-Saving counter summary (src/hh) and its
+// readers: the entry and flat-roster forms, and the health probe.
 #pragma once
 
 #include <cstddef>
@@ -45,30 +28,18 @@ struct Roster {
   std::size_t capacity = 0;
 };
 
-/// Uniform construction parameters for all backends. `capacity` is the
-/// number of tracked counters (Space-Saving / Misra-Gries); eps_a = 1 /
-/// capacity is the equivalent additive-error parameter used by the
-/// window/sketch backends.
-struct BackendConfig {
-  std::size_t capacity = 1000;
-  double eps_a = 1e-3;
-  double delta_a = 1e-3;  ///< only the sketch backend consumes this
-  std::uint64_t seed = 0;
-};
-
-/// Cheap introspection snapshot of one backend instance, read at probe time
-/// (rotation / scrape) -- never on the packet path. Backends that support
-/// it expose `BackendProbe probe() const`; the estimator health layer
-/// (src/obs/health) folds per-node probes into per-window accuracy
-/// certificates. Plain data only: this header rides in every hot-path TU.
+/// Cheap introspection snapshot of one Space-Saving instance, read at probe
+/// time (rotation / scrape) -- never on the packet path. The estimator
+/// health layer (src/obs/health) folds per-node probes into per-window
+/// accuracy certificates. Plain data only: this header rides in every
+/// hot-path TU.
 struct BackendProbe {
   std::uint64_t total = 0;      ///< arrivals into this instance
-  std::uint64_t min_count = 0;  ///< Space-Saving untracked upper bound
-  std::uint64_t evictions = 0;  ///< cumulative roster evictions (Space-Saving)
-  std::size_t occupancy = 0;    ///< tracked counters / nonzero sketch cells
-  std::size_t capacity = 0;     ///< roster slots / total sketch cells
-  double saturation = 0.0;      ///< roster fill, or max per-row sketch fill
-  double noise = 0.0;           ///< estimated collision noise (eps_a * total)
+  std::uint64_t min_count = 0;  ///< untracked upper bound (min_bound())
+  std::uint64_t evictions = 0;  ///< cumulative roster evictions
+  std::size_t occupancy = 0;    ///< tracked counters
+  std::size_t capacity = 0;     ///< roster slots
+  double saturation = 0.0;      ///< roster fill, occupancy / capacity
 };
 
 }  // namespace rhhh

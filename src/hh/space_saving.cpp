@@ -1,21 +1,10 @@
-// Explicit instantiations of the heavy-hitter backends for the key types the
-// library uses, so downstream TUs link against one copy.
+// Explicit instantiations of Space-Saving for the key types the library
+// uses, so downstream TUs link against one copy.
 #include "hh/space_saving.hpp"
-
-#include "hh/count_min.hpp"
-#include "hh/count_sketch.hpp"
-#include "hh/exact_counter.hpp"
-#include "hh/lossy_counting.hpp"
-#include "hh/misra_gries.hpp"
 
 namespace rhhh {
 
 template class SpaceSaving<Key128>;
 template class SpaceSaving<std::uint64_t>;
-template class MisraGries<Key128>;
-template class LossyCounting<Key128>;
-template class CountMinHh<Key128>;
-template class CountSketchHh<Key128>;
-template class ExactCounter<Key128>;
 
 }  // namespace rhhh

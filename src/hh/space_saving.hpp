@@ -40,10 +40,6 @@ class SpaceSaving {
     index_.reserve(cap_);
   }
 
-  [[nodiscard]] static SpaceSaving make(const BackendConfig& cfg) {
-    return SpaceSaving(cfg.capacity);
-  }
-
   /// The key hash this instance's index uses. Exposed so batched callers can
   /// hash once, prefetch(), and later probe via increment_hashed() /
   /// find-paths without paying the hash again (the hash/probe split).
@@ -143,7 +139,6 @@ class SpaceSaving {
     p.capacity = cap_;
     p.saturation =
         cap_ > 0 ? static_cast<double>(size_) / static_cast<double>(cap_) : 0.0;
-    p.noise = static_cast<double>(min_bound());
     return p;
   }
 

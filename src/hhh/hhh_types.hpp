@@ -101,11 +101,12 @@ class HhhAlgorithm {
   [[nodiscard]] virtual std::uint64_t stream_length() const = 0;
   /// Convergence bound psi (Theorem 6.17); 0 for deterministic algorithms.
   [[nodiscard]] virtual double psi() const { return 0.0; }
-  /// Per-node backend introspection probes for the estimator health layer
+  /// Per-node Space-Saving probes for the estimator health layer
   /// (src/obs/health): one BackendProbe per lattice node, in node order.
   /// Probe-time cost only -- never taken on the packet path. The default is
-  /// empty: algorithms without probeable backends report nothing and the
-  /// health layer degrades to stream-level certificates.
+  /// empty: algorithms without per-node summaries (the ancestry tries)
+  /// report nothing and the health layer degrades to stream-level
+  /// certificates.
   [[nodiscard]] virtual std::vector<BackendProbe> health_probes() const {
     return {};
   }

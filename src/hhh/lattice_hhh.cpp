@@ -5,8 +5,7 @@
 
 namespace rhhh {
 
-template <class Backend>
-LatticeHhh<Backend>::LatticeHhh(const Hierarchy& h, LatticeMode mode, LatticeParams p)
+LatticeHhh::LatticeHhh(const Hierarchy& h, LatticeMode mode, LatticeParams p)
     : h_(&h), mode_(mode), p_(p), rng_(p.seed) {
   V_ = resolved_V(h, mode, p);
   H_ = static_cast<std::uint32_t>(h.size());
@@ -16,13 +15,11 @@ LatticeHhh<Backend>::LatticeHhh(const Hierarchy& h, LatticeMode mode, LatticePar
   if (mode_ == LatticeMode::kMst) {
     eps_a_ = p_.eps;
     eps_s_ = 0.0;
-    delta_a_ = p_.delta;
     delta_s_ = 0.0;
     scale_ = 1.0;
   } else {
     eps_a_ = 0.5 * p_.eps;
     eps_s_ = 0.5 * p_.eps;
-    delta_a_ = p_.delta / 3.0;
     delta_s_ = p_.delta / 3.0;
     scale_ = (mode_ == LatticeMode::kRhhh)
                  ? static_cast<double>(V_) / static_cast<double>(p_.r)
@@ -37,16 +34,8 @@ LatticeHhh<Backend>::LatticeHhh(const Hierarchy& h, LatticeMode mode, LatticePar
                   : static_cast<std::size_t>(std::ceil((1.0 + eps_s_) / eps_a_));
   z_corr_ = z_value(1.0 - p_.delta / 8.0);
 
-  BackendConfig cfg;
-  cfg.capacity = counters_;
-  cfg.eps_a = 1.0 / static_cast<double>(counters_);
-  cfg.delta_a = delta_a_;
   hh_.reserve(H_);
-  const std::uint64_t bseed = p_.backend_seed != 0 ? p_.backend_seed : p_.seed;
-  for (std::uint32_t d = 0; d < H_; ++d) {
-    cfg.seed = mix64(bseed ^ (0x5851f42d4c957f2dULL + d));
-    hh_.push_back(Backend::make(cfg));
-  }
+  for (std::uint32_t d = 0; d < H_; ++d) hh_.emplace_back(counters_);
 
   name_ = std::string(to_string(mode_));
   if (mode_ != LatticeMode::kMst && V_ != H_) {
@@ -60,8 +49,7 @@ LatticeHhh<Backend>::LatticeHhh(const Hierarchy& h, LatticeMode mode, LatticePar
   if (p_.r > 1) name_ += "(r=" + std::to_string(p_.r) + ")";
 }
 
-template <class Backend>
-std::uint32_t LatticeHhh<Backend>::resolved_V(const Hierarchy& h, LatticeMode mode,
+std::uint32_t LatticeHhh::resolved_V(const Hierarchy& h, LatticeMode mode,
                                               const LatticeParams& p) {
   const auto H = static_cast<std::uint32_t>(h.size());
   if (h.size() >= (1u << 16)) {
@@ -85,55 +73,35 @@ std::uint32_t LatticeHhh<Backend>::resolved_V(const Hierarchy& h, LatticeMode mo
   return mode == LatticeMode::kMst ? H : V;  // MST: V is unused by the update rule
 }
 
-template <class Backend>
-void LatticeHhh<Backend>::apply_survivors() {
-  // Stage 3: replay the compacted work list against the per-node backends.
-  // Survivors sit in packet order and each node's backend is an independent
+void LatticeHhh::apply_survivors() {
+  // Stage 3: replay the compacted work list against the per-node summaries.
+  // Survivors sit in packet order and each node's summary is an independent
   // structure, so the resulting state is byte-identical to the per-packet
-  // interleaving. For backends with the hash/probe split, index slots are
-  // prefetched `D` apply steps ahead and counter cells D/2 ahead (the cell
-  // address is a dependent load through the index, so its prefetch runs at
-  // a shorter distance, once the slot line has had time to arrive).
+  // interleaving. Index slots are prefetched `D` apply steps ahead and
+  // counter cells D/2 ahead (the cell address is a dependent load through
+  // the index, so its prefetch runs at a shorter distance, once the slot
+  // line has had time to arrive).
   const std::size_t m = survivors_.size();
-  if constexpr (backend_prefetchable()) {
-    const std::size_t far = p_.prefetch_distance;
-    const std::size_t near = (far + 1) / 2;
-    constexpr bool has_counter_stage = requires(const Backend& b, const Key128& k,
-                                                std::uint64_t h) {
-      b.prefetch_counter(k, h);
-    };
-    for (std::size_t j = 0; j < m; ++j) {
-      if (far != 0 && j + far < m) {
-        const Survivor& s = survivors_[j + far];
-        hh_[s.node].prefetch(s.hash);
-      }
-      if constexpr (has_counter_stage) {
-        if (far != 0 && j + near < m) {
-          const Survivor& s = survivors_[j + near];
-          hh_[s.node].prefetch_counter(s.mkey, s.hash);
-        }
-      }
-      const Survivor& s = survivors_[j];
-      hh_[s.node].increment_hashed(s.mkey, s.hash, 1);
+  const std::size_t far = p_.prefetch_distance;
+  const std::size_t near = (far + 1) / 2;
+  for (std::size_t j = 0; j < m; ++j) {
+    if (far != 0 && j + far < m) {
+      const Survivor& s = survivors_[j + far];
+      hh_[s.node].prefetch(s.hash);
     }
-  } else {
-    for (std::size_t j = 0; j < m; ++j) {
-      const Survivor& s = survivors_[j];
-      hh_[s.node].increment(s.mkey, 1);
+    if (far != 0 && j + near < m) {
+      const Survivor& s = survivors_[j + near];
+      hh_[s.node].prefetch_counter(s.mkey, s.hash);
     }
+    const Survivor& s = survivors_[j];
+    hh_[s.node].increment_hashed(s.mkey, s.hash, 1);
   }
   updates_ += m;
 }
 
-template <class Backend>
-void LatticeHhh<Backend>::update_batch(const Key128* keys, std::size_t n) {
+void LatticeHhh::update_batch(const Key128* keys, std::size_t n) {
   if (n == 0) return;
   n_ += n;
-  const auto hash_or_zero = [&](const Key128& k) -> std::uint64_t {
-    if constexpr (backend_prefetchable()) return Backend::hash_of(k);
-    (void)k;
-    return 0;
-  };
   switch (mode_) {
     case LatticeMode::kRhhh: {
       // Stage 1: block-RNG with branchless compaction. The generator chain
@@ -166,8 +134,8 @@ void LatticeHhh<Backend>::update_batch(const Key128* keys, std::size_t n) {
         const auto di = static_cast<std::size_t>(e >> 16);
         const std::size_t pkt = r == 1 ? di : di / r;
         const Key128 mkey = h_->mask_key(d, keys[pkt]);
-        survivors_[j] =
-            Survivor{d, static_cast<std::uint32_t>(pkt), hash_or_zero(mkey), mkey};
+        survivors_[j] = Survivor{d, static_cast<std::uint32_t>(pkt),
+                                 SpaceSaving<Key128>::hash_of(mkey), mkey};
       }
       break;
     }
@@ -182,7 +150,7 @@ void LatticeHhh<Backend>::update_batch(const Key128* keys, std::size_t n) {
         for (std::uint32_t d = 0; d < H_; ++d) {
           const Key128 mkey = h_->mask_key(d, keys[i]);
           survivors_[w++] = Survivor{d, static_cast<std::uint32_t>(i),
-                                     hash_or_zero(mkey), mkey};
+                                     SpaceSaving<Key128>::hash_of(mkey), mkey};
         }
       }
       break;
@@ -207,7 +175,7 @@ void LatticeHhh<Backend>::update_batch(const Key128* keys, std::size_t n) {
         for (std::uint32_t d = 0; d < H_; ++d) {
           const Key128 mkey = h_->mask_key(d, keys[pkt]);
           survivors_[w++] = Survivor{d, static_cast<std::uint32_t>(pkt),
-                                     hash_or_zero(mkey), mkey};
+                                     SpaceSaving<Key128>::hash_of(mkey), mkey};
         }
       }
       break;
@@ -216,8 +184,7 @@ void LatticeHhh<Backend>::update_batch(const Key128* keys, std::size_t n) {
   apply_survivors();
 }
 
-template <class Backend>
-void LatticeHhh<Backend>::update_weighted(Key128 x, std::uint64_t w) {
+void LatticeHhh::update_weighted(Key128 x, std::uint64_t w) {
   if (w == 0) return;
   n_ += w;
   switch (mode_) {
@@ -247,16 +214,14 @@ void LatticeHhh<Backend>::update_weighted(Key128 x, std::uint64_t w) {
   }
 }
 
-template <class Backend>
-double LatticeHhh<Backend>::correction() const noexcept {
+double LatticeHhh::correction() const noexcept {
   if (mode_ == LatticeMode::kMst) return 0.0;
   // Theorems 6.11 / 6.15: 2 * Z_{1-delta/8} * sqrt(N * V).
   return 2.0 * z_corr_ *
          std::sqrt(static_cast<double>(n_) * static_cast<double>(V_));
 }
 
-template <class Backend>
-double LatticeHhh<Backend>::psi() const {
+double LatticeHhh::psi() const {
   if (mode_ == LatticeMode::kMst) return 0.0;
   // psi = Z_{1 - delta_s/2} * V * eps_s^-2 (Theorem 6.3); r draws per packet
   // converge r times faster (Corollary 6.8).
@@ -265,8 +230,7 @@ double LatticeHhh<Backend>::psi() const {
          static_cast<double>(p_.r);
 }
 
-template <class Backend>
-HhhSet LatticeHhh<Backend>::output(double theta) const {
+HhhSet LatticeHhh::output(double theta) const {
   HhhSet P(h_->size());
   if (n_ == 0) return P;
   const double N = static_cast<double>(n_);
@@ -307,20 +271,14 @@ constexpr const char* kMergeMismatch =
     "LatticeHhh::merge: instances must share hierarchy, mode, V and r";
 }  // namespace
 
-template <class Backend>
-void LatticeHhh<Backend>::merge(const LatticeHhh& other) {
+void LatticeHhh::merge(const LatticeHhh& other) {
   if (!mergeable_with(other)) throw std::invalid_argument(kMergeMismatch);
-  if constexpr (backend_mergeable()) {
-    for (std::uint32_t d = 0; d < H_; ++d) hh_[d].merge(other.hh_[d]);
-    n_ += other.n_;
-    updates_ += other.updates_;
-  } else {
-    throw std::logic_error("LatticeHhh::merge: backend is not mergeable");
-  }
+  for (std::uint32_t d = 0; d < H_; ++d) hh_[d].merge(other.hh_[d]);
+  n_ += other.n_;
+  updates_ += other.updates_;
 }
 
-template <class Backend>
-void LatticeHhh<Backend>::require_mergeable(LatticeMode mode,
+void LatticeHhh::require_mergeable(LatticeMode mode,
                                             const LatticeParams& p) const {
   const std::uint32_t V = resolved_V(*h_, mode, p);
   if (mode != mode_ || V != V_ || p.r != p_.r) {
@@ -328,54 +286,33 @@ void LatticeHhh<Backend>::require_mergeable(LatticeMode mode,
   }
 }
 
-template <class Backend>
-void LatticeHhh<Backend>::merge_node(std::uint32_t node, const Roster<Key128>& other) {
+void LatticeHhh::merge_node(std::uint32_t node, const Roster<Key128>& other) {
   if (node >= H_) throw std::invalid_argument("LatticeHhh::merge_node: node out of range");
-  if constexpr (requires(Backend& b, const Roster<Key128>& r) { b.merge(r); }) {
-    hh_[node].merge(other);
-  } else {
-    throw std::logic_error("LatticeHhh::merge_node: backend has no roster merge");
-  }
+  hh_[node].merge(other);
 }
 
-template <class Backend>
-std::vector<BackendProbe> LatticeHhh<Backend>::health_probes() const {
+std::vector<BackendProbe> LatticeHhh::health_probes() const {
   std::vector<BackendProbe> out;
-  if constexpr (backend_probeable()) {
-    out.reserve(H_);
-    for (std::uint32_t d = 0; d < H_; ++d) out.push_back(hh_[d].probe());
-  }
+  out.reserve(H_);
+  for (std::uint32_t d = 0; d < H_; ++d) out.push_back(hh_[d].probe());
   return out;
 }
 
-template <class Backend>
-void LatticeHhh<Backend>::restore_node(std::uint32_t node,
+void LatticeHhh::restore_node(std::uint32_t node,
                                        std::span<const HhEntry<Key128>> entries,
                                        std::uint64_t total) {
   if (node >= H_) {
     throw std::invalid_argument("LatticeHhh::restore_node: node out of range");
   }
-  if constexpr (backend_loadable()) {
-    hh_[node].load(entries, total);
-  } else {
-    throw std::logic_error("LatticeHhh::restore_node: backend has no load path");
-  }
+  hh_[node].load(entries, total);
 }
 
-template <class Backend>
-void LatticeHhh<Backend>::clear() {
+void LatticeHhh::clear() {
   for (auto& inst : hh_) inst.clear();
   n_ = 0;
   updates_ = 0;
   rng_ = Xoroshiro128(p_.seed);
 }
-
-template class LatticeHhh<SpaceSaving<Key128>>;
-template class LatticeHhh<MisraGries<Key128>>;
-template class LatticeHhh<LossyCounting<Key128>>;
-template class LatticeHhh<CountMinHh<Key128>>;
-template class LatticeHhh<CountSketchHh<Key128>>;
-template class LatticeHhh<ExactCounter<Key128>>;
 
 std::unique_ptr<RhhhSpaceSaving> make_rhhh(const Hierarchy& h, LatticeParams p) {
   return std::make_unique<RhhhSpaceSaving>(h, LatticeMode::kRhhh, p);

@@ -16,12 +16,12 @@
 #pragma once
 
 #include <cmath>
-#include <concepts>
 #include <cstdint>
 #include <memory>
 #include <string>
 
 #include "hh/backend.hpp"
+#include "hh/space_saving.hpp"
 #include "hhh/conditioned.hpp"
 #include "hhh/hhh_types.hpp"
 #include "stats/normal.hpp"
@@ -47,14 +47,6 @@ struct LatticeParams {
   std::uint32_t r = 1;  ///< independent updates per packet (Corollary 6.8)
   std::uint64_t seed = 1;
   std::size_t counters_override = 0;  ///< nonzero: explicit per-node capacity
-  /// Nonzero: base seed for the per-node backend instances, decoupled from
-  /// `seed` (which keeps driving the RHHH sampling RNG). Shard-style
-  /// deployments of hash-keyed backends (the Count-Min / Count Sketch
-  /// linear sketches) need identical backend hash functions on every shard
-  /// for element-wise merge() while still drawing independent sampling
-  /// streams per shard: pin backend_seed engine-wide and vary seed. 0 (the
-  /// default) derives backend seeds from `seed` as before.
-  std::uint64_t backend_seed = 0;
   /// Software-prefetch lookahead of the batched apply loop (survivor slots
   /// prefetched this many apply steps ahead; 0 disables prefetching). A
   /// pure performance knob: results are byte-identical for every value.
@@ -63,7 +55,9 @@ struct LatticeParams {
   std::uint32_t prefetch_distance = 8;
 };
 
-template <class Backend>
+/// The lattice of per-node Space-Saving summaries (paper Section 3.1: one
+/// heavy-hitter instance per lattice node; Space-Saving because it merges,
+/// which the engine's cross-shard view and the store rely on).
 class LatticeHhh final : public HhhAlgorithm {
  public:
   LatticeHhh(const Hierarchy& h, LatticeMode mode, LatticeParams p);
@@ -115,16 +109,15 @@ class LatticeHhh final : public HhhAlgorithm {
   ///   2. survivor build -- the compacted picks (draw < H; in 10-RHHH ~1
   ///                       packet in 10) expand into a dense list carrying
   ///                       the lattice node, the node-masked key and its
-  ///                       backend hash: the common no-op packet costs one
+  ///                       index hash: the common no-op packet costs one
   ///                       draw and two blind stores, and the per-node mask
   ///                       + hash work is paid once here, not at the probe.
   ///   3. apply         -- survivors replayed in packet order against the
-  ///                       per-node backends, index slots software-
+  ///                       per-node summaries through Space-Saving's
+  ///                       hash/probe split, index slots software-
   ///                       prefetched `prefetch_distance` slots ahead and
   ///                       counter cells half that distance ahead (the
-  ///                       dependent second touch), for backends exposing
-  ///                       the hash/probe split (Space-Saving, Count-Min,
-  ///                       Count Sketch); others apply unprefeteched.
+  ///                       dependent second touch).
   ///
   /// MST batches stage 2/3 over every (packet, node) pair (no draws);
   /// Sampled-MST draws once per packet and fans survivors across all H
@@ -155,11 +148,7 @@ class LatticeHhh final : public HhhAlgorithm {
   /// (paper Section 7: the distributed deployment "is capable of analyzing
   /// data from multiple network devices"). Requires identical hierarchy,
   /// mode, V and r (so per-node estimates share one scale); throws
-  /// std::invalid_argument otherwise. Only available for backends that
-  /// support merging (Space-Saving and the Count-Min / Count Sketch linear
-  /// sketches; the sketches additionally require matching hash seeds --
-  /// pin LatticeParams::backend_seed across shards -- and throw per node
-  /// otherwise).
+  /// std::invalid_argument otherwise.
   void merge(const LatticeHhh& other);
 
   /// merge() from flat form, for an instance that would be built as
@@ -167,18 +156,12 @@ class LatticeHhh final : public HhhAlgorithm {
   /// windows through this without building them. require_mergeable()
   /// throws std::invalid_argument exactly where building that instance or
   /// merge() would; then merge_node() folds each node's roster in through
-  /// the backend's one merge, and restore_stream() adds its N and updates.
+  /// Space-Saving's one merge, and restore_stream() adds its N and updates.
   void require_mergeable(LatticeMode mode, const LatticeParams& p) const;
   void merge_node(std::uint32_t node, const Roster<Key128>& other);
 
-  /// True iff the backend supports merge() at all (Space-Saving and the
-  /// linear sketches do; the windowed/exact backends currently do not).
-  [[nodiscard]] static constexpr bool backend_mergeable() noexcept {
-    return requires(Backend& b, const Backend& o) { b.merge(o); };
-  }
   /// True iff merge(other) would be accepted: same hierarchy shape, mode,
-  /// V and r. Sampling seeds may differ (and should, across shards);
-  /// hash-keyed backends additionally enforce seed alignment themselves.
+  /// V and r. Sampling seeds may differ (and should, across shards).
   [[nodiscard]] bool mergeable_with(const LatticeHhh& other) const noexcept {
     return H_ == other.H_ && h_->name() == other.h_->name() &&
            mode_ == other.mode_ && V_ == other.V_ && p_.r == other.p_.r;
@@ -199,9 +182,9 @@ class LatticeHhh final : public HhhAlgorithm {
   [[nodiscard]] std::uint32_t H() const noexcept { return H_; }
   /// Estimate scale: multiply per-node counts by this to estimate f.
   [[nodiscard]] double scale() const noexcept { return scale_; }
-  /// Total backend increments performed (the work RHHH saves).
+  /// Total counter increments performed (the work RHHH saves).
   [[nodiscard]] std::uint64_t updates_performed() const noexcept { return updates_; }
-  [[nodiscard]] const Backend& instance(std::uint32_t node) const noexcept {
+  [[nodiscard]] const SpaceSaving<Key128>& instance(std::uint32_t node) const noexcept {
     return hh_[node];
   }
   [[nodiscard]] std::size_t counters_per_node() const noexcept { return counters_; }
@@ -211,25 +194,8 @@ class LatticeHhh final : public HhhAlgorithm {
     return p_.prefetch_distance;
   }
   void set_prefetch_distance(std::uint32_t d) noexcept { p_.prefetch_distance = d; }
-  /// True iff the backend exposes the hash/probe split the batched apply
-  /// loop prefetches through (hash_of / prefetch / increment_hashed).
-  [[nodiscard]] static constexpr bool backend_prefetchable() noexcept {
-    return requires(Backend& b, const Backend& cb, const Key128& k, std::uint64_t h) {
-      { Backend::hash_of(k) } -> std::convertible_to<std::uint64_t>;
-      cb.prefetch(h);
-      b.increment_hashed(k, h, std::uint64_t{1});
-    };
-  }
-  /// True iff the backend exposes the health-layer introspection probe
-  /// (Space-Saving and both sketches do; the deterministic comparison
-  /// backends do not and health_probes() returns empty).
-  [[nodiscard]] static constexpr bool backend_probeable() noexcept {
-    return requires(const Backend& cb) {
-      { cb.probe() } -> std::convertible_to<BackendProbe>;
-    };
-  }
-  /// One BackendProbe per lattice node (empty for unprobeable backends);
-  /// the estimator health layer folds these into accuracy certificates.
+  /// One BackendProbe per lattice node; the estimator health layer folds
+  /// these into accuracy certificates.
   [[nodiscard]] std::vector<BackendProbe> health_probes() const override;
   [[nodiscard]] double eps_a() const noexcept { return eps_a_; }
   [[nodiscard]] double eps_s() const noexcept { return eps_s_; }
@@ -240,26 +206,19 @@ class LatticeHhh final : public HhhAlgorithm {
   /// The additive conditioned-frequency slack used by output (0 for MST).
   [[nodiscard]] double correction() const noexcept;
   /// Point estimate f-hat for an arbitrary prefix (Definition 11's
-  /// V * X-hat, using the backend's upper estimate).
+  /// V * X-hat, using the node's upper estimate).
   [[nodiscard]] double estimate(const Prefix& p) const override {
     return scale_ * static_cast<double>(hh_[p.node].upper(p.key));
   }
 
   // -- durable-store reload (src/store/serde.cpp) ---------------------------
-  /// Rebuild node `node`'s backend from a serialized roster (counter-array
-  /// order, see SpaceSaving::load) plus its arrivals total. Only available
-  /// for backends with a load() path (Space-Saving); throws
-  /// std::logic_error otherwise and std::invalid_argument on impossible
-  /// rosters. The reloaded node reproduces the serialized instance's
-  /// estimates and iteration order exactly.
+  /// Rebuild node `node`'s summary from a serialized roster (counter-array
+  /// order, see SpaceSaving::load) plus its arrivals total. Throws
+  /// std::invalid_argument on impossible rosters. The reloaded node
+  /// reproduces the serialized instance's estimates and iteration order
+  /// exactly.
   void restore_node(std::uint32_t node, std::span<const HhEntry<Key128>> entries,
                     std::uint64_t total);
-  /// True iff the backend supports restore_node().
-  [[nodiscard]] static constexpr bool backend_loadable() noexcept {
-    return requires(Backend& b, std::span<const HhEntry<Key128>> e) {
-      b.load(e, std::uint64_t{0});
-    };
-  }
   /// Restore the stream-level counters a reload cannot derive from the
   /// rosters: N (which output() thresholds and slack terms scale by) and
   /// the performed-updates tally.
@@ -280,14 +239,13 @@ class LatticeHhh final : public HhhAlgorithm {
   std::string name_;
   double eps_a_ = 0.0;
   double eps_s_ = 0.0;
-  double delta_a_ = 0.0;
   double delta_s_ = 0.0;
   double scale_ = 1.0;
   double z_corr_ = 0.0;  ///< Z_{1 - delta/8}
   std::size_t counters_ = 0;
   std::uint32_t V_ = 1;
   std::uint32_t H_ = 1;
-  std::vector<Backend> hh_;
+  std::vector<SpaceSaving<Key128>> hh_;
   Xoroshiro128 rng_;
   std::uint64_t n_ = 0;
   std::uint64_t updates_ = 0;
@@ -299,7 +257,7 @@ class LatticeHhh final : public HhhAlgorithm {
   struct Survivor {
     std::uint32_t node;  ///< lattice node the draw selected
     std::uint32_t pkt;   ///< originating batch index (diagnostics/asserts)
-    std::uint64_t hash;  ///< Backend::hash_of(mkey); 0 if not prefetchable
+    std::uint64_t hash;  ///< SpaceSaving::hash_of(mkey)
     Key128 mkey;         ///< node-masked key, ready to apply
   };
   /// Stage-1 compacted picks, packed (draw_index << 16) | node -- H < 2^16
@@ -309,27 +267,9 @@ class LatticeHhh final : public HhhAlgorithm {
   void apply_survivors();              ///< stage 3 (lattice_hhh.cpp)
 };
 
-}  // namespace rhhh
-
-#include "hh/count_min.hpp"
-#include "hh/count_sketch.hpp"
-#include "hh/exact_counter.hpp"
-#include "hh/lossy_counting.hpp"
-#include "hh/misra_gries.hpp"
-#include "hh/space_saving.hpp"
-
-namespace rhhh {
-
-// The shipped configurations are explicitly instantiated in lattice_hhh.cpp.
-extern template class LatticeHhh<SpaceSaving<Key128>>;
-extern template class LatticeHhh<MisraGries<Key128>>;
-extern template class LatticeHhh<LossyCounting<Key128>>;
-extern template class LatticeHhh<CountMinHh<Key128>>;
-extern template class LatticeHhh<CountSketchHh<Key128>>;
-extern template class LatticeHhh<ExactCounter<Key128>>;
-
-/// Space-Saving is the paper's evaluated backend.
-using RhhhSpaceSaving = LatticeHhh<SpaceSaving<Key128>>;
+/// The name most callers spell: the lattice over Space-Saving, the paper's
+/// evaluated configuration.
+using RhhhSpaceSaving = LatticeHhh;
 
 /// Factory helpers mirroring the paper's named configurations.
 [[nodiscard]] std::unique_ptr<RhhhSpaceSaving> make_rhhh(const Hierarchy& h,

@@ -175,9 +175,9 @@ HealthLedger::HealthLedger(MetricsRegistry* reg, std::size_t keep)
   own("rhhh_health_sampling_slack", [this] { return rlx(slack_); },
       "Theorem 6.11 sampling slack of the newest window, relative to N");
   own("rhhh_health_occupancy", [this] { return rlx(occupancy_); },
-      "Mean backend fill fraction across lattice nodes");
+      "Mean roster fill fraction across lattice nodes");
   own("rhhh_health_saturation", [this] { return rlx(saturation_); },
-      "Worst backend fill fraction across lattice nodes");
+      "Worst roster fill fraction across lattice nodes");
   own("rhhh_health_converged", [this] { return rlx(converged_); },
       "1 when the newest certified window cleared psi (Theorem 6.17)");
 }

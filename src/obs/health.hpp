@@ -6,10 +6,10 @@
 //   * certify_window() folds the per-node BackendProbe snapshots of one or
 //     more same-configuration lattice shards (index-aligned, like
 //     TrendSnapshot's merge) into an AccuracyCertificate: an empirical
-//     additive-error upper bound recomputed from what the backends actually
+//     additive-error upper bound recomputed from what the summaries actually
 //     hold (max node min-count / N), the Theorem 6.11/6.15 sampling slack at
 //     the drop-folded cross-shard N, and structure-health aggregates
-//     (roster occupancy, eviction churn, sketch saturation).
+//     (roster occupancy, eviction churn, worst roster fill).
 //   * HealthLedger keeps the last K certificates, mirrors the newest one
 //     into lock-free atomics exported as the rhhh_health_* gauge families,
 //     and renders the /health JSON body the exporter serves.
@@ -44,7 +44,7 @@ class MetricsRegistry;
 class TraceRing;
 
 /// Per-window accuracy certificate: the estimator's self-reported error
-/// bound for one sealed window, checkable online from backend state alone.
+/// bound for one sealed window, checkable online from summary state alone.
 /// The certified additive bound on any estimate's error is
 /// (eps_empirical + sampling_slack) * stream_length.
 struct AccuracyCertificate {
@@ -52,12 +52,12 @@ struct AccuracyCertificate {
   std::int64_t stamped_ns = 0;      ///< steady-clock stamp time
   std::uint64_t stream_length = 0;  ///< drop-folded N (consumed + dropped)
   std::uint64_t drops = 0;          ///< records dropped at the window's rings
-  std::uint64_t updates = 0;        ///< backend increments performed
+  std::uint64_t updates = 0;        ///< counter increments performed
   std::uint64_t evictions = 0;      ///< summed Space-Saving roster evictions
   double eps_configured = 0.0;      ///< the construction-time eps_a target
   double eps_empirical = 0.0;       ///< max_d (scale * min-count_d) / N
   double sampling_slack = 0.0;      ///< 2 Z sqrt(N V) / N (0 for MST)
-  double occupancy = 0.0;           ///< mean roster/sketch fill across nodes
+  double occupancy = 0.0;           ///< mean roster fill across nodes
   double max_saturation = 0.0;      ///< worst node fill (1.0 = roster full)
   bool converged = false;           ///< N cleared psi (Theorem 6.17)
 };

@@ -123,12 +123,16 @@ namespace {
 //   u8  hierarchy_kind   u8  mode   u16 reserved
 //   u32 H    u32 V    u32 r    u32 reserved
 //   f64 eps  f64 delta
-//   u64 seed u64 backend_seed u64 counters_per_node
+//   u64 seed u64 reserved u64 counters_per_node
 //   u64 epoch  i64 wall_start_ns  i64 wall_end_ns
 //   u64 duration_ns  u64 drops  u64 stream_length  u64 updates
 //
 // Node rosters follow: H times { u32 entries, u32 reserved, u64 total,
 // entries x (u64 key_hi, u64 key_lo, u64 count, u64 error) }.
+//
+// The u64 after `seed` once held a per-node backend seed that Space-Saving
+// never used. It is written as 0 and ignored on read, so a record an older
+// build wrote with a nonzero value there still decodes.
 
 constexpr std::uint8_t kMaxHierarchyKind =
     static_cast<std::uint8_t>(HierarchyKind::kIpv6Nibbles);
@@ -147,7 +151,7 @@ void encode_header(ByteWriter& w, const WindowMeta& meta, HierarchyKind kind,
   w.f64(lat.params().eps);
   w.f64(lat.params().delta);
   w.u64(lat.params().seed);
-  w.u64(lat.params().backend_seed);
+  w.u64(0);  // reserved: written as 0, ignored on read
   w.u64(lat.counters_per_node());
   w.u64(meta.epoch);
   w.i64(meta.wall_start_ns);
@@ -185,7 +189,7 @@ WindowHeader read_header(ByteReader& r) {
   h.config.params.eps = r.f64();
   h.config.params.delta = r.f64();
   h.config.params.seed = r.u64();
-  h.config.params.backend_seed = r.u64();
+  (void)r.u64();
   const std::uint64_t counters = r.u64();
   if (counters == 0 || counters > (1u << 30)) {
     fail("implausible counters-per-node " + std::to_string(counters));

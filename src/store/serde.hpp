@@ -126,7 +126,7 @@ struct WindowMeta {
   std::uint64_t duration_ns = 0;   ///< steady-clock live duration
   std::uint64_t drops = 0;         ///< drops attributed (folded into stream_length)
   std::uint64_t stream_length = 0; ///< N of the window, drops included
-  std::uint64_t updates = 0;       ///< backend increments (introspection)
+  std::uint64_t updates = 0;       ///< counter increments (introspection)
 };
 
 /// The lattice construction parameters stored with every record, enough to

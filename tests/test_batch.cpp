@@ -2,8 +2,8 @@
 // stream through HhhAlgorithm::update_batch must leave every algorithm in
 // state byte-identical to n per-packet update() calls -- same RNG draw
 // sequence, same rotation packets, same counter rosters, same output() and
-// estimate() values -- for every lattice mode x backend and for arbitrary
-// batch split points. This pins the determinism contract the engine's
+// estimate() values -- for every lattice mode and for arbitrary batch split
+// points. This pins the determinism contract the engine's
 // golden digests (test_engine.cpp) rely on.
 #include <gtest/gtest.h>
 
@@ -13,8 +13,6 @@
 #include <vector>
 
 #include "core/windowed.hpp"
-#include "hh/count_min.hpp"
-#include "hh/count_sketch.hpp"
 #include "hh/space_saving.hpp"
 #include "hhh/lattice_hhh.hpp"
 #include "hhh/trie_hhh.hpp"
@@ -46,26 +44,20 @@ std::uint64_t digest_set_ordered(const Hierarchy& h, const HhhSet& s) {
   return d;
 }
 
-/// Digest of every per-node backend roster in iteration order (for backends
-/// exposing for_each) -- byte-identical internal state, not just identical
-/// query answers.
-template <class Backend>
-std::uint64_t digest_nodes(const LatticeHhh<Backend>& alg, std::uint32_t nodes) {
+/// Digest of every per-node roster in iteration order -- byte-identical
+/// internal state, not just identical query answers.
+std::uint64_t digest_nodes(const RhhhSpaceSaving& alg, std::uint32_t nodes) {
   std::uint64_t d = 0xcbf29ce484222325ULL;
-  if constexpr (requires(const Backend& b) {
-                  b.for_each([](const Key128&, std::uint64_t, std::uint64_t) {});
-                }) {
-    for (std::uint32_t v = 0; v < nodes; ++v) {
-      alg.instance(v).for_each([&](const Key128& k, std::uint64_t up, std::uint64_t lo) {
-        char buf[120];
-        std::snprintf(buf, sizeof buf, "%u|%016llx%016llx|%llu|%llu", v,
-                      static_cast<unsigned long long>(k.hi),
-                      static_cast<unsigned long long>(k.lo),
-                      static_cast<unsigned long long>(up),
-                      static_cast<unsigned long long>(lo));
-        d = fnv1a(d, buf);
-      });
-    }
+  for (std::uint32_t v = 0; v < nodes; ++v) {
+    alg.instance(v).for_each([&](const Key128& k, std::uint64_t up, std::uint64_t lo) {
+      char buf[120];
+      std::snprintf(buf, sizeof buf, "%u|%016llx%016llx|%llu|%llu", v,
+                    static_cast<unsigned long long>(k.hi),
+                    static_cast<unsigned long long>(k.lo),
+                    static_cast<unsigned long long>(up),
+                    static_cast<unsigned long long>(lo));
+      d = fnv1a(d, buf);
+    });
   }
   return d;
 }
@@ -99,7 +91,6 @@ void feed_batched(Alg& alg, const std::vector<Key128>& keys, std::uint64_t seed)
   }
 }
 
-template <class Backend>
 void expect_equivalent(LatticeMode mode, std::uint64_t chunk_seed) {
   const Hierarchy h = Hierarchy::ipv4_1d(Granularity::kByte);
   LatticeParams lp;
@@ -107,8 +98,8 @@ void expect_equivalent(LatticeMode mode, std::uint64_t chunk_seed) {
   lp.delta = 0.05;
   lp.V = 10 * static_cast<std::uint32_t>(h.size());  // 10-RHHH flavor
   lp.seed = 99;
-  LatticeHhh<Backend> serial(h, mode, lp);
-  LatticeHhh<Backend> batched(h, mode, lp);
+  RhhhSpaceSaving serial(h, mode, lp);
+  RhhhSpaceSaving batched(h, mode, lp);
 
   const std::vector<Key128> keys = make_stream(60000, 1234);
   for (const Key128& k : keys) serial.update(k);
@@ -133,21 +124,9 @@ void expect_equivalent(LatticeMode mode, std::uint64_t chunk_seed) {
 }
 
 TEST(BatchEquivalence, SpaceSavingAllModes) {
-  expect_equivalent<SpaceSaving<Key128>>(LatticeMode::kRhhh, 7);
-  expect_equivalent<SpaceSaving<Key128>>(LatticeMode::kMst, 8);
-  expect_equivalent<SpaceSaving<Key128>>(LatticeMode::kSampledMst, 9);
-}
-
-TEST(BatchEquivalence, CountMinAllModes) {
-  expect_equivalent<CountMinHh<Key128>>(LatticeMode::kRhhh, 17);
-  expect_equivalent<CountMinHh<Key128>>(LatticeMode::kMst, 18);
-  expect_equivalent<CountMinHh<Key128>>(LatticeMode::kSampledMst, 19);
-}
-
-TEST(BatchEquivalence, CountSketchAllModes) {
-  expect_equivalent<CountSketchHh<Key128>>(LatticeMode::kRhhh, 27);
-  expect_equivalent<CountSketchHh<Key128>>(LatticeMode::kMst, 28);
-  expect_equivalent<CountSketchHh<Key128>>(LatticeMode::kSampledMst, 29);
+  expect_equivalent(LatticeMode::kRhhh, 7);
+  expect_equivalent(LatticeMode::kMst, 8);
+  expect_equivalent(LatticeMode::kSampledMst, 9);
 }
 
 TEST(BatchEquivalence, MultiUpdateFactorRhhh) {
@@ -269,14 +248,6 @@ TEST(BatchEquivalence, WeightedUpdatesInterleaveWithBatches) {
   EXPECT_EQ(serial.stream_length(), batched.stream_length());
   EXPECT_EQ(digest_nodes(serial, static_cast<std::uint32_t>(h.size())),
             digest_nodes(batched, static_cast<std::uint32_t>(h.size())));
-}
-
-TEST(BatchEquivalence, PrefetchableBackendRoster) {
-  // The hash/probe split must be detected for the three pipelined backends
-  // (and drive the prefetching apply loop), and its absence tolerated.
-  static_assert(LatticeHhh<SpaceSaving<Key128>>::backend_prefetchable());
-  static_assert(LatticeHhh<CountMinHh<Key128>>::backend_prefetchable());
-  static_assert(LatticeHhh<CountSketchHh<Key128>>::backend_prefetchable());
 }
 
 }  // namespace

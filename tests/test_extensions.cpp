@@ -1,7 +1,6 @@
 // Tests for the library extensions beyond the paper's core evaluation:
-// mergeable summaries (the Section 7 multi-device story), the Count-Sketch
-// and exact-oracle backends, the log-scale latency histogram, and the
-// structural validators under randomized stress.
+// mergeable summaries (the Section 7 multi-device story), the log-scale
+// latency histogram, and the structural validators under randomized stress.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,8 +8,6 @@
 #include <map>
 #include <vector>
 
-#include "hh/count_sketch.hpp"
-#include "hh/exact_counter.hpp"
 #include "hh/space_saving.hpp"
 #include "hhh/lattice_hhh.hpp"
 #include "hhh/trie_hhh.hpp"
@@ -138,121 +135,6 @@ TEST(LatticeMerge, MismatchedConfigsThrow) {
   lp_v.V = 250;
   RhhhSpaceSaving d(h2, LatticeMode::kRhhh, lp_v);
   EXPECT_THROW(a.merge(d), std::invalid_argument);
-}
-
-TEST(LatticeMerge, NonMergeableBackendThrows) {
-  const Hierarchy h = Hierarchy::ipv4_1d(Granularity::kByte);
-  LatticeParams lp;
-  LatticeHhh<MisraGries<Key128>> a(h, LatticeMode::kRhhh, lp);
-  LatticeHhh<MisraGries<Key128>> b(h, LatticeMode::kRhhh, lp);
-  EXPECT_THROW(a.merge(b), std::logic_error);
-}
-
-// ------------------------------------------------------- count sketch ----
-
-TEST(CountSketchTest, RejectsBadParams) {
-  EXPECT_THROW(CountSketchHh<K64>(0.0, 0.1, 8, 1), std::invalid_argument);
-  EXPECT_THROW(CountSketchHh<K64>(0.1, 0.0, 8, 1), std::invalid_argument);
-  EXPECT_THROW(CountSketchHh<K64>(0.1, 0.1, 0, 1), std::invalid_argument);
-}
-
-TEST(CountSketchTest, OddDepthForMedian) {
-  CountSketchHh<K64> cs(0.01, 0.05, 16, 1);
-  EXPECT_EQ(cs.depth() % 2, 1u);
-}
-
-TEST(CountSketchTest, EstimatesWithinSlack) {
-  const double eps = 0.02;
-  CountSketchHh<K64> cs(eps, 0.05, 64, 17);
-  std::map<K64, std::uint64_t> oracle;
-  Xoroshiro128 rng(18);
-  ZipfDistribution zipf(2000, 1.2);
-  for (int i = 0; i < 30000; ++i) {
-    const K64 k = zipf(rng);
-    cs.increment(k);
-    ++oracle[k];
-  }
-  const double slack = eps * static_cast<double>(cs.total());
-  std::size_t violations = 0;
-  for (const auto& [k, f] : oracle) {
-    const double err = std::fabs(static_cast<double>(cs.estimate(k)) -
-                                 static_cast<double>(f));
-    if (err > slack) ++violations;
-  }
-  EXPECT_LE(violations, oracle.size() / 10);
-  // upper/lower bracket the estimate band.
-  const K64 top = 1;
-  EXPECT_GE(cs.upper(top), cs.lower(top));
-  EXPECT_GE(static_cast<double>(cs.upper(top)),
-            static_cast<double>(oracle[top]) - slack);
-}
-
-TEST(CountSketchTest, TracksHeavyKeys) {
-  CountSketchHh<K64> cs(0.01, 0.05, 16, 5);
-  Xoroshiro128 rng(6);
-  ZipfDistribution zipf(10000, 1.4);
-  for (int i = 0; i < 40000; ++i) cs.increment(zipf(rng));
-  bool found_rank1 = false;
-  cs.for_each([&](const K64& k, std::uint64_t, std::uint64_t) {
-    if (k == 1) found_rank1 = true;
-  });
-  EXPECT_TRUE(found_rank1);
-}
-
-TEST(CountSketchTest, WorksAsLatticeBackend) {
-  const Hierarchy h = Hierarchy::ipv4_1d(Granularity::kByte);
-  LatticeParams lp;
-  lp.eps = 0.05;
-  lp.delta = 0.05;
-  LatticeHhh<CountSketchHh<Key128>> alg(h, LatticeMode::kRhhh, lp);
-  Xoroshiro128 rng(7);
-  const Key128 hot = Key128::from_u32(ipv4(66, 1, 2, 3));
-  for (int i = 0; i < 200000; ++i) {
-    alg.update(rng.bounded(10) < 4 ? hot
-                                   : Key128::from_u32(static_cast<std::uint32_t>(rng())));
-  }
-  bool found = false;
-  for (const HhhCandidate& c : alg.output(0.3)) {
-    if (c.prefix.key == hot && c.prefix.node == h.bottom()) found = true;
-  }
-  EXPECT_TRUE(found);
-}
-
-// ------------------------------------------------------ exact counter ----
-
-TEST(ExactCounterTest, IsExact) {
-  ExactCounter<K64> ec;
-  Xoroshiro128 rng(8);
-  std::map<K64, std::uint64_t> oracle;
-  for (int i = 0; i < 10000; ++i) {
-    const K64 k = rng.bounded(100);
-    const std::uint64_t w = 1 + rng.bounded(5);
-    ec.increment(k, w);
-    oracle[k] += w;
-  }
-  for (const auto& [k, f] : oracle) {
-    EXPECT_EQ(ec.upper(k), f);
-    EXPECT_EQ(ec.lower(k), f);
-  }
-  EXPECT_EQ(ec.size(), oracle.size());
-}
-
-TEST(ExactCounterTest, LatticeWithExactBackendMatchesGroundTruthShape) {
-  // With exact per-node counters, MST-mode output == the conservative
-  // Algorithm 1 on the true counts: a useful oracle configuration.
-  const Hierarchy h = Hierarchy::ipv4_1d(Granularity::kByte);
-  LatticeParams lp;
-  lp.eps = 0.01;
-  LatticeHhh<ExactCounter<Key128>> alg(h, LatticeMode::kMst, lp);
-  for (int i = 0; i < 102; ++i) {
-    alg.update(Key128::from_u32(ipv4(101, 102, static_cast<std::uint8_t>(i), 1)));
-  }
-  for (int i = 0; i < 6; ++i) {
-    alg.update(Key128::from_u32(ipv4(101, 103, static_cast<std::uint8_t>(i), 1)));
-  }
-  const HhhSet out = alg.output(100.0 / 108.0);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(h.format(out[0].prefix), "101.102.*.*");
 }
 
 // ---------------------------------------------------------- histogram ----

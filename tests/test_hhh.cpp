@@ -1,8 +1,8 @@
 // Tests for the HHH algorithms themselves: the conditioned-frequency
 // machinery (G(p|P), calcPred), the paper's worked example from Section 3.1,
 // MST exactness, RHHH's randomized behaviour (update counting, psi, planted
-// heavy hitters, Corollary 6.8), Sampled-MST, the ancestry tries, and
-// cross-algorithm agreement.
+// heavy hitters, Corollary 6.8), Sampled-MST, the spare-capacity exact
+// configuration, the ancestry tries, and cross-algorithm agreement.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,6 +15,7 @@
 #include "hhh/trie_hhh.hpp"
 #include "net/ipv4.hpp"
 #include "trace/trace_gen.hpp"
+#include "trace/zipf.hpp"
 #include "util/random.hpp"
 
 namespace rhhh {
@@ -490,83 +491,77 @@ TEST(LatticeMerge, DisjointSubstreamsMatchUnionBounds) {
   }
 }
 
-TEST(LatticeMerge, SketchBackendsAreMergeable) {
-  // The linear sketches gained element-wise merge: sketch-backed lattices
-  // are no longer rejected at compile time...
-  static_assert(LatticeHhh<CountMinHh<Key128>>::backend_mergeable());
-  static_assert(LatticeHhh<CountSketchHh<Key128>>::backend_mergeable());
-  static_assert(LatticeHhh<SpaceSaving<Key128>>::backend_mergeable());
-  // ... while the windowed/exact backends stay non-mergeable.
-  static_assert(!LatticeHhh<MisraGries<Key128>>::backend_mergeable());
-  static_assert(!LatticeHhh<LossyCounting<Key128>>::backend_mergeable());
-  static_assert(!LatticeHhh<ExactCounter<Key128>>::backend_mergeable());
-}
+// --------------------------------------------------- spare capacity ----
+// A Space-Saving node with more counters than the distinct keys it sees
+// never evicts, so it counts exactly: upper == lower == f. An MST lattice
+// built that way is the exact-counter configuration, which isolates
+// sampling error from counter error.
 
-TEST(LatticeMerge, CountMinShardsMergeWithPinnedBackendSeed) {
-  // Shard-style deployment of a Count-Min-backed lattice: every shard pins
-  // the same backend_seed (identical hash rows, the element-wise merge
-  // precondition) while drawing an independent sampling stream per shard.
-  const Hierarchy h = Hierarchy::ipv4_1d(Granularity::kByte);
-  LatticeParams lp;
-  lp.eps = 0.02;
-  lp.delta = 0.05;
-  lp.backend_seed = 4242;
-  LatticeHhh<CountMinHh<Key128>> a(h, LatticeMode::kMst, lp);
-  LatticeParams lp_b = lp;
-  lp_b.seed = 777;  // different sampling seed, same sketch hashes
-  LatticeHhh<CountMinHh<Key128>> b(h, LatticeMode::kMst, lp_b);
-  ASSERT_TRUE(a.mergeable_with(b));
+TEST(SpareCapacity, EveryNodeCountsExactly) {
+  for (const bool two_dim : {false, true}) {
+    const Hierarchy h = two_dim ? Hierarchy::ipv4_2d(Granularity::kByte)
+                                : Hierarchy::ipv4_1d(Granularity::kByte);
+    Xoroshiro128 rng(two_dim ? 52 : 51);
+    const ZipfDistribution src_rank(512, 1.1);
+    const ZipfDistribution dst_rank(16, 1.2);
+    ExactHhh truth(h);
+    std::vector<Key128> keys;
+    for (int i = 0; i < 20000; ++i) {
+      // Hash each rank to an address so every byte level sees many prefixes.
+      const auto src = static_cast<std::uint32_t>(mix64(src_rank(rng)));
+      const Key128 k =
+          two_dim ? Key128::from_pair(src, static_cast<std::uint32_t>(mix64(dst_rank(rng))))
+                  : Key128::from_u32(src);
+      keys.push_back(k);
+      truth.add(k);
+    }
+    // No node sees more distinct prefixes than there are distinct keys.
+    LatticeParams lp;
+    lp.counters_override = truth.distinct_keys() + 1;
+    RhhhSpaceSaving alg(h, LatticeMode::kMst, lp);
+    for (const Key128& k : keys) alg.update(k);
 
-  const Key128 hot = Key128::from_u32(ipv4(10, 1, 2, 3));
-  for (int i = 0; i < 4000; ++i) a.update(hot);
-  for (int i = 0; i < 2000; ++i) b.update(hot);
-  Xoroshiro128 rng(3);
-  for (int i = 0; i < 2000; ++i) {
-    b.update(Key128::from_u32(static_cast<std::uint32_t>(rng())));
+    for (std::uint32_t d = 0; d < h.size(); ++d) {
+      const SpaceSaving<Key128>& node = alg.instance(d);
+      EXPECT_EQ(node.min_bound(), 0u) << "node " << d;
+      std::vector<Prefix> tracked;
+      std::vector<std::uint64_t> upper;
+      std::vector<std::uint64_t> lower;
+      node.for_each([&](const Key128& k, std::uint64_t up, std::uint64_t lo) {
+        tracked.push_back(Prefix{d, k});
+        upper.push_back(up);
+        lower.push_back(lo);
+      });
+      const std::vector<std::uint64_t> exact = truth.frequencies(tracked);
+      std::uint64_t mass = 0;
+      for (std::size_t i = 0; i < tracked.size(); ++i) {
+        ASSERT_EQ(upper[i], exact[i]) << h.format(tracked[i]);
+        ASSERT_EQ(lower[i], exact[i]) << h.format(tracked[i]);
+        mass += exact[i];
+      }
+      // Every prefix the stream holds is tracked: the exact counts add to N.
+      EXPECT_EQ(mass, truth.stream_length()) << "node " << d;
+    }
   }
-  a.merge(b);
-  EXPECT_EQ(a.stream_length(), 8000u);
-  // MST + Count-Min: estimate never underestimates and stays within the
-  // sketch's eps_a * N over the merged stream.
-  const Prefix p{h.bottom(), hot};
-  EXPECT_GE(a.estimate(p), 6000.0);
-  EXPECT_LE(a.estimate(p), 6000.0 + a.eps_a() * 8000.0 + 1.0);
-  EXPECT_TRUE(a.output(0.5).contains(p));
 }
 
-TEST(LatticeMerge, SketchShardsWithoutPinnedSeedThrow) {
-  // Without backend_seed pinning the per-shard hash rows differ, and the
-  // backend's dimension/seed check must reject the element-wise merge even
-  // though the lattice-level parameters look compatible.
+TEST(SpareCapacity, LatticeMatchesGroundTruthShape) {
+  // With exact per-node counters, MST-mode output == the conservative
+  // Algorithm 1 on the true counts: a useful oracle configuration.
   const Hierarchy h = Hierarchy::ipv4_1d(Granularity::kByte);
   LatticeParams lp;
-  LatticeHhh<CountSketchHh<Key128>> a(h, LatticeMode::kMst, lp);
-  LatticeParams lp_b = lp;
-  lp_b.seed = 999;
-  LatticeHhh<CountSketchHh<Key128>> b(h, LatticeMode::kMst, lp_b);
-  ASSERT_TRUE(a.mergeable_with(b));  // lattice params agree...
-  a.update(Key128::from_u32(ipv4(1, 2, 3, 4)));
-  b.update(Key128::from_u32(ipv4(1, 2, 3, 4)));
-  EXPECT_THROW(a.merge(b), std::invalid_argument);  // ...hash rows do not
-}
-
-TEST(LatticeMerge, CountSketchShardsMergeEstimates) {
-  const Hierarchy h = Hierarchy::ipv4_1d(Granularity::kByte);
-  LatticeParams lp;
-  lp.eps = 0.04;
-  lp.delta = 0.05;
-  lp.backend_seed = 17;
-  LatticeHhh<CountSketchHh<Key128>> a(h, LatticeMode::kMst, lp);
-  LatticeParams lp_b = lp;
-  lp_b.seed = 31;
-  LatticeHhh<CountSketchHh<Key128>> b(h, LatticeMode::kMst, lp_b);
-  const Key128 hot = Key128::from_u32(ipv4(10, 1, 2, 3));
-  for (int i = 0; i < 3000; ++i) a.update(hot);
-  for (int i = 0; i < 1000; ++i) b.update(hot);
-  a.merge(b);
-  EXPECT_EQ(a.stream_length(), 4000u);
-  const Prefix p{h.bottom(), hot};
-  EXPECT_NEAR(a.estimate(p), 4000.0, a.eps_a() * 4000.0 + 1.0);
+  lp.eps = 0.01;
+  lp.counters_override = 109;  // more than the stream's 108 distinct keys
+  RhhhSpaceSaving alg(h, LatticeMode::kMst, lp);
+  for (int i = 0; i < 102; ++i) {
+    alg.update(Key128::from_u32(ipv4(101, 102, static_cast<std::uint8_t>(i), 1)));
+  }
+  for (int i = 0; i < 6; ++i) {
+    alg.update(Key128::from_u32(ipv4(101, 103, static_cast<std::uint8_t>(i), 1)));
+  }
+  const HhhSet out = alg.output(100.0 / 108.0);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(h.format(out[0].prefix), "101.102.*.*");
 }
 
 // ------------------------------------------------------------- TrieHhh ----

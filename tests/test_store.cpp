@@ -204,6 +204,32 @@ TEST_P(SerdeRoundTrip, ReproducesWindowExactly) {
 
   // Determinism: re-encoding the decoded instance is byte-identical.
   EXPECT_EQ(store::encode_window(meta, kind, *back), bytes);
+
+  // The u64 after `seed` (byte 52: version, header size, kind, mode,
+  // reserved u16, H, V, r, reserved u32, eps, delta, seed) is reserved; an
+  // older build wrote a per-node backend seed there. Such a record, framed
+  // and CRC'd by the segment log like any other, decodes to the same
+  // lattice and re-encodes with the slot back at 0.
+  constexpr std::size_t kReservedSeedSlot = 52;
+  store::Bytes legacy = bytes;
+  for (std::size_t i = 0; i < 8; ++i) {
+    ASSERT_EQ(legacy[kReservedSeedSlot + i], 0u);
+    legacy[kReservedSeedSlot + i] = static_cast<std::uint8_t>(0xA5 ^ i);
+  }
+  TempDir tmp("legacy_seed_slot");
+  const std::string path = (tmp.path / "00000001.seg").string();
+  {
+    store::SegmentWriter w(path);
+    w.append(legacy, meta.epoch, meta.wall_start_ns, meta.wall_end_ns);
+    w.seal();
+  }
+  const store::SegmentReader r(path);
+  ASSERT_EQ(r.records(), 1u);
+  const store::Bytes framed = r.read(0);
+  ASSERT_EQ(framed, legacy);
+  const auto old = store::decode_window(framed.data(), framed.size(), h);
+  expect_identical(lat, *old, h, 1234);
+  EXPECT_EQ(store::encode_window(meta, kind, *old), bytes);
 }
 
 INSTANTIATE_TEST_SUITE_P(
