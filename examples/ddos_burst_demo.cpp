@@ -4,9 +4,9 @@
 // from a transient.
 //
 // Two producer threads feed four worker shards with heavy-tailed backbone
-// traffic (trace_gen presets). The engine's coordinator packet clock
-// rotates every shard's window ring (history_depth = 6 sealed epochs) each
-// `epoch` records. Two anomalies are planted:
+// traffic (trace_gen presets). The engine's packet budget rotates every
+// shard's window ring (history_depth = 6 sealed epochs) each `epoch`
+// consumed records. Two anomalies are planted:
 //
 //   * a one-epoch SPIKE: for exactly one window starting at 25% of the
 //     stream, 25% of packets flood one victim from 77.77.0.0/16;
@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   cfg.monitor.delta = 0.05;
   cfg.workers = 4;
   cfg.producers = 2;
-  cfg.epoch_packets = epoch;  // the coordinator clock drives the windows
+  cfg.epoch_packets = epoch;  // the packet budget drives the windows
   cfg.history_depth = 6;      // K sealed windows: enough for min_epochs + baseline
   const std::unique_ptr<rhhh::HhhEngine> eng = rhhh::make_engine(cfg);
   const rhhh::Hierarchy& h = eng->hierarchy();

@@ -179,16 +179,15 @@ struct EngineConfig {
   /// window they fell in (they fold into its stream length N) but do NOT
   /// spend the budget, so a saturated ring can never silently shorten
   /// windows relative to the traffic that actually reached the lattices.
-  /// 0 disables the packet budget.
+  /// 0 disables the packet budget. The budget is the engine's only
+  /// automatic window clock (the paper's bounds are stated in packets):
+  /// workers meter it at batch boundaries and the one whose decrement
+  /// spends it rotates, so boundary drift is bounded by one worker batch
+  /// (a 200us fallback clock thread rotates a spent budget that worker
+  /// has not).
+  /// Manual HhhEngine::rotate_epoch() calls compose with it; a caller that
+  /// wants time windows calls rotate_epoch() from its own timer.
   std::uint64_t epoch_packets = 0;
-  /// >0: a window epoch closes every this many wall-clock milliseconds.
-  /// 0 disables the wall budget. Either budget (or manual
-  /// HhhEngine::rotate_epoch() calls) drives the same rotation: workers
-  /// meter the budget at batch boundaries and the one that sees it spent
-  /// elects itself rotator (one CAS on an epoch-due token), so boundary
-  /// drift is bounded by one worker batch; a coordinator clock thread
-  /// rotates idle streams that have no batch boundary to meter at.
-  std::uint32_t epoch_millis = 0;
   /// Sealed windows each shard retains (>= 1). 1 is the classic
   /// live/previous pair; larger K adds HhhEngine::trend_snapshot()'s
   /// k-epoch growth curves and sustained-ramp alarms at the cost of K

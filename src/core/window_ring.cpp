@@ -1,7 +1,6 @@
 #include "core/window_ring.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace rhhh {
@@ -60,17 +59,9 @@ std::vector<TrendPoint> trend_of(const std::vector<const HhhAlgorithm*>& windows
   return out;
 }
 
-namespace {
-
-/// Shared body of the two emerging_sustained_from overloads: validates the
-/// parameters, walks the live window's HHH set and applies the persistence
-/// rule; `baseline_of(prefix, run_begin)` supplies the (plain or
-/// duration-weighted) EWMA baseline.
-template <class BaselineFn>
-std::vector<SustainedPrefix> sustained_impl(
+std::vector<SustainedPrefix> emerging_sustained_from(
     const std::vector<const HhhAlgorithm*>& windows, double theta,
-    double growth_factor, std::uint32_t min_epochs, double alpha,
-    BaselineFn&& baseline_of) {
+    double growth_factor, std::uint32_t min_epochs, double alpha) {
   if (min_epochs == 0) {
     throw std::invalid_argument("emerging_sustained_from: min_epochs must be >= 1");
   }
@@ -88,7 +79,14 @@ std::vector<SustainedPrefix> sustained_impl(
   const std::size_t run_begin = windows.size() - min_epochs;
 
   for (const HhhCandidate& c : live.output(theta)) {
-    const double baseline = baseline_of(c.prefix, run_begin);
+    // EWMA baseline over the pre-run windows, oldest first, so recent
+    // baseline epochs weigh more. Empty windows contribute a zero share
+    // (no traffic is a legitimate quiet baseline).
+    double baseline = share_in(*windows[0], c.prefix);
+    for (std::size_t i = 1; i < run_begin; ++i) {
+      baseline =
+          alpha * share_in(*windows[i], c.prefix) + (1.0 - alpha) * baseline;
+    }
     const double share_now = c.f_est / static_cast<double>(n_live);
     double min_run = share_now;
     for (std::size_t i = run_begin; i + 1 < windows.size(); ++i) {
@@ -112,72 +110,6 @@ std::vector<SustainedPrefix> sustained_impl(
     }
   }
   return out;
-}
-
-}  // namespace
-
-std::vector<SustainedPrefix> emerging_sustained_from(
-    const std::vector<const HhhAlgorithm*>& windows, double theta,
-    double growth_factor, std::uint32_t min_epochs, double alpha) {
-  return sustained_impl(
-      windows, theta, growth_factor, min_epochs, alpha,
-      [&](const Prefix& p, std::size_t run_begin) {
-        // EWMA baseline over the pre-run windows, oldest first, so recent
-        // baseline epochs weigh more. Empty windows contribute a zero
-        // share (no traffic is a legitimate quiet baseline).
-        double baseline = share_in(*windows[0], p);
-        for (std::size_t i = 1; i < run_begin; ++i) {
-          baseline = alpha * share_in(*windows[i], p) + (1.0 - alpha) * baseline;
-        }
-        return baseline;
-      });
-}
-
-std::vector<SustainedPrefix> emerging_sustained_from(
-    const std::vector<const HhhAlgorithm*>& windows,
-    const std::vector<std::uint64_t>& durations_ns, double theta,
-    double growth_factor, std::uint32_t min_epochs, double alpha) {
-  if (durations_ns.size() != windows.size()) {
-    throw std::invalid_argument(
-        "emerging_sustained_from: durations must parallel windows");
-  }
-  return sustained_impl(
-      windows, theta, growth_factor, min_epochs, alpha,
-      [&](const Prefix& p, std::size_t run_begin) {
-        // Reference length: the mean positive duration of the baseline
-        // windows, so the weighting is self-normalizing (equal durations
-        // reduce to the plain overload exactly).
-        double dsum = 0.0;
-        std::size_t dcount = 0;
-        for (std::size_t i = 0; i < run_begin; ++i) {
-          if (durations_ns[i] > 0) {
-            dsum += static_cast<double>(durations_ns[i]);
-            ++dcount;
-          }
-        }
-        if (dcount == 0) return 0.0;  // no timed baseline: brand-new semantics
-        const double d_ref = dsum / static_cast<double>(dcount);
-
-        double baseline = 0.0;
-        bool seeded = false;
-        for (std::size_t i = 0; i < run_begin; ++i) {
-          if (durations_ns[i] == 0) continue;  // weightless: covers no time
-          const double share = share_in(*windows[i], p);
-          if (!seeded) {
-            baseline = share;
-            seeded = true;
-            continue;
-          }
-          // A window of duration d acts as d / d_ref consecutive
-          // reference-length epochs of the same share: folding the EWMA
-          // that many times gives weight 1 - (1 - alpha)^(d / d_ref).
-          const double a_eff =
-              1.0 - std::pow(1.0 - alpha,
-                             static_cast<double>(durations_ns[i]) / d_ref);
-          baseline = a_eff * share + (1.0 - a_eff) * baseline;
-        }
-        return baseline;
-      });
 }
 
 }  // namespace rhhh

@@ -189,23 +189,4 @@ class WindowRing {
     const std::vector<const HhhAlgorithm*>& windows, double theta,
     double growth_factor, std::uint32_t min_epochs, double alpha = 0.5);
 
-/// Duration-weighted variant for wall-clock rotation: `durations_ns` runs
-/// parallel to `windows` (same oldest -> newest order) and gives each
-/// window's wall-clock length. The EWMA baseline then treats a window of
-/// duration d as d / d_ref consecutive reference-length windows -- its
-/// effective smoothing is 1 - (1 - alpha)^(d / d_ref), with d_ref the mean
-/// duration of the baseline (pre-run) windows -- so a brief idle window
-/// nudges the baseline proportionally to the time it actually covers
-/// instead of counting as a full epoch of silence (which would drag a
-/// stable heavy hitter's baseline toward zero and fire spurious "ramp"
-/// alarms). Zero-duration windows contribute nothing. Equal durations
-/// reduce this exactly to the unweighted overload. Run-window persistence
-/// (min share vs the baseline bar) is unchanged: every run window must
-/// clear it regardless of length. Throws std::invalid_argument when sizes
-/// differ or on the unweighted overload's parameter violations.
-[[nodiscard]] std::vector<SustainedPrefix> emerging_sustained_from(
-    const std::vector<const HhhAlgorithm*>& windows,
-    const std::vector<std::uint64_t>& durations_ns, double theta,
-    double growth_factor, std::uint32_t min_epochs, double alpha = 0.5);
-
 }  // namespace rhhh

@@ -289,7 +289,7 @@ void HhhEngine::bind_metrics() {
   own_counter("rhhh_engine_budget_rotations", budget_rotations_,
               "budget-driven rotations (the drift-metered subset)");
   own_counter("rhhh_engine_late_rotations", late_rotations_,
-              "budget rotations later than the 200us fallback timeslice");
+              "budget rotations later than 200us");
   own_counter("rhhh_engine_trend_cache_hits", trend_cache_hits_,
               "trend_snapshot calls that merged no sealed window");
   own_counter("rhhh_engine_trend_sealed_merges", trend_sealed_merges_,
@@ -345,15 +345,11 @@ void HhhEngine::bind_health() {
     if (windowed() && running_.load(std::memory_order_relaxed)) {
       const std::int64_t now =
           std::chrono::steady_clock::now().time_since_epoch().count();
-      // order: relaxed x2 -- stale-tolerant budget state (see budget_due);
+      // order: relaxed -- stale-tolerant drift mark (see meter_consumed);
       // "overdue" means a full watchdog period past the ideal boundary.
-      const std::int64_t deadline =
-          epoch_deadline_ns_.load(std::memory_order_relaxed);
       const std::int64_t mark =
           budget_spent_ns_.load(std::memory_order_relaxed);
-      p.rotation_overdue =
-          (cfg_.epoch_millis > 0 && deadline != 0 && now > deadline + period) ||
-          (mark != 0 && now > mark + period);
+      p.rotation_overdue = mark != 0 && now > mark + period;
     }
     return p;
   };
@@ -395,25 +391,17 @@ void HhhEngine::start() {
   // spawned).
   running_.store(true, std::memory_order_release);
   if (windowed()) {
-    // Reset the whole budget state BEFORE any worker thread exists: workers
-    // meter the budget from their first batch, and a previous run may have
-    // left a spent countdown or -- if stop() joined a worker mid-claim --
-    // a set epoch-due token behind.
-    // order: relaxed x5 -- read by the worker/clock threads created below;
+    // Reset the budget state BEFORE any worker thread exists: workers meter
+    // the budget from their first batch, and a previous run may have left a
+    // spent countdown behind (a claim dies with the worker stop() joined).
+    // order: relaxed x3 -- read by the worker threads created below;
     // std::thread creation is the happens-before edge, not these atomics.
-    const std::int64_t now_ns =
-        std::chrono::steady_clock::now().time_since_epoch().count();
-    win_started_ns_.store(now_ns, std::memory_order_relaxed);
+    win_started_ns_.store(
+        std::chrono::steady_clock::now().time_since_epoch().count(),
+        std::memory_order_relaxed);
     epoch_budget_left_.store(static_cast<std::int64_t>(cfg_.epoch_packets),
                              std::memory_order_relaxed);
-    epoch_deadline_ns_.store(
-        cfg_.epoch_millis > 0
-            ? now_ns + static_cast<std::int64_t>(cfg_.epoch_millis) * 1'000'000
-            : 0,
-        std::memory_order_relaxed);
-    // order: relaxed x2 -- same thread-creation hand-off as above.
     budget_spent_ns_.store(0, std::memory_order_relaxed);
-    epoch_due_.store(false, std::memory_order_relaxed);
   }
   for (std::uint32_t w = 0; w < workers(); ++w) {
     workers_[w]->thread = std::thread([this, w] { worker_loop(w); });
@@ -459,14 +447,13 @@ void HhhEngine::stop() {
     if (ws->thread.joinable()) ws->thread.join();
   }
   // A producer racing stop() can slip a batch into a ring after that
-  // worker's shutdown drain saw it empty; sweep the rings once more from
-  // here (workers are joined, so this thread is the only consumer) so no
-  // accepted record is ever stranded outside consumed/dropped accounting.
+  // worker's shutdown drain; sweep the rings once more from here (workers
+  // are joined, so this thread is the only consumer) so no record pushed
+  // before stop() returns is stranded outside consumed/dropped accounting.
+  // Bounded by the backlog visible now, like the workers' own shutdown
+  // drain: a producer that keeps pushing cannot keep stop() from returning.
   std::vector<Key128> batch(pop_batch_);
-  for (std::uint32_t w = 0; w < workers(); ++w) {
-    while (drain_pass(w, batch) != 0) {
-    }
-  }
+  for (std::uint32_t w = 0; w < workers(); ++w) (void)boundary_drain(w, batch);
   // Retire the clock generation and take its handle while still under
   // snap_mu_ (so a concurrent start() never assigns over a joinable
   // thread), but join OUTSIDE the lock: the clock may be blocked on
@@ -634,14 +621,14 @@ void HhhEngine::worker_loop(std::uint32_t w) {
   WorkerState& ws = *workers_[w];
   std::vector<Key128> batch(pop_batch_);
   std::uint64_t acked = 0;
-  // Worker-driven rotation state, all thread-local so non-windowed engines
-  // pay nothing past two immutable bools. `metering` (packet budget
-  // configured) drives the countdown the fallback clock reads too.
-  // `claimed` tracks ownership of the epoch-due token across batches while
-  // snap_mu_ is busy (the claim survives quiesce boundaries: a try-lock
-  // miss below never blocks this worker from acking them).
-  const bool metering = cfg_.epoch_packets > 0;
-  const bool windowed_engine = windowed();
+  // Worker-driven rotation state, thread-local so non-windowed engines pay
+  // nothing past one immutable bool. `claimed` is set when this worker's
+  // decrement spends the window's packet budget -- exactly one worker per
+  // window, whether the decrement came from a drain pass or a boundary
+  // drain -- and held across loop passes while snap_mu_ is busy (the claim
+  // survives quiesce boundaries: a try-lock miss below never blocks this
+  // worker from acking them).
+  const bool metering = windowed();
   bool claimed = false;
   for (;;) {
     // TEST HOOK (see test_block_worker): park while singled out. Costs the
@@ -654,29 +641,14 @@ void HhhEngine::worker_loop(std::uint32_t w) {
       std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
     const std::size_t got = drain_pass(w, batch);
-    if (metering && got != 0) meter_consumed(got);
-    if (windowed_engine && got != 0 && !claimed && budget_due()) {
-      // Amortized budget check: one relaxed load + compare per batch
-      // (plus one clock read when a wall budget is configured), so the
-      // per-record update stays O(1). The budget is spent and unclaimed:
-      // elect ourselves rotator with a single CAS.
-      bool expect = false;
-      // order: relaxed -- the token only arbitrates who ATTEMPTS the
-      // rotation; every payload the rotation touches is ordered by snap_mu_
-      // inside the attempt, and per-variable coherence alone makes the
-      // claim exclusive.
-      claimed = epoch_due_.compare_exchange_strong(expect, true,
-                                                   std::memory_order_relaxed);
-    }
-    if (claimed && try_rotate_cooperative(w, batch, acked)) {
-      // Settled: either we rotated, or a racer (manual call / fallback
-      // clock) already reset the budget. Only the claimant releases the
-      // token. A false return keeps the claim: snap_mu_ was busy, retry
-      // after the next batch (and after servicing any boundary below).
-      // order: relaxed -- see the claim CAS above.
-      epoch_due_.store(false, std::memory_order_relaxed);
-      claimed = false;
-    }
+    // Amortized budget metering: one relaxed fetch_sub per batch, so the
+    // per-record update stays O(1).
+    if (metering && got != 0 && meter_consumed(got)) claimed = true;
+    // Retried on every pass, traffic or not, until settled: either we
+    // rotated, or a manual rotation already reset the budget. A false
+    // return keeps the claim: snap_mu_ was busy, retry on the next pass
+    // (after servicing any boundary below).
+    if (claimed && try_rotate_cooperative(w, batch, acked)) claimed = false;
     // order: acquire -- pairs with quiesced()'s release store: a worker that
     // sees the new epoch also sees every coordinator write sequenced before
     // the request (nothing rides on it today, but the boundary must not be
@@ -685,8 +657,10 @@ void HhhEngine::worker_loop(std::uint32_t w) {
     if (e > acked) {
       // Epoch boundary: consume exactly the backlog visible in each ring at
       // this instant, then ack and park until the coordinator is done with
-      // this shard's lattices (merging, or rotating the window pair).
-      boundary_drain(w, batch);
+      // this shard's lattices (merging, or rotating the window pair). A
+      // drain that spends the budget makes this worker the claimant: it
+      // rotates after the resume even if no traffic follows.
+      if (boundary_drain(w, batch)) claimed = true;
       std::unique_lock<std::mutex> lk(ctl_mu_);
       ws.epoch_acked = e;
       acked = e;
@@ -700,22 +674,21 @@ void HhhEngine::worker_loop(std::uint32_t w) {
       });
       continue;
     }
-    if (got == 0) {
-      // order: acquire -- pairs with stop()'s acq_rel exchange; observing
-      // the stop must also observe any record a producer pushed before it
-      // observed the stop (the final drain below must not miss them).
-      if (!running_.load(std::memory_order_acquire)) {
-        // Shutdown: consume everything still in flight, then exit.
-        while (drain_pass(w, batch) != 0) {
-        }
-        return;
-      }
-      std::this_thread::yield();
+    // order: acquire -- pairs with stop()'s acq_rel exchange; observing
+    // the stop must also observe any record a producer pushed before it
+    // observed the stop (the final drain below must not miss them).
+    if (!running_.load(std::memory_order_acquire)) {
+      // Shutdown: consume the backlog visible now, then exit. Checked on
+      // every pass and bounded by the observed size, so producers that
+      // keep the rings busy cannot keep this worker (and stop()) running.
+      (void)boundary_drain(w, batch);
+      return;
     }
+    if (got == 0) std::this_thread::yield();
   }
 }
 
-void HhhEngine::boundary_drain(std::uint32_t w, std::vector<Key128>& batch) {
+bool HhhEngine::boundary_drain(std::uint32_t w, std::vector<Key128>& batch) {
   // Bounding the drain by the observed size keeps quiesce terminating even
   // while producers keep pushing -- later arrivals simply belong to the
   // next epoch.
@@ -749,57 +722,26 @@ void HhhEngine::boundary_drain(std::uint32_t w, std::vector<Key128>& batch) {
   // therefore before the budget reset, which runs only once every worker
   // has acked -- so it is wiped with the sealed window, never leaked into
   // the fresh one.
-  if (drained != 0 && cfg_.epoch_packets > 0) meter_consumed(drained);
+  return drained != 0 && cfg_.epoch_packets > 0 && meter_consumed(drained);
 }
 
-void HhhEngine::meter_consumed(std::size_t n) {
+bool HhhEngine::meter_consumed(std::size_t n) {
   // order: relaxed -- the countdown is budget bookkeeping, not a
-  // synchronization point: rotation paths re-check under snap_mu_ before
+  // synchronization point: the rotator re-checks under snap_mu_ before
   // acting, and the reset inside the quiesced rotation cannot race a
   // decrement (every worker is parked past its boundary drain by then).
   const std::int64_t old = epoch_budget_left_.fetch_sub(
       static_cast<std::int64_t>(n), std::memory_order_relaxed);
-  if (old > 0 && old <= static_cast<std::int64_t>(n)) {
-    // Exactly one decrement takes the countdown from positive to spent
-    // (fetch_sub totally orders them): this worker is the budget's first
-    // observer and records the ideal boundary instant for drift metering.
-    note_budget_spent(
-        std::chrono::steady_clock::now().time_since_epoch().count());
-  }
-}
-
-void HhhEngine::note_budget_spent(std::int64_t mark_ns) {
-  std::int64_t expect = 0;
-  // order: relaxed -- the mark is a drift statistic: rotate_locked() reads
-  // it under snap_mu_ and validates it against the window start, so a
-  // racing write needs no ordering (first writer per window wins).
-  budget_spent_ns_.compare_exchange_strong(expect, mark_ns,
-                                           std::memory_order_relaxed);
-}
-
-bool HhhEngine::budget_due() {
-  // order: relaxed -- lock-free budget metering tolerates staleness: a
-  // spuriously "due" caller re-checks under snap_mu_ before rotating, and a
-  // spuriously "not due" one retries next batch / next clock tick.
-  if (cfg_.epoch_packets > 0 &&
-      epoch_budget_left_.load(std::memory_order_relaxed) <= 0) {
-    return true;
-  }
-  if (cfg_.epoch_millis > 0) {
-    const std::int64_t now_ns =
-        std::chrono::steady_clock::now().time_since_epoch().count();
-    // order: relaxed -- same stale-tolerant budget metering as above.
-    const std::int64_t deadline =
-        epoch_deadline_ns_.load(std::memory_order_relaxed);
-    if (now_ns >= deadline) {
-      // The wall budget's ideal boundary is the deadline itself, however
-      // late anyone noticed -- which keeps the drift measurement honest
-      // even on the polling fallback path.
-      note_budget_spent(deadline);
-      return true;
-    }
-  }
-  return false;
+  // Exactly one decrement per window takes the countdown from positive to
+  // spent (fetch_sub totally orders them).
+  if (old <= 0 || old > static_cast<std::int64_t>(n)) return false;
+  // order: relaxed -- the mark's one writer per window stores it before
+  // acking any boundary under ctl_mu_, and the rotator reads it (then
+  // resets it) only after every ack: the ctl_mu_ hand-off is the edge.
+  budget_spent_ns_.store(
+      std::chrono::steady_clock::now().time_since_epoch().count(),
+      std::memory_order_relaxed);
+  return true;
 }
 
 bool HhhEngine::try_rotate_cooperative(std::uint32_t w,
@@ -811,46 +753,38 @@ bool HhhEngine::try_rotate_cooperative(std::uint32_t w,
   std::unique_lock<std::mutex> snap_lk(snap_mu_, std::try_to_lock);
   if (!snap_lk.owns_lock()) return false;
   // order: relaxed -- running_ only flips under snap_mu_ (held); a stopping
-  // engine settles the claim without rotating (start() re-arms the token).
+  // engine settles the claim without rotating.
   if (!running_.load(std::memory_order_relaxed)) return true;
   // Re-check under the lock: a manual rotate_epoch() or the fallback clock
-  // may have rotated (and reset the budget) while we held a stale claim --
-  // the claim then simply dissolves. No double rotation is possible.
-  if (!budget_due()) return true;
+  // may have rotated (and reset the budget) while we held the claim -- the
+  // claim then simply dissolves. No double rotation is possible.
+  // order: relaxed -- the budget is reset only inside a rotation, under
+  // snap_mu_ (held).
+  if (epoch_budget_left_.load(std::memory_order_relaxed) > 0) return true;
   rotate_locked(w, &batch, &acked);
   return true;
 }
 
 void HhhEngine::clock_loop(std::uint64_t gen) {
-  // The fallback clock: the workers meter the budget at their batch
-  // boundaries and rotate themselves, so this thread matters only for idle
-  // streams -- a wall budget with no traffic has no batch boundary to
-  // piggyback on. It meters the same consumed-only budget lock-free and
-  // only takes snap_mu_ when a rotation is actually due -- a stream of
-  // concurrent queries must not starve the clock, and an idle clock must
-  // not contend with them. A stale generation token (this thread has been
-  // retired by stop(), possibly with a successor already running) exits
+  // The fallback clock. The worker whose decrement spends the budget is
+  // the window's rotator, so this thread only rotates a spent budget that
+  // worker has not rotated by the next 200us tick (it is losing try_lock
+  // to a stream of queries, say). It polls the countdown lock-free and
+  // takes snap_mu_ only when a rotation is due. Without it, the end-to-end
+  // benchmark's wire10 seal latency (latency_ms_p50) went from ~1.3 ms to
+  // 2.3-3.6 ms on a 4-vCPU VM, a scheduling effect of its 200us wakeups
+  // that is not yet understood, so it stays for now. A stale generation
+  // token (retired by stop(), possibly with a successor running) exits
   // without touching anything.
-  constexpr std::int64_t kTimesliceNs = 200'000;  // 200us poll cadence
+  constexpr auto kTimeslice = std::chrono::microseconds(200);
   // order: acquire x2 -- pair with stop()'s release bump of clock_gen_ and
   // acq_rel flip of running_: a retired/stopped clock must also observe the
   // teardown that retired it before touching anything.
   while (clock_gen_.load(std::memory_order_acquire) == gen &&
          running_.load(std::memory_order_acquire)) {
-    if (!budget_due()) {
-      // Sleep one timeslice, but never past a wall deadline that lands
-      // sooner -- a wall-clock epoch on an idle stream must not overshoot
-      // by a whole tick.
-      std::int64_t sleep_ns = kTimesliceNs;
-      if (cfg_.epoch_millis > 0) {
-        const std::int64_t now_ns =
-            std::chrono::steady_clock::now().time_since_epoch().count();
-        // order: relaxed -- stale-tolerant metering (see budget_due).
-        const std::int64_t left =
-            epoch_deadline_ns_.load(std::memory_order_relaxed) - now_ns;
-        sleep_ns = std::clamp<std::int64_t>(left, 1'000, kTimesliceNs);
-      }
-      std::this_thread::sleep_for(std::chrono::nanoseconds(sleep_ns));
+    // order: relaxed -- stale-tolerant poll; re-checked under snap_mu_.
+    if (epoch_budget_left_.load(std::memory_order_relaxed) > 0) {
+      std::this_thread::sleep_for(kTimeslice);
       continue;
     }
     std::lock_guard<std::mutex> lk(snap_mu_);
@@ -860,9 +794,10 @@ void HhhEngine::clock_loop(std::uint64_t gen) {
         !running_.load(std::memory_order_acquire)) {
       break;
     }
-    // Re-check under the lock: a manual rotate_epoch() or a cooperative
-    // rotator may have just reset the budget while we waited.
-    if (budget_due()) rotate_locked();
+    // Re-check under the lock: a worker or a manual rotate_epoch() may
+    // have just reset the budget while we waited.
+    // order: relaxed -- the budget is reset only under snap_mu_ (held).
+    if (epoch_budget_left_.load(std::memory_order_relaxed) <= 0) rotate_locked();
   }
 }
 
@@ -941,8 +876,10 @@ std::uint64_t HhhEngine::quiesced(Fn&& fn, std::uint32_t self,
     if (self != kNoWorker) {
       // The caller IS worker `self` (a cooperative rotator): it cannot park
       // at its own boundary, so it performs its own boundary drain here and
-      // self-acks below, then operates while the other workers wait.
-      boundary_drain(self, *self_batch);
+      // self-acks below, then operates while the other workers wait. The
+      // budget it rotates on is already spent, so this drain cannot cross
+      // it again.
+      (void)boundary_drain(self, *self_batch);
     }
     {
       std::unique_lock<std::mutex> lk(ctl_mu_);
@@ -1033,16 +970,12 @@ void HhhEngine::rotate_locked(std::uint32_t self, std::vector<Key128>* self_batc
     (void)merged(*sealed_.back());
   }
   // Drift metering: a budget-driven rotation measures rotation-start minus
-  // the instant the budget was first observed spent. The mark is read
-  // inside the quiesce, just before the reset (see there), and must fall
-  // inside the closing window -- an observation that raced the previous
-  // reset can deposit a mark from the OLD window after the clear; the
-  // validity check discards it (costing at most one sample, never faking
-  // one). Manual rotations (no mark) record nothing.
+  // the instant the budget was spent. The mark is read inside the quiesce,
+  // just before the reset (see there). A manual rotation of a window whose
+  // budget is not yet spent (no mark) records nothing.
   const std::int64_t rot_start_ns =
       std::chrono::steady_clock::now().time_since_epoch().count();
   std::int64_t mark = 0;
-  std::int64_t started = 0;
   std::uint64_t sealed_drop = 0;
   std::uint64_t duration_ns = 0;
   const std::int64_t wall_start_ns = win_started_wall_ns_;
@@ -1057,13 +990,14 @@ void HhhEngine::rotate_locked(std::uint32_t self, std::vector<Key128>* self_batc
     for (const auto& dr : ring_dropped_) d += dr->load(std::memory_order_relaxed);
     // Drops since the last boundary happened while the just-sealed window
     // was live: attribute them to it, along with how long it was live (the
-    // wall-clock mode's duration-weighted baselines and archive metadata).
+    // archive metadata).
     sealed_drop = d - win_drops_base_;
     win_drops_base_ = d;
     const std::int64_t now_ns =
         std::chrono::steady_clock::now().time_since_epoch().count();
     // order: relaxed -- written only under snap_mu_ (held), stable here.
-    started = win_started_ns_.load(std::memory_order_relaxed);
+    const std::int64_t started =
+        win_started_ns_.load(std::memory_order_relaxed);
     duration_ns =
         now_ns > started ? static_cast<std::uint64_t>(now_ns - started) : 0;
     // order: relaxed -- the worker whose decrement crossed zero CASes its
@@ -1078,23 +1012,18 @@ void HhhEngine::rotate_locked(std::uint32_t self, std::vector<Key128>* self_batc
     // is parked past its boundary drain (or IS this thread): no metering
     // decrement can race these stores, and the ctl_mu_ hand-off at resume
     // publishes them to the workers.
-    // order: relaxed x4 -- the parked workers' resume (ctl_mu_) and the
-    // clock's snap_mu_ re-check are the happens-before edges; lock-free
-    // readers tolerate staleness by contract (see budget_due).
+    // order: relaxed x3 -- the parked workers' resume (ctl_mu_) is the
+    // happens-before edge; the watchdog's lock-free read of the mark
+    // tolerates staleness by contract.
     win_started_ns_.store(now_ns, std::memory_order_relaxed);
     epoch_budget_left_.store(static_cast<std::int64_t>(cfg_.epoch_packets),
                              std::memory_order_relaxed);
-    epoch_deadline_ns_.store(
-        cfg_.epoch_millis > 0
-            ? now_ns + static_cast<std::int64_t>(cfg_.epoch_millis) * 1'000'000
-            : 0,
-        std::memory_order_relaxed);
     budget_spent_ns_.store(0, std::memory_order_relaxed);
       },
       self, self_batch);
   // A rotating worker must not re-park at the boundary it just drove.
   if (self_acked != nullptr) *self_acked = e;
-  if (mark != 0 && mark > started) {
+  if (mark != 0) {
     const std::uint64_t drift =
         rot_start_ns > mark ? static_cast<std::uint64_t>(rot_start_ns - mark) : 0;
     // order: relaxed x3 -- drift statistics, written only under snap_mu_.
@@ -1166,15 +1095,12 @@ TrendSnapshot HhhEngine::trend_snapshot() {
   // repeated polls between rotations pay the live merge only.
   std::vector<std::shared_ptr<const RhhhSpaceSaving>> sealed;
   std::vector<std::uint64_t> sealed_drops;
-  std::vector<std::uint64_t> sealed_durs;
   sealed.reserve(sealed_.size());
   sealed_drops.reserve(sealed_.size());
-  sealed_durs.reserve(sealed_.size());
   bool any_built = false;
   for (const auto& w : sealed_) {
     sealed.push_back(merged(*w, &any_built));
     sealed_drops.push_back(w->drops);
-    sealed_durs.push_back(w->duration_ns);
   }
   if (!sealed_.empty() && !any_built) {
     // order: relaxed -- cache-hit counter, diagnostic only.
@@ -1182,15 +1108,6 @@ TrendSnapshot HhhEngine::trend_snapshot() {
   }
   // order: relaxed -- stable under snap_mu_ (held).
   const std::uint64_t we = window_epochs_.load(std::memory_order_relaxed);
-  const std::int64_t now_ns =
-      std::chrono::steady_clock::now().time_since_epoch().count();
-  // order: relaxed -- written only under snap_mu_ (held), so stable here.
-  const std::int64_t started = win_started_ns_.load(std::memory_order_relaxed);
-  const std::uint64_t cur_dur =
-      now_ns > started ? static_cast<std::uint64_t>(now_ns - started) : 0;
-  // Pure wall-clock rotation produces unequal-length windows; weigh the
-  // sustained-growth baseline by duration there (see window_ring.hpp).
-  const bool weighted = cfg_.epoch_millis > 0 && cfg_.epoch_packets == 0;
   if (obs_.trend_ns != nullptr) {
     const std::uint64_t now = obs::now_ns();
     const std::uint64_t dur = now >= obs_t0 ? now - obs_t0 : 0;
@@ -1199,8 +1116,8 @@ TrendSnapshot HhhEngine::trend_snapshot() {
                        live.epoch, dur);
   }
   return TrendSnapshot(std::move(live.merged), std::move(sealed),
-                       std::move(sealed_drops), std::move(sealed_durs),
-                       std::move(live.stats), we, live.drops, cur_dur, weighted);
+                       std::move(sealed_drops), std::move(live.stats), we,
+                       live.drops);
 }
 
 std::unique_ptr<HhhEngine> make_engine(const EngineConfig& cfg) {

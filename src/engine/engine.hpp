@@ -24,13 +24,14 @@
 // Two operations use it:
 //   * rotate_epoch()    -- seal the current window: every shard rotates its
 //                          window ring on the shared boundary. Driven
-//                          manually, by the workers themselves
-//                          (EngineConfig::epoch_packets / epoch_millis:
-//                          each worker meters the budget at its batch
-//                          boundaries and the one that sees it spent
-//                          elects itself rotator via one CAS), or -- for
-//                          idle streams -- by the fallback coordinator
-//                          clock thread.
+//                          manually or by the workers themselves
+//                          (EngineConfig::epoch_packets: each worker
+//                          meters the consumed-packet budget as it
+//                          consumes, and the one whose decrement spends it
+//                          is the rotator; a fallback clock thread rotates
+//                          a spent budget that worker has not). A caller
+//                          that wants time windows calls rotate_epoch()
+//                          from its own timer.
 //   * trend_snapshot()  -- merge the live shard lattices (LatticeHhh::merge,
 //                          the multi-switch collector of paper Section 7)
 //                          into the current window, and every retained
@@ -151,12 +152,17 @@ class HhhEngine {
     std::atomic<std::uint64_t> offered_{0};
   };
 
-  /// Spawns the W worker threads (and the coordinator clock thread when a
-  /// window clock is configured). Idempotent.
+  /// Spawns the W worker threads (plus the fallback clock thread when the
+  /// packet budget is configured, and the archiver thread when archiving
+  /// is). Idempotent.
   void start();
-  /// Drains the rings, stops and joins the workers (and the clock thread).
+  /// Drains the rings, stops and joins the workers (and the clock and the
+  /// archiver).
   /// Producer buffers are not flushed (call Producer::flush() from the
-  /// owning thread first). Idempotent; also run by the destructor.
+  /// owning thread first). Each drain is bounded by the backlog it sees,
+  /// so producers still pushing cannot hold stop() up; what they push
+  /// after the final sweep waits in the rings for the next start().
+  /// Idempotent; also run by the destructor.
   void stop();
 
   /// Handle for producer `i` in [0, producers()). Hand each to one thread.
@@ -165,13 +171,12 @@ class HhhEngine {
   /// Close the current window on a shared boundary: quiesce, rotate every
   /// shard's window ring (the oldest retained sealed window is discarded),
   /// attribute the drops counted since the last boundary to the newly
-  /// sealed window, resume. With EngineConfig::epoch_packets /
-  /// epoch_millis set this happens automatically -- by the workers
-  /// (bounding boundary drift by one worker batch) with the coordinator
-  /// clock thread as an idle-stream fallback; manual calls
-  /// compose with both (the packet/wall budgets reset either way). The
-  /// packet budget meters CONSUMED records only -- see
-  /// EngineConfig::epoch_packets for the basis contract.
+  /// sealed window, resume. With EngineConfig::epoch_packets set this
+  /// happens automatically, by the worker that spends the budget (bounding
+  /// boundary drift by one worker batch); manual calls compose with it
+  /// (the budget resets either way). The packet budget meters CONSUMED
+  /// records only -- see EngineConfig::epoch_packets for the basis
+  /// contract.
   void rotate_epoch();
 
   /// The engine's network-wide query: quiesce every worker at the next
@@ -214,10 +219,8 @@ class HhhEngine {
     // published before bumping the count (the sealed shard windows).
     return window_epochs_.load(std::memory_order_acquire);
   }
-  /// True when a coordinator clock (packet or wall) is configured.
-  [[nodiscard]] bool windowed() const noexcept {
-    return cfg_.epoch_packets > 0 || cfg_.epoch_millis > 0;
-  }
+  /// True when the packet budget (the engine's window clock) is configured.
+  [[nodiscard]] bool windowed() const noexcept { return cfg_.epoch_packets > 0; }
   /// The live (current-window) shard lattice of worker `w`. Safe to inspect
   /// when quiescent (before start(), after stop(), or from test code that
   /// knows better).
@@ -271,8 +274,8 @@ class HhhEngine {
   /// `self` sentinel for quiesced()/rotate_locked(): no worker is driving
   /// the control operation (an external caller or the fallback clock is).
   static constexpr std::uint32_t kNoWorker = ~std::uint32_t{0};
-  /// A budget rotation later than the fallback clock's polling timeslice
-  /// counts as late: the cooperative path missed its one-batch bound.
+  /// A budget rotation later than 200us counts as late: the rotating
+  /// worker missed its one-batch bound by a scheduler quantum or worse.
   static constexpr std::int64_t kLateRotationNs = 200'000;
 
   [[nodiscard]] SpscRing<Key128>& ring(std::uint32_t p, std::uint32_t w) noexcept {
@@ -287,33 +290,25 @@ class HhhEngine {
   /// Worker w's epoch-boundary drain: consume exactly the backlog visible
   /// in each of its rings right now (bounded by the observed size, so it
   /// terminates while producers keep pushing -- later arrivals belong to
-  /// the next epoch). Runs on worker threads (at a quiesce boundary or as
-  /// the self-drain of a cooperative rotator) and once more from stop()
-  /// after the workers are joined.
-  void boundary_drain(std::uint32_t w, std::vector<Key128>& batch);
+  /// the next epoch). Runs on worker threads (at a quiesce boundary, as
+  /// the self-drain of a cooperative rotator, or at shutdown) and once
+  /// more from stop() after the workers are joined. Returns true when its
+  /// records spent the packet budget (see meter_consumed()).
+  bool boundary_drain(std::uint32_t w, std::vector<Key128>& batch);
   /// Spend `n` consumed records of the packet budget (the consumed-only
-  /// basis: drops never pass through here). The decrement that crosses zero
-  /// records the boundary instant for drift metering. Called at every batch
-  /// boundary and from boundary_drain().
-  void meter_consumed(std::size_t n);
-  /// True when the packet or wall budget of the current window is spent.
-  /// Lock-free and stale-tolerant: both rotation paths re-check under
-  /// snap_mu_ before acting. The first observer of a wall-deadline crossing
-  /// records the drift mark (the deadline itself), hence non-const.
-  [[nodiscard]] bool budget_due();
-  /// First observer of a spent budget records the boundary instant (the
-  /// wall deadline, or steady-now for a packet-budget crossing); the next
-  /// rotation meters its drift against it. First write per window wins; a
-  /// write that races the budget reset is discarded by the validity check
-  /// in rotate_locked() (it can cost one drift sample, never fake one).
-  void note_budget_spent(std::int64_t mark_ns);
-  /// Cooperative rotation attempt by worker w (which must hold the
-  /// epoch-due token): try-locks snap_mu_ (never blocks -- a worker that
-  /// waited here could deadlock a control op quiescing it), re-checks the
-  /// budget, rotates. Returns false only when the lock was unavailable
-  /// (keep the token, retry next batch); true means the claim is settled
-  /// (rotated here, or a racer already reset the budget) and the token
-  /// must be released.
+  /// basis: drops never pass through here). Returns true for the one
+  /// decrement per window that crosses zero (fetch_sub totally orders
+  /// them); that worker records the boundary instant for drift metering
+  /// and becomes the window's rotator. Called at every batch boundary and
+  /// from boundary_drain().
+  bool meter_consumed(std::size_t n);
+  /// Cooperative rotation attempt by worker w (the window's claimant):
+  /// try-locks snap_mu_ (never blocks -- a worker that waited here could
+  /// deadlock a control op quiescing it), re-checks that the budget is
+  /// still spent, rotates. Returns false only when the lock was unavailable
+  /// (keep the claim, retry next loop pass); true means the claim is
+  /// settled (rotated here, or the clock or a manual rotation already
+  /// reset the budget).
   bool try_rotate_cooperative(std::uint32_t w, std::vector<Key128>& batch,
                               std::uint64_t& acked);
   [[nodiscard]] EngineStats collect_stats() const;
@@ -418,10 +413,10 @@ class HhhEngine {
 
   // Window bookkeeping. The atomics are written under snap_mu_ (rotations
   // are serialized) but read lock-free: window_epochs_ by detection loops
-  // polling for new windows, the budget countdown/deadline by workers
-  // metering the epoch budget at batch boundaries and by the fallback
-  // clock, neither touching snap_mu_ until a rotation is actually due (so
-  // frequent snapshots cannot starve either path).
+  // polling for new windows, the budget countdown by workers metering the
+  // epoch budget at batch boundaries and by the fallback clock, neither
+  // touching snap_mu_ until a rotation is actually due (so frequent
+  // snapshots cannot starve either path).
   std::atomic<std::uint64_t> window_epochs_{0};
   std::uint64_t win_drops_base_ = 0;  ///< total drops at the last rotation
   /// The retained sealed windows by age (front = newest), in lockstep with
@@ -430,21 +425,15 @@ class HhhEngine {
   /// Packet-budget countdown for the current window: reset to epoch_packets
   /// at every boundary (inside the quiesced rotation, all workers parked),
   /// decremented by each worker's consumed batch size. The worker whose
-  /// decrement crosses zero is the budget's first observer. May go negative
-  /// transiently (several workers decrement concurrently); <= 0 means spent.
+  /// decrement crosses zero is the budget's first observer and the
+  /// window's rotator. May go negative (several workers decrement
+  /// concurrently, and consumption continues until the rotation); <= 0
+  /// means spent.
   std::atomic<std::int64_t> epoch_budget_left_{0};
-  /// Wall-budget deadline (steady-clock ns) for the current window; 0 when
-  /// no wall budget is configured. Reset at every boundary.
-  std::atomic<std::int64_t> epoch_deadline_ns_{0};
-  /// Steady-clock instant the current window's budget was first observed
-  /// spent (0 = not yet): the ideal boundary the next rotation meters its
-  /// drift against. For a wall crossing this is the deadline itself; for a
-  /// packet crossing, the observer's now().
+  /// Steady-clock instant the current window's budget was spent (0 = not
+  /// yet): the crossing worker's now(), the ideal boundary the next
+  /// rotation meters its drift against.
   std::atomic<std::int64_t> budget_spent_ns_{0};
-  /// Cooperative rotator-election token: the worker whose CAS flips it
-  /// false->true owns the rotation attempt (and keeps ownership across
-  /// batches while snap_mu_ is busy). Released by the claimant only.
-  std::atomic<bool> epoch_due_{false};
   // Drift bookkeeping (budget-driven rotations only; manual rotate_epoch()
   // calls have no ideal boundary to drift from).
   std::atomic<std::uint64_t> budget_rotations_{0};

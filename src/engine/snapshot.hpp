@@ -45,19 +45,18 @@ struct EngineStats {
   /// poller that queries after every rotation, or an archiver that drops no
   /// window, keeps the two equal.
   std::uint64_t trend_sealed_merges = 0;
-  /// Rotations triggered by a spent packet/wall budget (manual
-  /// rotate_epoch() calls are excluded -- they have no boundary to drift
-  /// from). Denominator for the drift mean.
+  /// Rotations triggered by a spent packet budget (manual rotate_epoch()
+  /// calls are excluded -- they have no boundary to drift from).
+  /// Denominator for the drift mean.
   std::uint64_t budget_rotations = 0;
   /// Summed boundary drift (ns) over budget_rotations: the steady-clock
   /// gap between the instant the epoch budget was first observed spent and
   /// the rotation that sealed the window. Cooperative rotation bounds each
-  /// sample by roughly one worker batch; the 200us-timeslice fallback by a
-  /// scheduler quantum.
+  /// sample by roughly one worker batch.
   std::uint64_t rotation_drift_ns_total = 0;
-  /// Budget rotations whose drift exceeded the fallback clock's 200us
-  /// timeslice -- the cooperative path missed its bound and the window
-  /// boundary slid by a scheduler quantum or worse.
+  /// Budget rotations whose drift was later than 200us -- the rotating
+  /// worker missed its one-batch bound and the window boundary slid by a
+  /// scheduler quantum or worse.
   std::uint64_t late_rotations = 0;
   std::vector<std::uint64_t> per_worker_consumed;  ///< [worker]
   std::vector<std::uint64_t> per_ring_dropped;     ///< [producer * W + worker]
@@ -78,19 +77,14 @@ class TrendSnapshot {
  public:
   TrendSnapshot(std::unique_ptr<RhhhSpaceSaving> current,
                 std::vector<std::shared_ptr<const RhhhSpaceSaving>> sealed,
-                std::vector<std::uint64_t> sealed_drops,
-                std::vector<std::uint64_t> sealed_durations_ns, EngineStats stats,
-                std::uint64_t window_epochs, std::uint64_t current_drops,
-                std::uint64_t current_duration_ns, bool duration_weighted)
+                std::vector<std::uint64_t> sealed_drops, EngineStats stats,
+                std::uint64_t window_epochs, std::uint64_t current_drops)
       : current_(std::move(current)),
         sealed_(std::move(sealed)),
         drops_(std::move(sealed_drops)),
-        durations_ns_(std::move(sealed_durations_ns)),
         stats_(std::move(stats)),
         window_epochs_(window_epochs),
-        current_drops_(current_drops),
-        current_duration_ns_(current_duration_ns),
-        duration_weighted_(duration_weighted) {}
+        current_drops_(current_drops) {}
 
   /// Sealed epochs retained in this snapshot (<= EngineConfig::history_depth).
   [[nodiscard]] std::size_t sealed_windows() const noexcept { return sealed_.size(); }
@@ -120,19 +114,13 @@ class TrendSnapshot {
                          growth_factor);
   }
   /// EWMA-baseline sustained-growth alarms over the whole retained history
-  /// (see emerging_sustained_from in core/window_ring.hpp). Under the
-  /// pure wall-clock rotation mode the engine marks this snapshot
-  /// duration_weighted() and the baseline weighs each window by its
-  /// wall-clock length -- unequal idle windows no longer drag a stable
-  /// heavy hitter's baseline toward zero. Packet-clock windows are
-  /// equal-length by construction and use the plain epoch-weighted EWMA.
+  /// (see emerging_sustained_from in core/window_ring.hpp). Every window
+  /// weighs one epoch in the baseline: packet-budget windows are
+  /// equal-length by construction, and so are the windows of a caller
+  /// that calls rotate_epoch() on a fixed timer.
   [[nodiscard]] std::vector<SustainedPrefix> emerging_sustained(
       double theta, double growth_factor, std::uint32_t min_epochs,
       double alpha = 0.5) const {
-    if (duration_weighted_) {
-      return emerging_sustained_from(ordered_windows(), ordered_durations(),
-                                     theta, growth_factor, min_epochs, alpha);
-    }
     return emerging_sustained_from(ordered_windows(), theta, growth_factor,
                                    min_epochs, alpha);
   }
@@ -149,18 +137,6 @@ class TrendSnapshot {
   [[nodiscard]] std::uint64_t current_drops() const noexcept { return current_drops_; }
   [[nodiscard]] std::uint64_t window_drops(std::size_t age) const {
     return drops_[age];
-  }
-  /// Wall-clock (steady) duration each window spent live.
-  [[nodiscard]] std::uint64_t current_duration_ns() const noexcept {
-    return current_duration_ns_;
-  }
-  [[nodiscard]] std::uint64_t window_duration_ns(std::size_t age) const {
-    return durations_ns_[age];
-  }
-  /// True when emerging_sustained() weighs baseline windows by duration
-  /// (the engine's pure wall-clock rotation mode).
-  [[nodiscard]] bool duration_weighted() const noexcept {
-    return duration_weighted_;
   }
 
   [[nodiscard]] const RhhhSpaceSaving& current_algorithm() const noexcept {
@@ -184,28 +160,15 @@ class TrendSnapshot {
     out.push_back(current_.get());
     return out;
   }
-  /// Durations parallel to ordered_windows() (oldest -> newest -> live).
-  [[nodiscard]] std::vector<std::uint64_t> ordered_durations() const {
-    std::vector<std::uint64_t> out;
-    out.reserve(sealed_.size() + 1);
-    for (std::size_t age = sealed_.size(); age-- > 0;) {
-      out.push_back(durations_ns_[age]);
-    }
-    out.push_back(current_duration_ns_);
-    return out;
-  }
 
   std::unique_ptr<RhhhSpaceSaving> current_;
   /// Merged sealed windows by age (0 = newest sealed epoch); shared with
   /// the engine and the archiver, immutable once merged.
   std::vector<std::shared_ptr<const RhhhSpaceSaving>> sealed_;
   std::vector<std::uint64_t> drops_;  ///< [age], parallel to sealed_
-  std::vector<std::uint64_t> durations_ns_;  ///< [age]
   EngineStats stats_;
   std::uint64_t window_epochs_;
   std::uint64_t current_drops_;
-  std::uint64_t current_duration_ns_;
-  bool duration_weighted_;
 };
 
 }  // namespace rhhh

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -978,8 +979,8 @@ TEST(WindowedEngine, PacketClockRotatesAutomatically) {
     prod.ingest(Key128::from_pair(rng(), static_cast<std::uint32_t>(rng())));
   }
   prod.flush();
-  // The coordinator clock owes at least one rotation once 100k >> 10k
-  // records are through; give it (generous) wall time to notice.
+  // The workers owe at least one rotation once 100k >> 10k records are
+  // through; give them (generous) wall time to rotate.
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
   while (eng.window_epochs() == 0 && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::yield();
@@ -987,7 +988,7 @@ TEST(WindowedEngine, PacketClockRotatesAutomatically) {
   eng.stop();
   const std::uint64_t rotations = eng.window_epochs();
   EXPECT_GE(rotations, 1u);
-  EXPECT_LE(rotations, 10u) << "clock must meter ~epoch_packets per window";
+  EXPECT_LE(rotations, 10u) << "budget must meter ~epoch_packets per window";
   const TrendSnapshot snap = eng.trend_snapshot();
   EXPECT_NE(snap.sealed_windows(), 0u);
   EXPECT_EQ(snap.stats().consumed, 100000u);
@@ -1047,28 +1048,59 @@ TEST(WindowedEngine, PacketBudgetMetersConsumedOnly) {
   EXPECT_EQ(s2.consumed + s2.dropped, s2.offered);
 }
 
-// An idle stream has no worker batch boundary to meter the wall budget
-// at, so every rotation here comes from the fallback clock -- and each one
-// must still feed the drift telemetry as a budget rotation.
-TEST(WindowedEngine, WallClockRotatesAutomatically) {
-  EngineConfig cfg;
-  cfg.workers = 1;
-  cfg.producers = 1;
-  cfg.epoch_millis = 5;
-  HhhEngine eng(cfg);
-  eng.start();
-  HhhEngine::Producer& prod = eng.producer(0);
-  prod.ingest(Key128::from_pair(ipv4(1, 2, 3, 4), ipv4(5, 6, 7, 8)));
-  prod.flush();
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (eng.window_epochs() < 2 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+// A budget spent inside a query's boundary drain must still rotate when no
+// traffic follows: the worker whose decrement spends the budget -- in a
+// drain pass or in a boundary drain -- is the window's rotator, and it
+// retries on every loop pass, not only on passes that consumed records.
+// Each round pushes a little more than one budget into a large ring that
+// the worker pops 16 records at a time while a poller keeps quiescing it
+// with trend_snapshot(), so much of the backlog (often the crossing) goes
+// through boundary drains. Then all traffic and queries stop, and the
+// one rotation owed must still arrive (the fallback clock would rotate it
+// too, so this pins the behaviour, not which thread provides it).
+TEST(WindowedEngine, SpentBudgetRotatesWithNoFurtherTraffic) {
+  constexpr std::uint64_t kEpoch = 4'096;
+  constexpr std::uint64_t kPackets = kEpoch + kEpoch / 16;
+  const auto wait_for = [](const auto& done) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    return done();
+  };
+  for (int round = 0; round < 8; ++round) {
+    EngineConfig cfg;
+    cfg.workers = 1;
+    cfg.producers = 1;
+    cfg.batch = 16;
+    cfg.epoch_packets = kEpoch;
+    HhhEngine eng(cfg);
+    eng.start();
+    std::atomic<bool> quit{false};
+    std::thread poller([&] {
+      // order: relaxed -- plain stop flag; the join is the edge.
+      while (!quit.load(std::memory_order_relaxed)) (void)eng.trend_snapshot();
+    });
+    HhhEngine::Producer& prod = eng.producer(0);
+    Xoroshiro128 rng(700 + static_cast<std::uint64_t>(round));
+    for (std::uint64_t i = 0; i < kPackets; ++i) {
+      prod.ingest(Key128::from_pair(rng(), static_cast<std::uint32_t>(rng())));
+    }
+    prod.flush();
+    ASSERT_TRUE(wait_for([&] { return eng.stats().consumed == kPackets; }))
+        << "round " << round;
+    // order: relaxed -- see the poller.
+    quit.store(true, std::memory_order_relaxed);
+    poller.join();
+    // No traffic and no queries from here on: only the claimant rotates.
+    EXPECT_TRUE(wait_for([&] { return eng.window_epochs() >= 1; }))
+        << "round " << round << ": spent budget never rotated";
+    eng.stop();
+    const EngineStats s = eng.stats();
+    EXPECT_EQ(s.window_epochs, 1u) << "round " << round;
+    EXPECT_EQ(s.budget_rotations, 1u) << "round " << round;
   }
-  eng.stop();
-  EXPECT_GE(eng.window_epochs(), 2u);
-  const EngineStats s = eng.stats();
-  EXPECT_EQ(s.budget_rotations, s.window_epochs)
-      << "clock-driven budget rotations must feed the drift telemetry";
 }
 
 // ------------------------------------------------------------- stress ----

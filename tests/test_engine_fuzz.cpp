@@ -53,7 +53,7 @@ FuzzPlan draw_plan(std::uint64_t seed) {
   cfg.monitor.eps = 0.05;
   cfg.monitor.delta = 0.05;
   cfg.monitor.seed = seed;
-  if (rng.bounded(2) == 0) cfg.epoch_packets = 20000;  // coordinator clock on
+  if (rng.bounded(2) == 0) cfg.epoch_packets = 20000;  // packet budget on
   cfg.history_depth = 1 + rng.bounded(4);  // K-deep window rings
   plan.per_producer = 20000 + rng.bounded(20000);
   plan.chaos_ops = 2 + static_cast<int>(rng.bounded(4));

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <map>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -149,6 +150,11 @@ struct StreamShape {
   std::uint64_t domain;
   double zipf_s;  // 0 = uniform
 };
+
+/// gtest prints a parameter it has no printer for as raw bytes, which for
+/// the std::string member means a heap address: print the name instead, so
+/// the test names are the same in every build.
+void PrintTo(const StreamShape& shape, std::ostream* os) { *os << shape.name; }
 
 class SpaceSavingOracle
     : public ::testing::TestWithParam<std::tuple<StreamShape, std::size_t>> {};

@@ -2,8 +2,8 @@
 // concurrent machinery. Functionally these tests assert conservation and
 // shutdown invariants; their real payload is the schedules they force --
 // ring push/pop under contention, rotate-vs-snapshot chaos, archiver
-// start/stop/drain cycles, the coordinator clock stopped mid-rotation, and
-// the shutdown edges (stop() twice, stop() racing an in-flight rotation).
+// start/stop/drain cycles, a budget-rotating engine stopped mid-rotation,
+// and the shutdown edges (stop() twice, stop() racing an in-flight rotation).
 // The `tsan` CI job runs them under ThreadSanitizer (and the `asan` job
 // under ASan/UBSan) via the `stress` ctest label, where any data race or
 // mis-ordered atomic on these paths fails the build.
@@ -285,16 +285,16 @@ TEST(ScheduleStress, ArchiverStartStopDrainCycles) {
   EXPECT_FALSE(arch.truncated_tail()) << "stop() must seal the open segment";
 }
 
-// The coordinator wall clock stopped while a rotation may be in flight:
-// stop() must retire the clock generation without deadlocking against a
-// clock thread blocked on snap_mu_, and without the retired thread ever
-// rotating again. Several short-lived engines maximize the chance of
-// catching the clock inside rotate_locked().
+// A packet-budget engine stopped while a rotation may be in flight: stop()
+// must retire the clock generation without deadlocking against a worker
+// or the clock thread rotating (or blocked on snap_mu_ to rotate), and
+// nothing may rotate a stopped engine. Several short-lived engines
+// maximize the chance of catching a rotation inside rotate_locked().
 TEST(ScheduleStress, CoordinatorStopDuringRotation) {
   for (int round = 0; round < 4; ++round) {
     EngineConfig cfg = small_engine(2, 1);
     cfg.overflow = OverflowPolicy::kDropTail;
-    cfg.epoch_millis = 1;  // rotate as fast as the clock can meter
+    cfg.epoch_packets = 512;  // rotate every few drain passes
     cfg.history_depth = 2;
     HhhEngine eng(cfg);
     eng.start();
@@ -311,14 +311,14 @@ TEST(ScheduleStress, CoordinatorStopDuringRotation) {
         prod.flush();
       }
     });
-    // Give the clock time to arm, then stop while rotations are streaming.
+    // Let rotations start streaming, then stop in the middle of them.
     std::this_thread::sleep_for(std::chrono::milliseconds(5 + 3 * round));
     eng.stop();
     // order: relaxed -- see above; producer exits on next check.
     quit.store(true, std::memory_order_relaxed);
     producer.join();
-    // The retired clock must not rotate a stopped engine: the count is
-    // stable from here on.
+    // Neither a worker nor the retired clock may rotate a stopped engine:
+    // the count is stable from here on.
     const std::uint64_t epochs_at_stop = eng.window_epochs();
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     EXPECT_EQ(eng.window_epochs(), epochs_at_stop);
@@ -332,7 +332,7 @@ TEST(ScheduleStress, CoordinatorStopDuringRotation) {
 // joined threads. The destructor then runs stop() a fourth time.
 TEST(ShutdownEdges, StopTwiceAndConcurrently) {
   EngineConfig cfg = small_engine(2, 1);
-  cfg.epoch_millis = 1;
+  cfg.epoch_packets = 1'000;
   HhhEngine eng(cfg);
   eng.start();
   std::thread producer([&] { ingest_stream(eng, 0, 20'000, 99); });
@@ -354,6 +354,62 @@ TEST(ShutdownEdges, StopTwiceAndConcurrently) {
   eng.stop();
   const EngineStats s2stats = eng.stats();
   EXPECT_EQ(s2stats.consumed + s2stats.dropped, s2stats.offered);
+}
+
+// stop() while producers keep pushing, and keep pushing until it returns:
+// every shutdown drain is bounded by the backlog it sees, so stop() returns
+// however fast the rings refill. Two flooding producers against one worker
+// keep its rings busy; an unbounded "drain until a pass comes back empty"
+// spins here for as long as the producers run. The producers quit either
+// way once the deadline passes, so a regression fails instead of hanging.
+TEST(ShutdownEdges, StopReturnsWhileProducersKeepPushing) {
+  for (int round = 0; round < 4; ++round) {
+    EngineConfig cfg = small_engine(/*workers=*/1, /*producers=*/2);
+    cfg.overflow = OverflowPolicy::kDropTail;
+    cfg.epoch_packets = 1'000;
+    HhhEngine eng(cfg);
+    eng.start();
+    std::atomic<bool> quit{false};
+    std::vector<std::thread> producers;
+    for (std::uint32_t p = 0; p < 2; ++p) {
+      producers.emplace_back([&, p] {
+        HhhEngine::Producer& prod = eng.producer(p);
+        Xoroshiro128 rng(2000 + round * 10 + p);
+        // order: acquire -- pairs with the release store below.
+        while (!quit.load(std::memory_order_acquire)) {
+          for (int i = 0; i < 256; ++i) {
+            prod.ingest(
+                Key128::from_pair(rng(), static_cast<std::uint32_t>(rng())));
+          }
+          prod.flush();
+        }
+      });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2 + 2 * round));
+    std::atomic<bool> stopped{false};
+    std::thread stopper([&] {
+      eng.stop();
+      // order: release -- pairs with the acquire poll below.
+      stopped.store(true, std::memory_order_release);
+    });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    // order: acquire -- see the stopper.
+    while (!stopped.load(std::memory_order_acquire) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    // order: acquire -- see the stopper.
+    const bool in_time = stopped.load(std::memory_order_acquire);
+    // order: release -- the producers' exit flag.
+    quit.store(true, std::memory_order_release);
+    for (std::thread& t : producers) t.join();
+    stopper.join();
+    EXPECT_TRUE(in_time) << "round " << round
+                         << ": stop() spun while producers kept pushing";
+    const EngineStats s = eng.stats();
+    EXPECT_LE(s.consumed + s.dropped, s.offered);
+  }
 }
 
 // stop() racing manual rotate_epoch() calls: rotations serialized behind
@@ -659,8 +715,8 @@ TEST(ScheduleStress, CooperativeRotationBoundsSealedWindowLength) {
 
   const EngineStats s = trend.stats();
   EXPECT_EQ(s.consumed, 2 * kPerProducer);  // kBlock: lossless
-  // Every rotation here is budget-driven (no manual calls, no wall clock),
-  // and each spends a full budget: the drift telemetry must agree.
+  // Every rotation here is budget-driven (no manual calls), and each
+  // spends a full budget: the drift telemetry must agree.
   EXPECT_EQ(s.budget_rotations, s.window_epochs);
   EXPECT_GE(s.budget_rotations,
             2 * kPerProducer / (kEpoch + kSlack) - 1);
@@ -669,8 +725,9 @@ TEST(ScheduleStress, CooperativeRotationBoundsSealedWindowLength) {
 
 // Rotator election racing engine shutdown: producers keep flooding
 // (kDropTail, so they never block on a stopped engine) while stop() lands
-// mid-storm -- a worker may be joined between claiming the epoch-due token
-// and rotating, and stop() itself quiesces while a claim is in flight.
+// mid-storm -- a worker may be joined between spending the budget (its
+// claim) and rotating, and stop() itself quiesces while a claim is in
+// flight.
 // Several rounds force different stop points. Invariants: the window count
 // freezes at stop, the books balance, and the consumed-only basis holds
 // (every rotation spent a full budget of consumed records, drops included
@@ -721,11 +778,11 @@ TEST(ScheduleStress, RotatorElectionSurvivesEngineStop) {
 
 // Cooperative workers and the fallback clock chasing the same packet
 // budget: with a small epoch the clock's 200us poll regularly lands right
-// as a worker claims, so both paths reach the rotation attempt
-// concurrently. The stale-claim re-check under snap_mu_ must dissolve the
-// loser -- a double rotation would seal a window that never spent a
-// budget, violating consumed >= epoch_packets * rotations and leaving a
-// short window in the retained history.
+// as the claimant tries to rotate, so both paths reach the rotation
+// concurrently. The re-check under snap_mu_ must dissolve the loser -- a
+// double rotation would seal a window that never spent a budget,
+// violating consumed >= epoch_packets * rotations and leaving a short
+// window in the retained history.
 TEST(ScheduleStress, NoDoubleRotationWhenCooperativeAndFallbackRace) {
   constexpr std::uint64_t kEpoch = 2'000;
   constexpr std::uint64_t kPerProducer = 60'000;

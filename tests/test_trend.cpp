@@ -413,119 +413,5 @@ TEST(TrendCache, TwoPollsPerEpochShareAgeZero) {
   }
 }
 
-// --------------------------------------- duration-weighted EWMA baseline ----
-
-namespace {
-
-/// An MST window with `target_n` packets of the probed key and
-/// `background_n` spread over distinct background keys (exact estimates:
-/// deterministic shares).
-std::unique_ptr<RhhhSpaceSaving> mst_window(const Hierarchy& h,
-                                            Key128 target, std::uint64_t target_n,
-                                            std::uint64_t background_n) {
-  LatticeParams lp;
-  lp.eps = 0.1;
-  lp.delta = 0.1;
-  auto lat = std::make_unique<RhhhSpaceSaving>(h, LatticeMode::kMst, lp);
-  for (std::uint64_t i = 0; i < target_n; ++i) lat->update(target);
-  for (std::uint64_t i = 0; i < background_n; ++i) {
-    lat->update(Key128::from_u32(static_cast<std::uint32_t>(0x0A000000 + i % 50)));
-  }
-  return lat;
-}
-
-}  // namespace
-
-TEST(DurationWeightedSustained, IdleBlipsNoLongerFakeRamps) {
-  // Wall-clock windows: a stable 50%-share aggregate, two near-empty idle
-  // windows of 1% the duration, then two more stable windows (the "run").
-  // Epoch-weighted EWMA lets the idle windows crush the baseline and fires
-  // a spurious sustained-ramp alarm; duration weighting keeps the baseline
-  // honest and stays quiet. Equal durations must reproduce the unweighted
-  // answer exactly.
-  const Hierarchy h = Hierarchy::ipv4_1d(Granularity::kByte);
-  const Ipv4 target_ip = ipv4(66, 66, 1, 2);
-  const Key128 target = Key128::from_u32(target_ip);
-
-  std::vector<std::unique_ptr<RhhhSpaceSaving>> own;
-  own.push_back(mst_window(h, target, 500, 500));  // stable: share 0.5
-  own.push_back(mst_window(h, target, 0, 10));     // idle blip
-  own.push_back(mst_window(h, target, 0, 10));     // idle blip
-  own.push_back(mst_window(h, target, 500, 500));  // run window
-  own.push_back(mst_window(h, target, 500, 500));  // live window
-  std::vector<const HhhAlgorithm*> windows;
-  windows.reserve(own.size());
-  for (const auto& w : own) windows.push_back(w.get());
-  const std::vector<std::uint64_t> durations = {
-      10'000'000'000, 100'000'000, 100'000'000, 10'000'000'000, 10'000'000'000};
-
-  const auto hits_target = [&](const std::vector<SustainedPrefix>& alarms) {
-    for (const SustainedPrefix& sp : alarms) {
-      if (sp.now.prefix.node == h.bottom() && sp.now.prefix.key == target) {
-        return true;
-      }
-    }
-    return false;
-  };
-
-  // Epoch-weighted: baseline 0.5 -> 0.25 -> 0.125; run shares 0.5 clear a
-  // 2x bar over it -- the spurious alarm this satellite removes.
-  EXPECT_TRUE(hits_target(emerging_sustained_from(windows, 0.3, 2.0, 2, 0.5)));
-  // Duration-weighted: the 0.1 s blips barely dent a 10 s baseline
-  // (effective alpha ~2%), so 0.5 never doubles it -- no alarm.
-  EXPECT_FALSE(hits_target(
-      emerging_sustained_from(windows, durations, 0.3, 2.0, 2, 0.5)));
-
-  // Equal durations: the weighted overload degenerates to the plain one.
-  const std::vector<std::uint64_t> equal(windows.size(), 5'000'000'000);
-  const auto plain = emerging_sustained_from(windows, 0.3, 2.0, 2, 0.5);
-  const auto weighted =
-      emerging_sustained_from(windows, equal, 0.3, 2.0, 2, 0.5);
-  ASSERT_EQ(plain.size(), weighted.size());
-  for (std::size_t i = 0; i < plain.size(); ++i) {
-    EXPECT_EQ(plain[i].now.prefix, weighted[i].now.prefix);
-    EXPECT_DOUBLE_EQ(plain[i].baseline_share, weighted[i].baseline_share);
-    EXPECT_DOUBLE_EQ(plain[i].min_run_share, weighted[i].min_run_share);
-  }
-
-  // Zero-duration windows carry no weight at all: with the idle blips at
-  // duration 0 the baseline is exactly the stable windows'.
-  const std::vector<std::uint64_t> zeroed = {10'000'000'000, 0, 0,
-                                             10'000'000'000, 10'000'000'000};
-  for (const SustainedPrefix& sp :
-       emerging_sustained_from(windows, zeroed, 0.3, 2.0, 2, 0.5)) {
-    EXPECT_NE(sp.now.prefix.key, target);
-  }
-
-  // Mis-sized durations are refused loudly.
-  const std::vector<std::uint64_t> short_durs(2, 1);
-  EXPECT_THROW(
-      (void)emerging_sustained_from(windows, short_durs, 0.3, 2.0, 2, 0.5),
-      std::invalid_argument);
-}
-
-TEST(DurationWeightedSustained, EngineFlagsWallClockModeOnly) {
-  EngineConfig cfg;
-  cfg.monitor.hierarchy = HierarchyKind::kIpv4TwoDimBytes;
-  cfg.monitor.eps = 0.1;
-  cfg.monitor.delta = 0.1;
-  cfg.workers = 2;
-  cfg.producers = 1;
-
-  cfg.epoch_millis = 50;  // pure wall-clock rotation
-  {
-    HhhEngine eng(cfg);
-    EXPECT_TRUE(eng.trend_snapshot().duration_weighted());
-  }
-  cfg.epoch_millis = 0;
-  cfg.epoch_packets = 1000;  // packet clock: equal windows, plain EWMA
-  {
-    HhhEngine eng(cfg);
-    const TrendSnapshot snap = eng.trend_snapshot();
-    EXPECT_FALSE(snap.duration_weighted());
-    EXPECT_GT(snap.current_duration_ns(), 0u);
-  }
-}
-
 }  // namespace
 }  // namespace rhhh
