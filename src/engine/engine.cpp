@@ -17,38 +17,53 @@ namespace {
 /// epoch: the merge's bytes do not depend on which reader builds it.
 constexpr std::uint64_t kSealedSalt = 0x6e7ac000ULL;
 
-/// EngineStats as a flat JSON object -- the "stats" section of the stall
-/// watchdog's flight-recorder dump.
-std::string engine_stats_json(const EngineStats& s) {
-  std::string out = "{";
-  bool first = true;
-  const auto field = [&](const char* k, std::uint64_t v) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += k;
-    out += "\":";
-    out += std::to_string(v);
-  };
-  field("offered", s.offered);
-  field("consumed", s.consumed);
-  field("dropped", s.dropped);
-  field("backpressure_waits", s.backpressure_waits);
-  field("epochs", s.epochs);
-  field("window_epochs", s.window_epochs);
-  field("archived_windows", s.archived_windows);
-  field("archive_queue_drops", s.archive_queue_drops);
-  field("archive_errors", s.archive_errors);
-  field("trend_cache_hits", s.trend_cache_hits);
-  field("trend_sealed_merges", s.trend_sealed_merges);
-  field("budget_rotations", s.budget_rotations);
-  field("rotation_drift_ns_total", s.rotation_drift_ns_total);
-  field("late_rotations", s.late_rotations);
-  out += '}';
-  return out;
-}
-
 }  // namespace
+
+// The counter table: every scalar EngineStats field once, with its key in
+// the stall watchdog's "stats" dump and its rhhh_engine_* gauge mirror.
+// stats() loads `source` (relaxed) where a row names one and builds the
+// others itself.
+const HhhEngine::Counter HhhEngine::kCounters[] = {
+    {&EngineStats::offered, "offered", "rhhh_engine_offered",
+     "records accepted and published by producer handles", nullptr},
+    {&EngineStats::consumed, "consumed", "rhhh_engine_consumed",
+     "records consumed into shard lattices", nullptr},
+    {&EngineStats::dropped, "dropped", "rhhh_engine_dropped",
+     "records dropped at full rings (kDropTail)", nullptr},
+    {&EngineStats::backpressure_waits, "backpressure_waits",
+     "rhhh_engine_backpressure_waits",
+     "producer spin rounds on full rings (kBlock)", nullptr},
+    {&EngineStats::epochs, "epochs", "rhhh_engine_epochs",
+     "quiesce generations (snapshots + rotations)", &HhhEngine::epoch_req_},
+    {&EngineStats::window_epochs, "window_epochs", "rhhh_engine_window_epochs",
+     "completed window rotations", &HhhEngine::window_epochs_},
+    {&EngineStats::archived_windows, "archived_windows",
+     "rhhh_engine_archived_windows", "windows persisted by the archiver",
+     &HhhEngine::archived_windows_},
+    {&EngineStats::archive_queue_drops, "archive_queue_drops",
+     "rhhh_engine_archive_queue_drops",
+     "sealed windows dropped at a full archiver queue",
+     &HhhEngine::archive_queue_drops_},
+    {&EngineStats::archive_errors, "archive_errors", "rhhh_engine_archive_errors",
+     "windows lost to archive I/O errors", &HhhEngine::archive_errors_},
+    {&EngineStats::trend_cache_hits, "trend_cache_hits",
+     "rhhh_engine_trend_cache_hits",
+     "trend_snapshot calls that merged no sealed window",
+     &HhhEngine::trend_cache_hits_},
+    {&EngineStats::trend_sealed_merges, "trend_sealed_merges",
+     "rhhh_engine_trend_sealed_merges",
+     "sealed windows merged across shards, by queries or the archiver "
+     "(at most once each: <= window_epochs)",
+     nullptr},
+    {&EngineStats::budget_rotations, "budget_rotations",
+     "rhhh_engine_budget_rotations",
+     "budget-driven rotations (the drift-metered subset)",
+     &HhhEngine::budget_rotations_},
+    {&EngineStats::rotation_drift_ns_total, "rotation_drift_ns_total", nullptr,
+     nullptr, &HhhEngine::drift_ns_total_},
+    {&EngineStats::late_rotations, "late_rotations", "rhhh_engine_late_rotations",
+     "budget rotations later than 200us", &HhhEngine::late_rotations_},
+};
 
 // ------------------------------------------------------------- Producer ----
 
@@ -85,13 +100,12 @@ void HhhEngine::Producer::flush_worker(std::uint32_t w) {
   // single pointer test.
   const std::uint64_t obs_t0 =
       eng_->obs_.push_ns != nullptr ? obs::now_ns() : 0;
-  SpscRing<Key128>& ring = eng_->ring(id_, w);
-  const std::size_t idx = id_ * eng_->workers() + w;
+  Lane& lane = eng_->lane(id_, w);
   const Key128* data = b.data();
   std::size_t left = b.size();
   std::size_t pushed = 0;
   while (left != 0) {
-    const std::size_t sent = ring.try_push_n(data, left);
+    const std::size_t sent = lane.ring.try_push_n(data, left);
     data += sent;
     left -= sent;
     pushed += sent;
@@ -104,17 +118,17 @@ void HhhEngine::Producer::flush_worker(std::uint32_t w) {
     if (eng_->cfg_.overflow == OverflowPolicy::kDropTail ||
         !eng_->running_.load(std::memory_order_acquire)) {
       // order: relaxed -- drop counter; summed exactly under quiesce only.
-      eng_->ring_dropped_[idx]->fetch_add(left, std::memory_order_relaxed);
+      lane.dropped.fetch_add(left, std::memory_order_relaxed);
       break;
     }
     // order: relaxed -- backpressure-retry counter, diagnostic only.
-    eng_->backpressure_[id_]->fetch_add(1, std::memory_order_relaxed);
+    backpressure_.fetch_add(1, std::memory_order_relaxed);
     std::this_thread::yield();
   }
   if (pushed != 0) {
     // order: relaxed -- push counter; the records themselves were published
     // by the ring's release store, not by this statistic.
-    eng_->ring_pushed_[idx]->fetch_add(pushed, std::memory_order_relaxed);
+    lane.pushed.fetch_add(pushed, std::memory_order_relaxed);
   }
   if (eng_->obs_.push_ns != nullptr) eng_->obs_.push_ns->record_since(obs_t0);
   b.clear();
@@ -152,19 +166,10 @@ HhhEngine::HhhEngine(const EngineConfig& cfg)
     });
     workers_.push_back(std::move(ws));
   }
-  const std::size_t n_rings = std::size_t{cfg.producers} * cfg.workers;
-  rings_.reserve(n_rings);
-  ring_dropped_.reserve(n_rings);
-  ring_pushed_.reserve(n_rings);
-  ring_popped_.reserve(n_rings);
-  for (std::uint32_t p = 0; p < cfg.producers; ++p) {
-    for (std::uint32_t w = 0; w < cfg.workers; ++w) {
-      rings_.push_back(std::make_unique<SpscRing<Key128>>(cfg.ring_capacity));
-      ring_dropped_.push_back(std::make_unique<std::atomic<std::uint64_t>>(0));
-      ring_pushed_.push_back(std::make_unique<std::atomic<std::uint64_t>>(0));
-      ring_popped_.push_back(std::make_unique<std::atomic<std::uint64_t>>(0));
-    }
-    backpressure_.push_back(std::make_unique<std::atomic<std::uint64_t>>(0));
+  const std::size_t n_lanes = std::size_t{cfg.producers} * cfg.workers;
+  lanes_.reserve(n_lanes);
+  for (std::size_t i = 0; i < n_lanes; ++i) {
+    lanes_.push_back(std::make_unique<Lane>(cfg.ring_capacity));
   }
   producers_.reserve(cfg.producers);
   for (std::uint32_t p = 0; p < cfg.producers; ++p) {
@@ -221,86 +226,26 @@ void HhhEngine::bind_metrics() {
                                     "sealed windows queued for the archiver");
   // Counter mirrors and occupancy: gauge_fn samplers over the engine's own
   // atomics (lock-free reads only -- the registry samples them under its
-  // scrape mutex). They capture `this`, so every name goes on the owned
+  // scrape mutex). Every mirror samples stats(), so it reads exactly what
+  // stats() reports. They capture `this`, so every name goes on the owned
   // list and dies with the engine.
   const auto own = [&](const std::string& name, std::function<double()> fn,
                        const std::string& help) {
     reg.gauge_fn(name, std::move(fn), help);
     obs_.owned.push_back(name);
   };
-  own("rhhh_engine_offered",
-      [this] {
-        double o = 0;
-        for (const auto& p : producers_) o += static_cast<double>(p->offered());
-        return o;
-      },
-      "records accepted and published by producer handles");
-  own("rhhh_engine_consumed",
-      [this] {
-        double c = 0;
-        for (const auto& ws : workers_) {
-          // order: relaxed -- statistic sampled at scrape time.
-          c += static_cast<double>(ws->consumed.load(std::memory_order_relaxed));
-        }
-        return c;
-      },
-      "records consumed into shard lattices");
-  own("rhhh_engine_dropped",
-      [this] {
-        double d = 0;
-        for (const auto& r : ring_dropped_) {
-          // order: relaxed -- statistic sampled at scrape time.
-          d += static_cast<double>(r->load(std::memory_order_relaxed));
-        }
-        return d;
-      },
-      "records dropped at full rings (kDropTail)");
-  own("rhhh_engine_backpressure_waits",
-      [this] {
-        double b = 0;
-        for (const auto& w : backpressure_) {
-          // order: relaxed -- statistic sampled at scrape time.
-          b += static_cast<double>(w->load(std::memory_order_relaxed));
-        }
-        return b;
-      },
-      "producer spin rounds on full rings (kBlock)");
-  // Scalar counter mirrors: one sample of an engine-owned atomic.
-  const auto own_counter = [&](const std::string& name,
-                               const std::atomic<std::uint64_t>& c,
-                               const std::string& help) {
-    own(name,
-        [&c] {
-          // order: relaxed -- statistic sampled at scrape time.
-          return static_cast<double>(c.load(std::memory_order_relaxed));
-        },
-        help);
-  };
-  own_counter("rhhh_engine_epochs", epoch_req_,
-              "quiesce generations (snapshots + rotations)");
-  own_counter("rhhh_engine_window_epochs", window_epochs_,
-              "completed window rotations");
-  own_counter("rhhh_engine_archived_windows", archived_windows_,
-              "windows persisted by the archiver");
-  own_counter("rhhh_engine_archive_queue_drops", archive_queue_drops_,
-              "sealed windows dropped at a full archiver queue");
-  own_counter("rhhh_engine_archive_errors", archive_errors_,
-              "windows lost to archive I/O errors");
-  own_counter("rhhh_engine_budget_rotations", budget_rotations_,
-              "budget-driven rotations (the drift-metered subset)");
-  own_counter("rhhh_engine_late_rotations", late_rotations_,
-              "budget rotations later than 200us");
-  own_counter("rhhh_engine_trend_cache_hits", trend_cache_hits_,
-              "trend_snapshot calls that merged no sealed window");
-  own_counter("rhhh_engine_trend_sealed_merges", trend_sealed_merges_,
-              "sealed windows merged across shards, by queries or the archiver "
-              "(at most once each: <= window_epochs)");
+  for (const Counter& c : kCounters) {
+    if (c.family == nullptr) continue;
+    own(c.family,
+        [this, f = c.field] { return static_cast<double>(stats().*f); },
+        c.help);
+  }
   for (std::uint32_t p = 0; p < producers(); ++p) {
     for (std::uint32_t w = 0; w < workers(); ++w) {
       own("rhhh_engine_ring_occupancy{ring=\"p" + std::to_string(p) + "w" +
               std::to_string(w) + "\"}",
           [this, p, w] {
-            return static_cast<double>(ring(p, w).size_approx());
+            return static_cast<double>(lane(p, w).ring.size_approx());
           },
           "records in flight per producer x worker ring");
     }
@@ -330,17 +275,14 @@ void HhhEngine::bind_health() {
   // The sampler runs on the watchdog's thread while the engine may be
   // stalled inside a control op: it must stay lock-free (NEVER snap_mu_ --
   // a wedged rotation HOLDS snap_mu_, and diagnosing exactly that case is
-  // the watchdog's job). Everything below is relaxed atomic loads.
+  // the watchdog's job). stats() and everything below are atomic loads.
   const std::int64_t period = static_cast<std::int64_t>(wcfg.period_ns);
   auto sampler = [this, period]() -> obs::StallWatchdog::Progress {
     obs::StallWatchdog::Progress p;
-    for (const auto& ws : workers_) {
-      // order: relaxed -- statistic sampled at watchdog cadence.
-      p.consumed += ws->consumed.load(std::memory_order_relaxed);
-    }
-    for (const auto& r : rings_) p.backlog += r->size_approx();
-    // order: relaxed -- statistic sampled at watchdog cadence.
-    p.window_epochs = window_epochs_.load(std::memory_order_relaxed);
+    const EngineStats s = stats();
+    p.consumed = s.consumed;
+    p.window_epochs = s.window_epochs;
+    for (const auto& l : lanes_) p.backlog += l->ring.size_approx();
     // order: relaxed -- liveness probe; a stale read costs one period.
     if (windowed() && running_.load(std::memory_order_relaxed)) {
       const std::int64_t now =
@@ -353,9 +295,22 @@ void HhhEngine::bind_health() {
     }
     return p;
   };
-  // collect_stats() is all relaxed loads -- safe from the watchdog thread
-  // even while the engine is wedged.
-  auto stats_fn = [this] { return engine_stats_json(collect_stats()); };
+  // stats() is all atomic loads -- safe from the watchdog thread even while
+  // the engine is wedged. The dump's "stats" object is the counter table as
+  // a flat JSON object.
+  auto stats_fn = [this] {
+    const EngineStats s = stats();
+    std::string out = "{";
+    for (const Counter& c : kCounters) {
+      if (out.size() > 1) out += ',';
+      out += '"';
+      out += c.key;
+      out += "\":";
+      out += std::to_string(s.*c.field);
+    }
+    out += '}';
+    return out;
+  };
   watchdog_ = std::make_unique<obs::StallWatchdog>(
       std::move(wcfg), std::move(sampler), std::move(stats_fn), health_.get(),
       obs_.trace, obs_.reg);
@@ -415,11 +370,8 @@ void HhhEngine::start() {
   if (archive_ != nullptr) {
     win_started_wall_ns_ =
         std::chrono::system_clock::now().time_since_epoch().count();
-    // order: relaxed -- generation only changes under snap_mu_ (held here);
-    // the archiver thread inherits it by value at creation.
-    const std::uint64_t agen = archive_gen_.load(std::memory_order_relaxed);
-    archive_thread_ = std::thread(
-        [this, arch = archive_.get(), agen] { archive_loop(arch, agen); });
+    archive_thread_ =
+        std::thread([this, arch = archive_.get()] { archive_loop(arch); });
   }
   // Last: the watchdog observes a fully started engine from its first
   // sample (its sampler never touches snap_mu_, so starting it under the
@@ -453,7 +405,28 @@ void HhhEngine::stop() {
   // Bounded by the backlog visible now, like the workers' own shutdown
   // drain: a producer that keeps pushing cannot keep stop() from returning.
   std::vector<Key128> batch(pop_batch_);
-  for (std::uint32_t w = 0; w < workers(); ++w) (void)boundary_drain(w, batch);
+  for (std::uint32_t w = 0; w < workers(); ++w) (void)drain(w, batch, true);
+  // The archiver never takes snap_mu_, so it is joined under the lock like
+  // the workers: it writes every queued window, sees running_ == false and
+  // exits, and no rotation can enqueue meanwhile (rotations need
+  // snap_mu_). Taking arch_mu_ once orders the flip before its next
+  // predicate check, so the notify cannot be lost. Then seal the segment so
+  // a cold reader gets the footer-indexed fast path; a later start() opens
+  // a fresh one.
+  if (archive_thread_.joinable()) {
+    { std::lock_guard<std::mutex> lk(arch_mu_); }
+    arch_cv_.notify_all();
+    archive_thread_.join();
+  }
+  if (archive_ != nullptr) {
+    try {
+      archive_->close();
+    } catch (const std::exception&) {
+      // order: relaxed -- error counter; no payload rides on it.
+      archive_errors_.fetch_add(1, std::memory_order_relaxed);
+    }
+    archive_.reset();
+  }
   // Retire the clock generation and take its handle while still under
   // snap_mu_ (so a concurrent start() never assigns over a joinable
   // thread), but join OUTSIDE the lock: the clock may be blocked on
@@ -464,59 +437,22 @@ void HhhEngine::stop() {
   // and every teardown write sequenced before this bump.
   clock_gen_.fetch_add(1, std::memory_order_release);
   std::thread clock = std::move(clock_thread_);
-  // Retire the archiver the same way: generation bumped under arch_mu_ so
-  // its cv wait cannot miss the wakeup, handle and store taken under
-  // snap_mu_ so a concurrent start() spawns a fresh generation. With
-  // archive_ null, no further rotation can enqueue.
-  std::thread archiver = std::move(archive_thread_);
-  std::unique_ptr<store::WindowArchive> arch = std::move(archive_);
-  {
-    std::lock_guard<std::mutex> lk(arch_mu_);
-    // order: release -- pairs with the acquire load in archive_loop()'s wait
-    // predicate; bumped under arch_mu_ so the cv wait cannot miss it.
-    archive_gen_.fetch_add(1, std::memory_order_release);
-  }
-  arch_cv_.notify_all();
   snap_lk.unlock();
   if (clock.joinable()) clock.join();
-  if (archiver.joinable()) archiver.join();
-  if (arch != nullptr) {
-    // The retired archiver drains the queue before exiting; sweep once
-    // more for pathological interleavings, then seal the segment so a
-    // cold reader gets the footer-indexed fast path.
-    for (;;) {
-      std::shared_ptr<SealedWindow> w;
-      {
-        std::lock_guard<std::mutex> lk(arch_mu_);
-        if (archive_q_.empty()) break;
-        w = std::move(archive_q_.front());
-        archive_q_.pop_front();
-      }
-      archive_one(arch.get(), *w);
-    }
-    try {
-      arch->close();
-    } catch (const std::exception&) {
-      // order: relaxed -- error counter; no payload rides on it.
-      archive_errors_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
 }
 
-void HhhEngine::archive_loop(store::WindowArchive* arch, std::uint64_t gen) {
+void HhhEngine::archive_loop(store::WindowArchive* arch) {
   for (;;) {
     std::shared_ptr<SealedWindow> w;
     {
       std::unique_lock<std::mutex> lk(arch_mu_);
       arch_cv_.wait(lk, [&] {
-        // order: acquire -- pairs with stop()'s release bump; observing the
-        // retirement must also observe the stopped state behind it (arch_mu_
-        // already orders the queue itself).
-        return !archive_q_.empty() ||
-               archive_gen_.load(std::memory_order_acquire) != gen;
+        // order: acquire -- pairs with stop()'s acq_rel exchange; stop()
+        // takes arch_mu_ after the flip, so this check cannot miss it.
+        return !archive_q_.empty() || !running_.load(std::memory_order_acquire);
       });
-      // Retired AND drained: exit. While records remain, keep draining
-      // even after retirement so stop() loses nothing.
+      // Stopped AND drained: exit. While records remain, keep writing
+      // after the stop so stop() loses nothing.
       if (archive_q_.empty()) return;
       w = std::move(archive_q_.front());
       archive_q_.pop_front();
@@ -527,42 +463,37 @@ void HhhEngine::archive_loop(store::WindowArchive* arch, std::uint64_t gen) {
     // The merge (unless a query built it first), serialization and disk
     // I/O all happen here, outside every engine lock: an archiver stalled
     // on a slow disk delays nothing but the queue.
-    archive_one(arch, *w);
-  }
-}
-
-void HhhEngine::archive_one(store::WindowArchive* arch, SealedWindow& w) {
-  try {
-    // The same instance trend_snapshot() serves for this window, so the
-    // persisted HHH sets are byte-identical to the in-memory view.
-    const RhhhSpaceSaving& lattice = *merged(w);
-    store::WindowMeta meta;
-    meta.epoch = w.epoch;
-    meta.wall_start_ns = w.wall_start_ns;
-    meta.wall_end_ns = w.wall_end_ns;
-    meta.duration_ns = w.duration_ns;
-    meta.drops = w.drops;
-    meta.stream_length = lattice.stream_length();  // drops included
-    meta.updates = lattice.updates_performed();
-    const std::uint64_t append_t0 =
-        obs_.trace != nullptr ? obs::now_ns() : 0;
-    arch->append(meta, cfg_.monitor.hierarchy, lattice);
-    // order: relaxed -- success counter; readers that need it consistent
-    // with the on-disk state reopen the store instead.
-    archived_windows_.fetch_add(1, std::memory_order_relaxed);
-    if (obs_.trace != nullptr) {
-      const std::uint64_t now = obs::now_ns();
-      obs_.trace->record(obs::TraceEvent::kArchive,
-                         static_cast<std::int64_t>(now), w.epoch,
-                         now >= append_t0 ? now - append_t0 : 0);
-    }
-  } catch (const std::exception&) {
-    // Window lost (disk full, I/O error); count loudly and keep going.
-    // order: relaxed -- error counter; no payload rides on it.
-    archive_errors_.fetch_add(1, std::memory_order_relaxed);
-    if (obs_.trace != nullptr) {
-      obs_.trace->record(obs::TraceEvent::kArchiveError,
-                         static_cast<std::int64_t>(obs::now_ns()), w.epoch, 0);
+    try {
+      // The same instance trend_snapshot() serves for this window, so the
+      // persisted HHH sets are byte-identical to the in-memory view.
+      const RhhhSpaceSaving& lattice = *merged(*w);
+      store::WindowMeta meta;
+      meta.epoch = w->epoch;
+      meta.wall_start_ns = w->wall_start_ns;
+      meta.wall_end_ns = w->wall_end_ns;
+      meta.duration_ns = w->duration_ns;
+      meta.drops = w->drops;
+      meta.stream_length = lattice.stream_length();  // drops included
+      meta.updates = lattice.updates_performed();
+      const std::uint64_t append_t0 = obs_.trace != nullptr ? obs::now_ns() : 0;
+      arch->append(meta, cfg_.monitor.hierarchy, lattice);
+      // order: relaxed -- success counter; readers that need it consistent
+      // with the on-disk state reopen the store instead.
+      archived_windows_.fetch_add(1, std::memory_order_relaxed);
+      if (obs_.trace != nullptr) {
+        const std::uint64_t now = obs::now_ns();
+        obs_.trace->record(obs::TraceEvent::kArchive,
+                           static_cast<std::int64_t>(now), w->epoch,
+                           now >= append_t0 ? now - append_t0 : 0);
+      }
+    } catch (const std::exception&) {
+      // Window lost (disk full, I/O error); count loudly and keep going.
+      // order: relaxed -- error counter; no payload rides on it.
+      archive_errors_.fetch_add(1, std::memory_order_relaxed);
+      if (obs_.trace != nullptr) {
+        obs_.trace->record(obs::TraceEvent::kArchiveError,
+                           static_cast<std::int64_t>(obs::now_ns()), w->epoch, 0);
+      }
     }
   }
 }
@@ -588,31 +519,43 @@ void HhhEngine::enqueue_archive(const std::shared_ptr<SealedWindow>& w) {
   arch_cv_.notify_one();
 }
 
-std::size_t HhhEngine::drain_pass(std::uint32_t w, std::vector<Key128>& batch) {
+std::size_t HhhEngine::drain(std::uint32_t w, std::vector<Key128>& batch,
+                             bool backlog, bool* claimed) {
   WorkerState& ws = *workers_[w];
   RhhhSpaceSaving& lattice = ws.ring.live();
-  // Telemetry probe: one clock read per pass, recorded only for passes that
-  // consumed something (idle spins would swamp the histogram with noise).
-  const std::uint64_t obs_t0 = obs_.pop_ns != nullptr ? obs::now_ns() : 0;
   std::size_t total = 0;
   for (std::uint32_t p = 0; p < producers(); ++p) {
-    const std::size_t n = ring(p, w).try_pop_n(batch.data(), batch.size());
-    if (n == 0) continue;
-    // Whole popped batches feed the staged LatticeHhh pipeline (block-RNG,
-    // survivor compaction, prefetched apply) -- state remains byte-identical
-    // to per-record update() calls by the update_batch contract.
-    lattice.update_batch(batch.data(), n);
-    // order: relaxed -- pop counter; record visibility came from the ring.
-    ring_popped_[p * workers_.size() + w]->fetch_add(n, std::memory_order_relaxed);
-    total += n;
+    Lane& l = lane(p, w);
+    // A regular pass pops at most one batch per lane; a backlog drain pops
+    // batches until the size observed here is consumed.
+    std::size_t left = backlog ? l.ring.size_approx() : batch.size();
+    while (left != 0) {
+      const std::size_t n =
+          l.ring.try_pop_n(batch.data(), std::min(batch.size(), left));
+      if (n == 0) break;
+      // Whole popped batches feed the staged LatticeHhh pipeline (block-RNG,
+      // survivor compaction, prefetched apply) -- state remains
+      // byte-identical to per-record update() calls by the update_batch
+      // contract.
+      lattice.update_batch(batch.data(), n);
+      // Counted per popped batch, so at most one batch per worker is ever
+      // out of the rings and not yet consumed (the in-flight bound that
+      // MetricsConservationUnderChaos checks).
+      // order: relaxed x2 -- pop and consumed counters; record visibility
+      // came from the ring, and exact reads happen under quiesce only.
+      l.popped.fetch_add(n, std::memory_order_relaxed);
+      ws.consumed.fetch_add(n, std::memory_order_relaxed);
+      total += n;
+      left = backlog ? left - n : 0;
+    }
   }
-  // order: relaxed -- consumed counter; exact only under quiesce.
-  if (total != 0) {
-    ws.consumed.fetch_add(total, std::memory_order_relaxed);
-    if (obs_.pop_ns != nullptr) obs_.pop_ns->record_since(obs_t0);
-    // Batching efficacy: how full each productive drain pass ran (idle
-    // passes are skipped for the same reason pop_ns skips them).
-    if (obs_.batch_fill != nullptr) obs_.batch_fill->record(total);
+  // Consumed records reached the live lattice, so they spend the packet
+  // budget (the consumed-only basis). At a rotation boundary the decrement
+  // lands before this worker's ack -- and therefore before the budget
+  // reset, which runs only once every worker has acked -- so it is wiped
+  // with the sealed window, never leaked into the fresh one.
+  if (total != 0 && windowed() && meter_consumed(total) && claimed != nullptr) {
+    *claimed = true;
   }
   return total;
 }
@@ -621,14 +564,12 @@ void HhhEngine::worker_loop(std::uint32_t w) {
   WorkerState& ws = *workers_[w];
   std::vector<Key128> batch(pop_batch_);
   std::uint64_t acked = 0;
-  // Worker-driven rotation state, thread-local so non-windowed engines pay
-  // nothing past one immutable bool. `claimed` is set when this worker's
+  // Worker-driven rotation state. drain() sets `claimed` when this worker's
   // decrement spends the window's packet budget -- exactly one worker per
-  // window, whether the decrement came from a drain pass or a boundary
-  // drain -- and held across loop passes while snap_mu_ is busy (the claim
-  // survives quiesce boundaries: a try-lock miss below never blocks this
-  // worker from acking them).
-  const bool metering = windowed();
+  // window, whether the decrement came from a regular pass or a boundary
+  // drain -- and it is held across loop passes while snap_mu_ is busy (the
+  // claim survives quiesce boundaries: a try-lock miss below never blocks
+  // this worker from acking them).
   bool claimed = false;
   for (;;) {
     // TEST HOOK (see test_block_worker): park while singled out. Costs the
@@ -640,10 +581,17 @@ void HhhEngine::worker_loop(std::uint32_t w) {
       if (!running_.load(std::memory_order_relaxed)) break;
       std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
-    const std::size_t got = drain_pass(w, batch);
-    // Amortized budget metering: one relaxed fetch_sub per batch, so the
-    // per-record update stays O(1).
-    if (metering && got != 0 && meter_consumed(got)) claimed = true;
+    // Telemetry probe: one clock read per pass, recorded only for passes that
+    // consumed something (idle spins would swamp the histograms with noise).
+    const std::uint64_t obs_t0 = obs_.pop_ns != nullptr ? obs::now_ns() : 0;
+    // Amortized budget metering inside: one relaxed fetch_sub per pass, so
+    // the per-record update stays O(1).
+    const std::size_t got = drain(w, batch, /*backlog=*/false, &claimed);
+    if (got != 0 && obs_.pop_ns != nullptr) {
+      obs_.pop_ns->record_since(obs_t0);
+      // Batching efficacy: how full each productive pass ran.
+      obs_.batch_fill->record(got);
+    }
     // Retried on every pass, traffic or not, until settled: either we
     // rotated, or a manual rotation already reset the budget. A false
     // return keeps the claim: snap_mu_ was busy, retry on the next pass
@@ -660,7 +608,7 @@ void HhhEngine::worker_loop(std::uint32_t w) {
       // this shard's lattices (merging, or rotating the window pair). A
       // drain that spends the budget makes this worker the claimant: it
       // rotates after the resume even if no traffic follows.
-      if (boundary_drain(w, batch)) claimed = true;
+      (void)drain(w, batch, /*backlog=*/true, &claimed);
       std::unique_lock<std::mutex> lk(ctl_mu_);
       ws.epoch_acked = e;
       acked = e;
@@ -681,48 +629,11 @@ void HhhEngine::worker_loop(std::uint32_t w) {
       // Shutdown: consume the backlog visible now, then exit. Checked on
       // every pass and bounded by the observed size, so producers that
       // keep the rings busy cannot keep this worker (and stop()) running.
-      (void)boundary_drain(w, batch);
+      (void)drain(w, batch, /*backlog=*/true);
       return;
     }
     if (got == 0) std::this_thread::yield();
   }
-}
-
-bool HhhEngine::boundary_drain(std::uint32_t w, std::vector<Key128>& batch) {
-  // Bounding the drain by the observed size keeps quiesce terminating even
-  // while producers keep pushing -- later arrivals simply belong to the
-  // next epoch.
-  WorkerState& ws = *workers_[w];
-  RhhhSpaceSaving& lattice = ws.ring.live();
-  std::size_t drained = 0;
-  for (std::uint32_t p = 0; p < producers(); ++p) {
-    SpscRing<Key128>& r = ring(p, w);
-    std::size_t left = r.size_approx();
-    std::uint64_t popped = 0;
-    while (left != 0) {
-      const std::size_t n =
-          r.try_pop_n(batch.data(), std::min(batch.size(), left));
-      if (n == 0) break;
-      lattice.update_batch(batch.data(), n);
-      // order: relaxed -- consumed counter (see drain_pass).
-      ws.consumed.fetch_add(n, std::memory_order_relaxed);
-      popped += n;
-      left -= n;
-    }
-    if (popped != 0) {
-      // order: relaxed -- pop counter (see drain_pass).
-      ring_popped_[p * workers_.size() + w]->fetch_add(
-          popped, std::memory_order_relaxed);
-      drained += popped;
-    }
-  }
-  // Boundary-drained records reached the live lattice, so they spend the
-  // packet budget like any consumed batch (the consumed-only basis). At a
-  // rotation boundary the decrement lands before this worker's ack -- and
-  // therefore before the budget reset, which runs only once every worker
-  // has acked -- so it is wiped with the sealed window, never leaked into
-  // the fresh one.
-  return drained != 0 && cfg_.epoch_packets > 0 && meter_consumed(drained);
 }
 
 bool HhhEngine::meter_consumed(std::size_t n) {
@@ -801,59 +712,45 @@ void HhhEngine::clock_loop(std::uint64_t gen) {
   }
 }
 
-EngineStats HhhEngine::collect_stats() const {
-  // order: relaxed (every counter below) -- stats() documents these as
-  // individually-consistent live counters; exactness comes only from calling
-  // under quiesce, where the ctl_mu_ hand-off orders the workers' writes.
+EngineStats HhhEngine::stats() const {
   EngineStats s;
+  // order: acquire -- pairs with merged()'s release add, and is read before
+  // window_epochs_ (the table loop below): a scrape that sees a merge also
+  // sees the rotation that sealed its window, so trend_sealed_merges <=
+  // window_epochs holds.
+  s.trend_sealed_merges = trend_sealed_merges_.load(std::memory_order_acquire);
+  for (const Counter& c : kCounters) {
+    // order: relaxed -- individually-consistent live counters; exactness
+    // comes only from reading under quiesce or after stop(), where a lock
+    // or join orders the writers. The archive trio is written by the
+    // archiver thread and matches the on-disk state after stop().
+    if (c.source == nullptr) continue;
+    s.*c.field = (this->*c.source).load(std::memory_order_relaxed);
+  }
   s.per_worker_consumed.reserve(workers_.size());
   for (const auto& ws : workers_) {
-    // order: relaxed -- per-worker consumed counter (see header comment).
+    // order: relaxed -- per-worker consumed counter (see above).
     const std::uint64_t c = ws->consumed.load(std::memory_order_relaxed);
     s.per_worker_consumed.push_back(c);
     s.consumed += c;
   }
-  s.per_ring_dropped.reserve(rings_.size());
-  s.per_ring_pushed.reserve(rings_.size());
-  s.per_ring_popped.reserve(rings_.size());
-  for (const auto& d : ring_dropped_) {
-    // order: relaxed -- per-ring drop counter.
-    const std::uint64_t n = d->load(std::memory_order_relaxed);
-    s.per_ring_dropped.push_back(n);
-    s.dropped += n;
+  s.per_ring_dropped.reserve(lanes_.size());
+  s.per_ring_pushed.reserve(lanes_.size());
+  s.per_ring_popped.reserve(lanes_.size());
+  for (const auto& l : lanes_) {
+    // order: relaxed x3 -- per-lane counters (see above).
+    s.per_ring_dropped.push_back(l->dropped.load(std::memory_order_relaxed));
+    s.per_ring_pushed.push_back(l->pushed.load(std::memory_order_relaxed));
+    s.per_ring_popped.push_back(l->popped.load(std::memory_order_relaxed));
+    s.dropped += s.per_ring_dropped.back();
   }
-  for (const auto& p : ring_pushed_) {
-    // order: relaxed -- per-ring push counter.
-    s.per_ring_pushed.push_back(p->load(std::memory_order_relaxed));
+  for (const auto& p : producers_) {
+    s.offered += p->offered();
+    // order: relaxed -- backpressure-retry counter (see above).
+    s.backpressure_waits += p->backpressure_.load(std::memory_order_relaxed);
   }
-  for (const auto& p : ring_popped_) {
-    // order: relaxed -- per-ring pop counter.
-    s.per_ring_popped.push_back(p->load(std::memory_order_relaxed));
-  }
-  for (const auto& p : producers_) s.offered += p->offered();
-  for (const auto& b : backpressure_) {
-    // order: relaxed -- backpressure-retry counter.
-    s.backpressure_waits += b->load(std::memory_order_relaxed);
-  }
-  // order: acquire -- pairs with merged()'s release add, and is read
-  // before window_epochs_: a scrape that sees a merge also sees the rotation
-  // that sealed its window, so trend_sealed_merges <= window_epochs holds.
-  s.trend_sealed_merges = trend_sealed_merges_.load(std::memory_order_acquire);
-  // order: relaxed x9 -- scalar counters; the archive trio is written by the
-  // archiver thread and only consistent with the on-disk state after stop().
-  s.epochs = epoch_req_.load(std::memory_order_relaxed);
-  s.window_epochs = window_epochs_.load(std::memory_order_relaxed);
-  s.archived_windows = archived_windows_.load(std::memory_order_relaxed);
-  s.archive_queue_drops = archive_queue_drops_.load(std::memory_order_relaxed);
-  s.archive_errors = archive_errors_.load(std::memory_order_relaxed);
-  s.trend_cache_hits = trend_cache_hits_.load(std::memory_order_relaxed);
-  s.budget_rotations = budget_rotations_.load(std::memory_order_relaxed);
-  s.rotation_drift_ns_total = drift_ns_total_.load(std::memory_order_relaxed);
-  s.late_rotations = late_rotations_.load(std::memory_order_relaxed);
   return s;
 }
-
-EngineStats HhhEngine::stats() const { return collect_stats(); }
 
 template <class Fn>
 std::uint64_t HhhEngine::quiesced(Fn&& fn, std::uint32_t self,
@@ -879,7 +776,7 @@ std::uint64_t HhhEngine::quiesced(Fn&& fn, std::uint32_t self,
       // self-acks below, then operates while the other workers wait. The
       // budget it rotates on is already spent, so this drain cannot cross
       // it again.
-      (void)boundary_drain(self, *self_batch);
+      (void)drain(self, *self_batch, /*backlog=*/true);
     }
     {
       std::unique_lock<std::mutex> lk(ctl_mu_);
@@ -920,37 +817,27 @@ std::uint64_t HhhEngine::quiesced(Fn&& fn, std::uint32_t self,
   return e;
 }
 
-HhhEngine::LiveWindow HhhEngine::merge_live() {
-  LiveWindow v;
-  v.epoch = quiesced([&] {
-    // order: relaxed -- epoch_req_ only changes under snap_mu_ (held).
-    v.merged = make_shard_lattice(0x6e7a9000ULL ^
-                                  epoch_req_.load(std::memory_order_relaxed));
-    for (const auto& ws : workers_) v.merged->merge(ws->ring.live());
-    v.stats = collect_stats();
-    // A dropped record was still offered on the wire: fold the drops counted
-    // since the last boundary into N so thresholds and slack terms see the
-    // full window, exactly like DistributedMeasurement::stop() does. Older
-    // drops belong to the sealed windows (the base is 0 until a rotation).
-    v.drops = v.stats.dropped - win_drops_base_;
-    if (v.drops != 0) v.merged->advance_stream(v.drops);
-  });
-  return v;
+std::unique_ptr<RhhhSpaceSaving> HhhEngine::merge_shards(
+    std::uint64_t salt, const std::vector<const RhhhSpaceSaving*>& shards,
+    std::uint64_t drops) const {
+  auto m = make_shard_lattice(salt);
+  for (const RhhhSpaceSaving* shard : shards) m->merge(*shard);
+  // A dropped record was still offered on the wire: fold the window's drops
+  // into N so thresholds and slack terms see the full window, exactly like
+  // DistributedMeasurement::stop() does.
+  if (drops != 0) m->advance_stream(drops);
+  return m;
 }
 
 const std::shared_ptr<const RhhhSpaceSaving>& HhhEngine::merged(SealedWindow& w,
                                                                 bool* built) {
   std::call_once(w.merge_once, [&] {
     // All shards rotate on one shared boundary, so every shard's slot
-    // covers the same network-wide epoch: merge them in worker order,
-    // seeded by the window's own epoch so the bytes never depend on who
-    // merged it or when.
-    auto m = make_shard_lattice(kSealedSalt ^ w.epoch);
-    for (const RhhhSpaceSaving* shard : w.shards) m->merge(*shard);
-    if (w.drops != 0) m->advance_stream(w.drops);
-    w.lattice = std::move(m);
+    // covers the same network-wide epoch. Seeded by the window's own epoch,
+    // so the bytes never depend on who merged it or when.
+    w.lattice = merge_shards(kSealedSalt ^ w.epoch, w.shards, w.drops);
     w.shards.clear();  // no reader needs the ring slots again
-    // order: release -- pairs with collect_stats()'s acquire load (see there).
+    // order: release -- pairs with stats()'s acquire load (see there).
     trend_sealed_merges_.fetch_add(1, std::memory_order_release);
     if (built != nullptr) *built = true;
   });
@@ -984,13 +871,10 @@ void HhhEngine::rotate_locked(std::uint32_t self, std::vector<Key128>* self_batc
   const std::uint64_t e = quiesced(
       [&] {
     for (auto& ws : workers_) ws->ring.rotate();
-    std::uint64_t d = 0;
-    // order: relaxed -- workers are parked (quiesced), so the drop counters
-    // are stable; the ctl_mu_ hand-off already ordered their last writes.
-    for (const auto& dr : ring_dropped_) d += dr->load(std::memory_order_relaxed);
     // Drops since the last boundary happened while the just-sealed window
     // was live: attribute them to it, along with how long it was live (the
     // archive metadata).
+    const std::uint64_t d = stats().dropped;
     sealed_drop = d - win_drops_base_;
     win_drops_base_ = d;
     const std::int64_t now_ns =
@@ -1053,10 +937,14 @@ void HhhEngine::rotate_locked(std::uint32_t self, std::vector<Key128>* self_batc
   for (const auto& ws : workers_) w->shards.push_back(&ws->ring.sealed(0));
   sealed_.push_front(w);
   if (sealed_.size() > cfg_.history_depth) sealed_.pop_back();
+  // Probing the sealed shard windows costs control-plane time only. It runs
+  // before the hand-off: the archiver's merge clears w->shards.
+  if (health_ != nullptr) {
+    health_->stamp(obs::certify_window(w->shards, epoch, sealed_drop,
+                                       static_cast<std::int64_t>(obs::now_ns())));
+  }
   // The hand-off never blocks: the archiver merges and writes on its own.
   if (archive_ != nullptr) enqueue_archive(w);
-  // Probing the sealed shard windows costs control-plane time only.
-  if (health_ != nullptr) stamp_certificate(epoch, sealed_drop);
   if (obs_.rotation_ns != nullptr) {
     const std::uint64_t now = obs::now_ns();
     const std::uint64_t rot_ns = now >= obs_t0 ? now - obs_t0 : 0;
@@ -1073,20 +961,26 @@ void HhhEngine::rotate_epoch() {
   rotate_locked();
 }
 
-void HhhEngine::stamp_certificate(std::uint64_t sealed_epoch,
-                                  std::uint64_t sealed_drop) {
-  std::vector<const RhhhSpaceSaving*> shards;
-  shards.reserve(workers_.size());
-  for (const auto& ws : workers_) shards.push_back(&ws->ring.sealed(0));
-  health_->stamp(obs::certify_window(
-      shards, sealed_epoch, sealed_drop,
-      static_cast<std::int64_t>(obs::now_ns())));
-}
-
 TrendSnapshot HhhEngine::trend_snapshot() {
   std::lock_guard<std::mutex> snap_lk(snap_mu_);
   const std::uint64_t obs_t0 = obs_.trend_ns != nullptr ? obs::now_ns() : 0;
-  LiveWindow live = merge_live();
+  // The live window: merged across shards under one quiesce, with the drops
+  // counted since the last rotation folded into its N (older drops belong
+  // to the sealed windows; the base is 0 until a rotation), and the ingest
+  // counters frozen at the same instant.
+  std::unique_ptr<RhhhSpaceSaving> live;
+  EngineStats live_stats;
+  std::uint64_t live_drops = 0;
+  const std::uint64_t live_epoch = quiesced([&] {
+    std::vector<const RhhhSpaceSaving*> shards;
+    shards.reserve(workers_.size());
+    for (const auto& ws : workers_) shards.push_back(&ws->ring.live());
+    live_stats = stats();
+    live_drops = live_stats.dropped - win_drops_base_;
+    // order: relaxed -- epoch_req_ only changes under snap_mu_ (held).
+    live = merge_shards(0x6e7a9000ULL ^ epoch_req_.load(std::memory_order_relaxed),
+                        shards, live_drops);
+  });
   // The sealed merges run after the workers resumed: sealed shard windows
   // are immutable while retained (evicting one needs snap_mu_, held here),
   // so only the live-window merge needs the quiesce pause. Each sealed
@@ -1113,11 +1007,10 @@ TrendSnapshot HhhEngine::trend_snapshot() {
     const std::uint64_t dur = now >= obs_t0 ? now - obs_t0 : 0;
     obs_.trend_ns->record(dur);
     obs_.trace->record(obs::TraceEvent::kSnapshot, static_cast<std::int64_t>(now),
-                       live.epoch, dur);
+                       live_epoch, dur);
   }
-  return TrendSnapshot(std::move(live.merged), std::move(sealed),
-                       std::move(sealed_drops), std::move(live.stats), we,
-                       live.drops);
+  return TrendSnapshot(std::move(live), std::move(sealed), std::move(sealed_drops),
+                       std::move(live_stats), we, live_drops);
 }
 
 std::unique_ptr<HhhEngine> make_engine(const EngineConfig& cfg) {

@@ -11,15 +11,16 @@
 //                                                        network-wide queries
 //
 // M producer threads fan packets across W worker shards. Every producer ×
-// worker pair owns a dedicated SpscRing, so each ring stays strictly
-// single-producer/single-consumer; producers batch records locally and push
-// with try_push_n to amortize the ring atomics. Each worker owns a private
-// ring of one live plus K sealed window lattices (core/window_ring.hpp,
-// K = EngineConfig::history_depth; no shared state on the packet path) and
-// consumes its M rings with try_pop_n. All control operations run through
-// one quiesce mechanism: workers park at the next epoch boundary (each
-// drains its visible ring backlog first), the coordinator operates on the
-// shard lattices, and workers resume.
+// worker pair owns a dedicated lane (an SpscRing plus its push/pop/drop
+// counters), so each ring stays strictly single-producer/single-consumer;
+// producers batch records locally and push with try_push_n to amortize the
+// ring atomics. Each worker owns a private ring of one live plus K sealed
+// window lattices (core/window_ring.hpp, K = EngineConfig::history_depth;
+// no shared state on the packet path) and consumes its M lanes through one
+// drain routine (drain()). All control operations run through one quiesce
+// mechanism: workers park at the next epoch boundary (each drains its
+// visible lane backlog first), the coordinator operates on the shard
+// lattices, and workers resume.
 //
 // Two operations use it:
 //   * rotate_epoch()    -- seal the current window: every shard rotates its
@@ -44,12 +45,14 @@
 //                          WindowedHhhMonitor's emerging/trend/sustained
 //                          queries at engine scale.
 //
-// Accounting: drops are counted per ring (OverflowPolicy::kDropTail, the
+// Accounting: drops are counted per lane (OverflowPolicy::kDropTail, the
 // saturated-port semantics of the distributed deployment), pushes and pops
-// per ring (conservation invariants; see tests/test_engine_fuzz.cpp),
+// per lane (conservation invariants; see tests/test_engine_fuzz.cpp),
 // backpressure retry rounds per producer (OverflowPolicy::kBlock, the
 // lossless mode the throughput benches use), and consumed packets per
-// worker.
+// worker. One counter table (engine.cpp) names every scalar EngineStats
+// field once, for stats(), its rhhh_engine_* gauge mirror and the stall
+// watchdog's JSON dump.
 //
 // Durable archiving (EngineConfig::archive, src/store/): when enabled,
 // every rotation hands its sealed window -- the one record trend_snapshot()
@@ -59,7 +62,8 @@
 // by whichever of a query or the archiver needs it first) and appends it
 // to the segment log (store/archive.hpp), where WindowArchive answers
 // last-N / time-range queries that reproduce trend_snapshot()'s sealed
-// windows byte for byte.
+// windows byte for byte. The archiver never takes snap_mu_, so stop()
+// joins it under that lock, like the workers and the watchdog.
 #pragma once
 
 #include <atomic>
@@ -150,14 +154,15 @@ class HhhEngine {
     std::vector<std::vector<Key128>> buf_;  ///< per-worker pending batch
     std::uint64_t offered_local_ = 0;       ///< not yet published to offered_
     std::atomic<std::uint64_t> offered_{0};
+    std::atomic<std::uint64_t> backpressure_{0};  ///< kBlock spin rounds
   };
 
   /// Spawns the W worker threads (plus the fallback clock thread when the
   /// packet budget is configured, and the archiver thread when archiving
   /// is). Idempotent.
   void start();
-  /// Drains the rings, stops and joins the workers (and the clock and the
-  /// archiver).
+  /// Drains the rings, stops and joins the workers, the archiver (after it
+  /// has written every queued window) and the clock.
   /// Producer buffers are not flushed (call Producer::flush() from the
   /// owning thread first). Each drain is bounded by the backlog it sees,
   /// so producers still pushing cannot hold stop() up; what they push
@@ -270,6 +275,28 @@ class HhhEngine {
     std::uint64_t epoch_acked = 0;  ///< guarded by ctl_mu_
     alignas(kCacheLine) std::atomic<std::uint64_t> consumed{0};
   };
+  /// One producer x worker ring and its conservation counters. The
+  /// producer writes `pushed`/`dropped`, the worker writes `popped`: each
+  /// side's counters sit on their own cache line.
+  struct Lane {
+    explicit Lane(std::size_t capacity) : ring(capacity) {}
+    SpscRing<Key128> ring;
+    alignas(kCacheLine) std::atomic<std::uint64_t> pushed{0};
+    std::atomic<std::uint64_t> dropped{0};
+    alignas(kCacheLine) std::atomic<std::uint64_t> popped{0};
+  };
+  /// One row of the counter table (engine.cpp): a scalar EngineStats field,
+  /// its key in the watchdog's "stats" dump, its rhhh_engine_* gauge mirror
+  /// (null: none) and the engine atomic stats() loads into it (null: a sum
+  /// stats() builds itself, or trend_sealed_merges, loaded first).
+  struct Counter {
+    std::uint64_t EngineStats::*field;
+    const char* key;
+    const char* family;
+    const char* help;
+    std::atomic<std::uint64_t> HhhEngine::*source;
+  };
+  static const Counter kCounters[];
 
   /// `self` sentinel for quiesced()/rotate_locked(): no worker is driving
   /// the control operation (an external caller or the fallback clock is).
@@ -278,29 +305,36 @@ class HhhEngine {
   /// worker missed its one-batch bound by a scheduler quantum or worse.
   static constexpr std::int64_t kLateRotationNs = 200'000;
 
-  [[nodiscard]] SpscRing<Key128>& ring(std::uint32_t p, std::uint32_t w) noexcept {
-    return *rings_[p * workers_.size() + w];
+  [[nodiscard]] Lane& lane(std::uint32_t p, std::uint32_t w) noexcept {
+    return *lanes_[p * workers_.size() + w];
   }
   [[nodiscard]] std::unique_ptr<RhhhSpaceSaving> make_shard_lattice(
       std::uint64_t salt) const;
+  /// A fresh lattice seeded `salt`, `shards` merged into it in worker
+  /// order, `drops` folded into its N: the live window of trend_snapshot()
+  /// and every sealed window's merge.
+  [[nodiscard]] std::unique_ptr<RhhhSpaceSaving> merge_shards(
+      std::uint64_t salt, const std::vector<const RhhhSpaceSaving*>& shards,
+      std::uint64_t drops) const;
   void worker_loop(std::uint32_t w);
   void clock_loop(std::uint64_t gen);
-  /// One try_pop_n sweep over worker w's M rings; returns records consumed.
-  std::size_t drain_pass(std::uint32_t w, std::vector<Key128>& batch);
-  /// Worker w's epoch-boundary drain: consume exactly the backlog visible
-  /// in each of its rings right now (bounded by the observed size, so it
-  /// terminates while producers keep pushing -- later arrivals belong to
-  /// the next epoch). Runs on worker threads (at a quiesce boundary, as
-  /// the self-drain of a cooperative rotator, or at shutdown) and once
-  /// more from stop() after the workers are joined. Returns true when its
-  /// records spent the packet budget (see meter_consumed()).
-  bool boundary_drain(std::uint32_t w, std::vector<Key128>& batch);
+  /// The engine's one drain: consume from each of worker w's M lanes into
+  /// its live lattice, at most one batch per lane (a regular worker pass),
+  /// or with `backlog` the backlog visible in the lane at its turn (bounded
+  /// by the observed size, so it terminates while producers keep pushing;
+  /// later arrivals belong to the next epoch) -- the drain of a quiesce
+  /// boundary, of a cooperative rotator's own rings, of a worker's shutdown
+  /// and of stop()'s sweep after the join. Every consumed record spends the
+  /// packet budget once; the drain whose records spend it sets *claimed
+  /// (see meter_consumed()). Returns the records consumed.
+  std::size_t drain(std::uint32_t w, std::vector<Key128>& batch, bool backlog,
+                    bool* claimed = nullptr);
   /// Spend `n` consumed records of the packet budget (the consumed-only
   /// basis: drops never pass through here). Returns true for the one
   /// decrement per window that crosses zero (fetch_sub totally orders
   /// them); that worker records the boundary instant for drift metering
-  /// and becomes the window's rotator. Called at every batch boundary and
-  /// from boundary_drain().
+  /// and becomes the window's rotator. Called by every drain() that
+  /// consumed something.
   bool meter_consumed(std::size_t n);
   /// Cooperative rotation attempt by worker w (the window's claimant):
   /// try-locks snap_mu_ (never blocks -- a worker that waited here could
@@ -311,7 +345,6 @@ class HhhEngine {
   /// reset the budget).
   bool try_rotate_cooperative(std::uint32_t w, std::vector<Key128>& batch,
                               std::uint64_t& acked);
-  [[nodiscard]] EngineStats collect_stats() const;
   /// One sealed window, shared by trend_snapshot() and the archiver.
   /// `shards` are the window's ring slot in every worker: valid while the
   /// window is retained (a slot is cleared when its window leaves the
@@ -327,21 +360,19 @@ class HhhEngine {
     std::once_flag merge_once;
     std::shared_ptr<const RhhhSpaceSaving> lattice;  ///< set by merged()
   };
-  /// The window's cross-shard merge, built on first use: a fresh lattice
-  /// seeded kSealedSalt ^ epoch, every shard merged in worker order, the
-  /// drops folded into N. Concurrent callers wait for the one build, which
-  /// bumps trend_sealed_merges_ and sets *built (left alone otherwise).
+  /// The window's cross-shard merge, built on first use by merge_shards()
+  /// seeded kSealedSalt ^ epoch; it clears `shards`. Concurrent callers
+  /// wait for the one build, which bumps trend_sealed_merges_ and sets
+  /// *built (left alone otherwise).
   const std::shared_ptr<const RhhhSpaceSaving>& merged(SealedWindow& w,
                                                        bool* built = nullptr);
-  /// Archiver thread body: drains the sealed-window queue into `arch`
-  /// until its generation is retired.
-  void archive_loop(store::WindowArchive* arch, std::uint64_t gen);
+  /// Archiver thread body: takes each queued sealed window's merge and
+  /// appends it to `arch` (counting successes and failures) until the
+  /// engine stops and the queue is empty.
+  void archive_loop(store::WindowArchive* arch);
   /// Queue `w` for the archiver (or drop + count on a full queue). Caller
   /// must hold snap_mu_.
   void enqueue_archive(const std::shared_ptr<SealedWindow>& w);
-  /// Archiver-side work for one queued window: take its merge and append
-  /// it to `arch`. Counts success/failure.
-  void archive_one(store::WindowArchive* arch, SealedWindow& w);
   /// Parks every worker at the next quiesce boundary, runs fn while they
   /// are parked, resumes them; returns the quiesce generation. Caller must
   /// hold snap_mu_. When the caller IS a worker (cooperative rotation),
@@ -350,18 +381,6 @@ class HhhEngine {
   template <class Fn>
   std::uint64_t quiesced(Fn&& fn, std::uint32_t self = kNoWorker,
                          std::vector<Key128>* self_batch = nullptr);
-  /// The live window as every query sees it: merged across shards under
-  /// one quiesce, with the drops counted since the last rotation folded
-  /// into its N, and the ingest counters frozen at the same instant.
-  struct LiveWindow {
-    std::unique_ptr<RhhhSpaceSaving> merged;
-    EngineStats stats;
-    std::uint64_t drops = 0;  ///< current-window drops (folded into N)
-    std::uint64_t epoch = 0;  ///< quiesce generation
-  };
-  /// Quiesce, merge the live shard lattices, resume. Caller must hold
-  /// snap_mu_.
-  LiveWindow merge_live();
   /// rotate_epoch() body; caller must hold snap_mu_. `self`/`self_batch`
   /// as in quiesced(); a rotating worker's local ack mark is updated
   /// through `self_acked` so it does not re-park on its own boundary.
@@ -383,11 +402,6 @@ class HhhEngine {
   /// bind_metrics(). The watchdog thread itself starts/stops with the
   /// engine.
   void bind_health();
-  /// Probe the just-sealed shard windows and stamp this window's
-  /// AccuracyCertificate into the ledger. Caller must hold snap_mu_, after
-  /// the workers have resumed (sealed(0) is immutable until the next
-  /// rotation, which needs snap_mu_).
-  void stamp_certificate(std::uint64_t sealed_epoch, std::uint64_t sealed_drop);
 
   EngineConfig cfg_;
   std::unique_ptr<Hierarchy> hierarchy_;
@@ -395,14 +409,9 @@ class HhhEngine {
   LatticeParams params_;  ///< resolved (kTenRhhh's V applied), base seed
   std::size_t pop_batch_;
 
-  std::vector<std::unique_ptr<SpscRing<Key128>>> rings_;  ///< [p * W + w]
+  std::vector<std::unique_ptr<Lane>> lanes_;  ///< [p * W + w]
   std::vector<std::unique_ptr<WorkerState>> workers_;
   std::vector<std::unique_ptr<Producer>> producers_;
-
-  std::vector<std::unique_ptr<std::atomic<std::uint64_t>>> ring_dropped_;  ///< [p * W + w]
-  std::vector<std::unique_ptr<std::atomic<std::uint64_t>>> ring_pushed_;   ///< [p * W + w]
-  std::vector<std::unique_ptr<std::atomic<std::uint64_t>>> ring_popped_;   ///< [p * W + w]
-  std::vector<std::unique_ptr<std::atomic<std::uint64_t>>> backpressure_;  ///< [p]
 
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> epoch_req_{0};
@@ -460,12 +469,12 @@ class HhhEngine {
   // the rotation that evicts a queued window first calls its merged(): a
   // no-op when the archiver got there first, otherwise the one merge a
   // rotation ever runs. start() opens the store and spawns the thread;
-  // stop() retires the generation, joins, drains the remainder
-  // synchronously and seals the segment. Queue state under arch_mu_.
+  // stop() flips running_, joins the thread once it has written every
+  // queued window (no rotation can enqueue meanwhile: stop() holds
+  // snap_mu_) and seals the segment. Queue state under arch_mu_.
   std::deque<std::shared_ptr<SealedWindow>> archive_q_;
   std::mutex arch_mu_;
   std::condition_variable arch_cv_;
-  std::atomic<std::uint64_t> archive_gen_{0};
   std::thread archive_thread_;
   std::unique_ptr<store::WindowArchive> archive_;
   std::atomic<std::uint64_t> archived_windows_{0};

@@ -1,16 +1,17 @@
-// TraceRing: a bounded, lock-free, multi-producer event ring for control-
-// plane milestones (rotation, quiesce, seal, archive, segment roll,
-// compaction). Writers claim a monotonically increasing sequence with one
-// relaxed fetch_add and fill the slot with all-atomic fields, so recording
-// from any thread is wait-free and TSan-clean; the ring wraps, keeping the
-// newest `capacity` events. dump() reconstructs the surviving window
-// oldest-first, using a per-slot ticket (seqlock-style) to discard slots a
-// concurrent writer is overwriting -- readers never block writers.
+// TraceRing: a bounded, multi-producer event ring for control-plane
+// milestones (rotation, quiesce, seal, archive, segment roll, compaction,
+// scrape, stall). Every writer is control-plane -- the engine, the archive,
+// the watchdog and the exporter, a few events per window -- so one mutex
+// guards a ring of plain TraceRecord slots: record() stamps the next
+// sequence number and overwrites the oldest slot, and dump() copies the
+// newest `capacity` events oldest-first. The mutex is a leaf: no code takes
+// another lock while holding it (the engine records under snap_mu_ and
+// arch_mu_, never the reverse).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 namespace rhhh::obs {
@@ -71,62 +72,29 @@ class TraceRing {
 
   void record(TraceEvent ev, std::int64_t ts_ns, std::uint64_t arg0 = 0,
               std::uint64_t arg1 = 0) noexcept {
-    // order: relaxed -- the fetch_add only needs a unique sequence number;
-    // publication of the payload happens through the ticket release below.
-    const std::uint64_t seq = head_.fetch_add(1, std::memory_order_relaxed);
-    Slot& s = slots_[static_cast<std::size_t>(seq) & mask_];
-    // order: relaxed invalidate -- readers seeing ticket 0 (or any value
-    // != this generation's seq+1) discard the slot, so the payload stores
-    // below need no ordering among themselves.
-    s.ticket.store(0, std::memory_order_relaxed);
-    s.ts_ns.store(ts_ns, std::memory_order_relaxed);
-    s.event.store(static_cast<std::uint8_t>(ev), std::memory_order_relaxed);
-    s.arg0.store(arg0, std::memory_order_relaxed);
-    s.arg1.store(arg1, std::memory_order_relaxed);
-    // order: release -- publishes the payload stores above; a reader that
-    // acquires this ticket value sees this generation's complete payload.
-    s.ticket.store(seq + 1, std::memory_order_release);
+    const std::lock_guard<std::mutex> lk(mu_);
+    slots_[static_cast<std::size_t>(head_) & mask_] =
+        TraceRecord{head_, ts_ns, ev, arg0, arg1};
+    ++head_;
   }
 
-  /// Reconstruct the surviving window oldest-first. Slots being rewritten
-  /// by a concurrent record() (ticket mismatch) are skipped, so the result
-  /// is a gap-tolerant but strictly seq-ordered subset of the last
-  /// `capacity()` events.
+  /// The surviving window oldest-first: the last min(recorded(),
+  /// capacity()) events, strictly seq-ordered and gap-free.
   [[nodiscard]] std::vector<TraceRecord> dump() const {
-    // order: acquire -- pairs with the ticket releases: every event
-    // numbered below this head has its slot fully published (or has been
-    // invalidated by a newer writer, which the ticket check catches).
-    const std::uint64_t head = head_.load(std::memory_order_acquire);
-    const std::uint64_t cap = slots_.size();
-    const std::uint64_t start = head > cap ? head - cap : 0;
+    const std::lock_guard<std::mutex> lk(mu_);
+    const std::uint64_t start = head_ > slots_.size() ? head_ - slots_.size() : 0;
     std::vector<TraceRecord> out;
-    out.reserve(static_cast<std::size_t>(head - start));
-    for (std::uint64_t seq = start; seq < head; ++seq) {
-      const Slot& s = slots_[static_cast<std::size_t>(seq) & mask_];
-      // order: acquire -- pairs with record()'s release; a matching ticket
-      // guarantees the payload reads below observe this generation.
-      if (s.ticket.load(std::memory_order_acquire) != seq + 1) continue;
-      TraceRecord r;
-      r.seq = seq;
-      // order: relaxed -- payload fields, ordered by the ticket acquire
-      // above and validated by the ticket re-check below.
-      r.ts_ns = s.ts_ns.load(std::memory_order_relaxed);
-      r.event =
-          static_cast<TraceEvent>(s.event.load(std::memory_order_relaxed));
-      r.arg0 = s.arg0.load(std::memory_order_relaxed);
-      r.arg1 = s.arg1.load(std::memory_order_relaxed);
-      // order: acquire -- seqlock validation: if the ticket still matches,
-      // no writer invalidated the slot while the payload was read.
-      if (s.ticket.load(std::memory_order_acquire) != seq + 1) continue;
-      out.push_back(r);
+    out.reserve(static_cast<std::size_t>(head_ - start));
+    for (std::uint64_t seq = start; seq < head_; ++seq) {
+      out.push_back(slots_[static_cast<std::size_t>(seq) & mask_]);
     }
     return out;
   }
 
   /// Total events ever recorded (monotone; may exceed capacity()).
-  [[nodiscard]] std::uint64_t recorded() const noexcept {
-    // order: relaxed -- a statistic; no payload is read through it.
-    return head_.load(std::memory_order_relaxed);
+  [[nodiscard]] std::uint64_t recorded() const {
+    const std::lock_guard<std::mutex> lk(mu_);
+    return head_;
   }
 
   [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
@@ -138,19 +106,10 @@ class TraceRing {
     return p;
   }
 
-  struct Slot {
-    // ticket == seq+1 marks a fully published generation (0 = never/being
-    // written); +1 keeps slot 0's first generation distinguishable.
-    alignas(64) std::atomic<std::uint64_t> ticket{0};
-    std::atomic<std::int64_t> ts_ns{0};
-    std::atomic<std::uint8_t> event{0};
-    std::atomic<std::uint64_t> arg0{0};
-    std::atomic<std::uint64_t> arg1{0};
-  };
-
-  std::vector<Slot> slots_;
+  mutable std::mutex mu_;
+  std::vector<TraceRecord> slots_;  ///< under mu_
   std::size_t mask_;
-  alignas(64) std::atomic<std::uint64_t> head_{0};
+  std::uint64_t head_ = 0;  ///< next sequence number (under mu_)
 };
 
 }  // namespace rhhh::obs

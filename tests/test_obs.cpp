@@ -13,14 +13,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <fstream>
@@ -810,6 +813,133 @@ TEST(ObsEngineMetrics, DestructorUnregistersEngineOwnedSamplers) {
   off.metrics = &quiet;
   const HhhEngine dark(off);
   EXPECT_EQ(quiet.size(), 0u);
+}
+
+/// The engine's counter table: every rhhh_engine_* counter mirror and
+/// every key of the watchdog dump's "stats" object reads the stats() field
+/// it names. The run makes at least six of those fields distinct and
+/// non-zero (drops, archived windows, budget and manual rotations,
+/// snapshots, a trend cache hit, drift), so two swapped rows fail here.
+TEST(ObsEngineMetrics, CounterMirrorsAndDumpMatchStats) {
+  using Field = std::uint64_t EngineStats::*;
+  const std::vector<std::pair<const char*, Field>> fields = {
+      {"offered", &EngineStats::offered},
+      {"consumed", &EngineStats::consumed},
+      {"dropped", &EngineStats::dropped},
+      {"backpressure_waits", &EngineStats::backpressure_waits},
+      {"epochs", &EngineStats::epochs},
+      {"window_epochs", &EngineStats::window_epochs},
+      {"archived_windows", &EngineStats::archived_windows},
+      {"archive_queue_drops", &EngineStats::archive_queue_drops},
+      {"archive_errors", &EngineStats::archive_errors},
+      {"trend_cache_hits", &EngineStats::trend_cache_hits},
+      {"trend_sealed_merges", &EngineStats::trend_sealed_merges},
+      {"budget_rotations", &EngineStats::budget_rotations},
+      {"rotation_drift_ns_total", &EngineStats::rotation_drift_ns_total},
+      {"late_rotations", &EngineStats::late_rotations},
+  };
+  // The dump's "stats" object as key -> value.
+  const auto dump_stats = [](const std::string& dump) {
+    std::vector<std::pair<std::string, std::uint64_t>> kv;
+    const std::size_t open = dump.find("\"stats\":{");
+    if (open == std::string::npos) return kv;
+    const std::size_t close = dump.find('}', open);
+    std::size_t i = open + 9;
+    while (i < close) {
+      const std::size_t q = dump.find('"', i + 1);
+      const std::string key = dump.substr(i + 1, q - i - 1);
+      const std::size_t end = std::min(dump.find(',', q), close);
+      kv.emplace_back(key, std::stoull(dump.substr(q + 2, end - q - 2)));
+      i = end + 1;
+    }
+    return kv;
+  };
+
+  MetricsRegistry reg;
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / "obs_counter_table";
+  std::filesystem::remove_all(dir);
+  EngineConfig cfg;
+  cfg.workers = 1;  // one consumer: parking it freezes every counter
+  cfg.producers = 1;
+  cfg.metrics = &reg;
+  cfg.overflow = OverflowPolicy::kDropTail;
+  cfg.ring_capacity = 1024;
+  cfg.epoch_packets = 5'000;
+  cfg.history_depth = 2;
+  cfg.archive.dir = dir.string();
+  cfg.archive.queue_windows = 64;
+  cfg.health.watchdog_millis = 20;
+  HhhEngine eng(cfg);
+  eng.start();
+  const auto wait_for = [](const auto& done) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return done();
+  };
+  const auto settled = [&] {
+    const EngineStats s = eng.stats();
+    return s.consumed + s.dropped == s.offered;
+  };
+  // Chunks below the ring's capacity, each consumed before the next: a
+  // dozen budget rotations, with drift.
+  HhhEngine::Producer& p = eng.producer(0);
+  Xoroshiro128 rng(5);
+  for (int chunk = 0; chunk < 60; ++chunk) {
+    for (int i = 0; i < 1'000; ++i) p.ingest(Key128{rng(), rng()});
+    p.flush();
+    ASSERT_TRUE(wait_for(settled));
+  }
+  eng.rotate_epoch();  // manual: budget_rotations < window_epochs
+  (void)eng.trend_snapshot();
+  (void)eng.trend_snapshot();  // merges nothing: a trend cache hit
+  ASSERT_TRUE(wait_for([&] {
+    const EngineStats s = eng.stats();
+    return s.archived_windows + s.archive_queue_drops + s.archive_errors ==
+           s.window_epochs;
+  }));
+
+  // Freeze: park the only worker and overfill its ring (more drops, and a
+  // backlog no one drains), so the watchdog dumps a counter snapshot that
+  // stays exact until the worker is released. An earlier episode ends at
+  // the first sample without a stall, so the next one is the freeze's.
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  const std::uint64_t episodes = eng.watchdog()->stall_episodes();
+  eng.test_block_worker(0);
+  for (int i = 0; i < 4'000; ++i) p.ingest(Key128{rng(), rng()});
+  p.flush();
+  ASSERT_TRUE(
+      wait_for([&] { return eng.watchdog()->stall_episodes() > episodes; }));
+  const std::vector<std::pair<std::string, std::uint64_t>> dumped =
+      dump_stats(eng.watchdog()->last_dump());
+  const EngineStats frozen = eng.stats();
+  ASSERT_EQ(dumped.size(), fields.size());
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    EXPECT_EQ(dumped[i].first, fields[i].first);
+    EXPECT_EQ(dumped[i].second, frozen.*fields[i].second) << fields[i].first;
+  }
+  eng.test_unblock_workers();
+  eng.stop();
+
+  const EngineStats s = eng.stats();
+  std::vector<std::uint64_t> distinct;
+  std::size_t mirrors = 0;
+  for (const auto& [key, field] : fields) {
+    const std::string family = std::string("rhhh_engine_") + key;
+    if (reg.has(family)) {
+      ++mirrors;
+      EXPECT_EQ(static_cast<std::uint64_t>(reg.value(family)), s.*field) << family;
+    }
+    if (s.*field != 0) distinct.push_back(s.*field);
+  }
+  EXPECT_EQ(mirrors, fields.size() - 1) << "all but rotation_drift_ns_total";
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
+  EXPECT_GE(distinct.size(), 6u);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

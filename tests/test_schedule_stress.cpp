@@ -480,6 +480,46 @@ TEST(ShutdownEdges, ArchiveQueueDrainedExactlyOnce) {
   }  // destructor: one more stop() on the torn-down engine
 }
 
+// stop() racing a restart: one thread stops the engine while another
+// start()s it and rotates with archiving on. stop() joins each run's
+// archiver before a later start() can open the next segment, so no window
+// of one run reaches another run's segment and none is written twice: the
+// cold store lists exactly the archived windows, in strictly increasing
+// epoch order (window_epochs never resets, so every run's epochs follow
+// the last run's).
+TEST(ShutdownEdges, StopRacesRestartWithArchiving) {
+  TempDir dir("stop_restart");
+  EngineConfig cfg = small_engine(2, 1);
+  cfg.history_depth = 2;
+  cfg.archive.dir = dir.str();
+  cfg.archive.queue_windows = 64;
+  HhhEngine eng(cfg);
+  for (int round = 0; round < 10; ++round) {
+    eng.start();
+    ingest_stream(eng, 0, 4'000, 800 + static_cast<std::uint64_t>(round));
+    // A queue backlog for the stop to find.
+    for (int r = 0; r < 8; ++r) eng.rotate_epoch();
+    std::thread stopper([&] { eng.stop(); });
+    std::thread restarter([&] {
+      eng.start();
+      for (int r = 0; r < 8; ++r) eng.rotate_epoch();
+    });
+    stopper.join();
+    restarter.join();
+  }
+  eng.stop();
+
+  const EngineStats s = eng.stats();
+  EXPECT_EQ(s.archive_errors, 0u);
+  EXPECT_GT(s.archived_windows, 0u);
+  const store::WindowArchive arch = store::WindowArchive::open_read(dir.str());
+  EXPECT_EQ(arch.windows(), s.archived_windows);
+  const std::vector<store::WindowMeta> metas = arch.list();
+  for (std::size_t i = 1; i < metas.size(); ++i) {
+    EXPECT_GT(metas[i].epoch, metas[i - 1].epoch) << "window " << i;
+  }
+}
+
 // The archiver behind the history ring: with history_depth = 1 each
 // rotation clears the previous window's shard slots, so back-to-back
 // rotations overtake an archiver still merging. The rotation that evicts a
