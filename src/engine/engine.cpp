@@ -1,6 +1,7 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
 #include <tuple>
 
@@ -817,16 +818,14 @@ std::uint64_t HhhEngine::quiesced(Fn&& fn, std::uint32_t self,
   return e;
 }
 
-std::unique_ptr<RhhhSpaceSaving> HhhEngine::merge_shards(
-    std::uint64_t salt, const std::vector<const RhhhSpaceSaving*>& shards,
-    std::uint64_t drops) const {
-  auto m = make_shard_lattice(salt);
-  for (const RhhhSpaceSaving* shard : shards) m->merge(*shard);
+void HhhEngine::merge_shards(RhhhSpaceSaving& m,
+                             const std::vector<const RhhhSpaceSaving*>& shards,
+                             std::uint64_t drops) const {
+  for (const RhhhSpaceSaving* shard : shards) m.merge(*shard);
   // A dropped record was still offered on the wire: fold the window's drops
   // into N so thresholds and slack terms see the full window, exactly like
   // DistributedMeasurement::stop() does.
-  if (drops != 0) m->advance_stream(drops);
-  return m;
+  if (drops != 0) m.advance_stream(drops);
 }
 
 const std::shared_ptr<const RhhhSpaceSaving>& HhhEngine::merged(SealedWindow& w,
@@ -835,7 +834,9 @@ const std::shared_ptr<const RhhhSpaceSaving>& HhhEngine::merged(SealedWindow& w,
     // All shards rotate on one shared boundary, so every shard's slot
     // covers the same network-wide epoch. Seeded by the window's own epoch,
     // so the bytes never depend on who merged it or when.
-    w.lattice = merge_shards(kSealedSalt ^ w.epoch, w.shards, w.drops);
+    auto m = make_shard_lattice(kSealedSalt ^ w.epoch);
+    merge_shards(*m, w.shards, w.drops);
+    w.lattice = std::move(m);
     w.shards.clear();  // no reader needs the ring slots again
     // order: release -- pairs with stats()'s acquire load (see there).
     trend_sealed_merges_.fetch_add(1, std::memory_order_release);
@@ -967,8 +968,13 @@ TrendSnapshot HhhEngine::trend_snapshot() {
   // The live window: merged across shards under one quiesce, with the drops
   // counted since the last rotation folded into its N (older drops belong
   // to the sealed windows; the base is 0 until a rotation), and the ingest
-  // counters frozen at the same instant.
-  std::unique_ptr<RhhhSpaceSaving> live;
+  // counters frozen at the same instant. Its lattice is built (allocated
+  // and zero-filled) before the pause, so the workers stay parked for the
+  // merge alone; it is seeded by the quiesce generation that pause opens
+  // (epoch_req_ advances only in quiesced(), under snap_mu_, held here).
+  // order: relaxed -- epoch_req_ only changes under snap_mu_ (held).
+  const std::uint64_t live_gen = epoch_req_.load(std::memory_order_relaxed) + 1;
+  std::unique_ptr<RhhhSpaceSaving> live = make_shard_lattice(0x6e7a9000ULL ^ live_gen);
   EngineStats live_stats;
   std::uint64_t live_drops = 0;
   const std::uint64_t live_epoch = quiesced([&] {
@@ -977,10 +983,9 @@ TrendSnapshot HhhEngine::trend_snapshot() {
     for (const auto& ws : workers_) shards.push_back(&ws->ring.live());
     live_stats = stats();
     live_drops = live_stats.dropped - win_drops_base_;
-    // order: relaxed -- epoch_req_ only changes under snap_mu_ (held).
-    live = merge_shards(0x6e7a9000ULL ^ epoch_req_.load(std::memory_order_relaxed),
-                        shards, live_drops);
+    merge_shards(*live, shards, live_drops);
   });
+  assert(live_epoch == live_gen);
   // The sealed merges run after the workers resumed: sealed shard windows
   // are immutable while retained (evicting one needs snap_mu_, held here),
   // so only the live-window merge needs the quiesce pause. Each sealed

@@ -310,12 +310,12 @@ class HhhEngine {
   }
   [[nodiscard]] std::unique_ptr<RhhhSpaceSaving> make_shard_lattice(
       std::uint64_t salt) const;
-  /// A fresh lattice seeded `salt`, `shards` merged into it in worker
-  /// order, `drops` folded into its N: the live window of trend_snapshot()
-  /// and every sealed window's merge.
-  [[nodiscard]] std::unique_ptr<RhhhSpaceSaving> merge_shards(
-      std::uint64_t salt, const std::vector<const RhhhSpaceSaving*>& shards,
-      std::uint64_t drops) const;
+  /// `shards` merged in worker order into `m`, a fresh lattice from
+  /// make_shard_lattice(), and `drops` folded into its N: the live window
+  /// of trend_snapshot() and every sealed window's merge.
+  void merge_shards(RhhhSpaceSaving& m,
+                    const std::vector<const RhhhSpaceSaving*>& shards,
+                    std::uint64_t drops) const;
   void worker_loop(std::uint32_t w);
   void clock_loop(std::uint64_t gen);
   /// The engine's one drain: consume from each of worker w's M lanes into

@@ -11,6 +11,12 @@
 //   * tracked:   count - error <= f <= count, with error <= N/m
 //   * untracked: f <= min-count over tracked counters (<= N/m)
 //   * every key with f > N/m is tracked (heavy-hitter recall)
+//
+// The key index is a private robin-hood table of 8-byte slots {tag, counter}
+// (see Slot below): a 2,001-counter instance indexes its keys in 32 KB. The
+// index never decides output order -- for_each() walks the counter array and
+// eviction takes the head of the lowest bucket -- so any layout of the table
+// yields the same bytes downstream.
 #pragma once
 
 #include <algorithm>
@@ -19,11 +25,12 @@
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "hh/backend.hpp"
 #include "util/bits.hpp"
-#include "util/flat_hash_map.hpp"
+#include "util/flat_hash_map.hpp"  // rebuild()'s count-to-bucket map
 #include "util/key128.hpp"
 
 namespace rhhh {
@@ -31,13 +38,18 @@ namespace rhhh {
 template <class Key, class Hash = KeyHash<Key>>
 class SpaceSaving {
  public:
-  explicit SpaceSaving(std::size_t capacity)
-      : index_(2 * capacity), cap_(capacity) {
+  explicit SpaceSaving(std::size_t capacity) : cap_(capacity) {
     if (capacity == 0) throw std::invalid_argument("SpaceSaving: capacity must be > 0");
+    // Tags are 32-bit and so address at most 2^32 slots.
+    if (capacity > kMaxCapacity) {
+      throw std::invalid_argument("SpaceSaving: capacity must be <= 2^30");
+    }
     counters_.resize(cap_);
     buckets_.resize(cap_ + 1);
     reset_freelist();
-    index_.reserve(cap_);
+    // At most half full, so probe runs stay short and always end.
+    slots_.assign(next_pow2(std::max<std::size_t>(8, 2 * cap_)), kEmpty);
+    mask_ = slots_.size() - 1;
   }
 
   /// The key hash this instance's index uses. Exposed so batched callers can
@@ -47,16 +59,27 @@ class SpaceSaving {
     return Hash{}(k);
   }
 
-  /// Pull the index slots for hash `h` toward L1 ahead of an
+  /// Pull the home slot of hash `h` toward L1 ahead of an
   /// increment_hashed(). Safe to issue for any hash value.
-  void prefetch(std::uint64_t h) const noexcept { index_.prefetch(h); }
+  void prefetch(std::uint64_t h) const noexcept {
+    __builtin_prefetch(slots_.data() + (h & mask_), 0, 3);
+  }
 
-  /// Pull the counter cell of key `k` toward L1: a dependent second-stage
+  /// Pull the counter cell of hash `h` toward L1: a dependent second-stage
   /// prefetch (the cell address needs one index probe, so issue this at a
-  /// shorter distance than prefetch(), once the slot line has arrived).
-  void prefetch_counter(const Key& k, std::uint64_t h) const noexcept {
-    if (const std::uint32_t* slot = index_.find_hashed(k, h)) {
-      __builtin_prefetch(counters_.data() + *slot, 1, 3);
+  /// shorter distance than prefetch(), once the slot line has arrived). It
+  /// follows the first slot whose tag matches, without comparing keys: a
+  /// hint may land on another key's counter, never on a wrong answer.
+  void prefetch_counter(std::uint64_t h) const noexcept {
+    const auto tag = static_cast<std::uint32_t>(h);
+    std::size_t i = tag & mask_;
+    for (std::size_t d = 0;; i = (i + 1) & mask_, ++d) {
+      const Slot s = slots_[i];
+      if (s.counter == kNil || distance(s, i) < d) return;
+      if (s.tag == tag) {
+        __builtin_prefetch(counters_.data() + s.counter, 1, 3);
+        return;
+      }
     }
   }
 
@@ -66,55 +89,54 @@ class SpaceSaving {
     increment_hashed(k, hash_of(k), w);
   }
 
-  /// increment() with the key hash precomputed. The lookup and the
-  /// insertion share ONE index probe (find-or-insert), so every arrival
-  /// hashes and walks the probe sequence exactly once -- tracked hit,
-  /// fresh-counter insert and eviction alike.
+  /// increment() with the key hash precomputed. A tracked hit and a
+  /// fresh-counter insert walk the probe sequence once; an eviction erases
+  /// the evicted key's slot (found by its counter's stored tag, without
+  /// hashing that key) and then places the new key from its home slot.
   void increment_hashed(const Key& k, std::uint64_t h, std::uint64_t w = 1) {
     if (w == 0) return;
     total_ += w;
-    std::uint32_t c;
-    bool attached = true;
-    auto [slot, inserted] = index_.try_emplace_hashed(k, h, kNil);
-    if (!inserted) {
-      c = *slot;
+    const auto tag = static_cast<std::uint32_t>(h);
+    const Probe p = probe(k, tag);
+    if (p.counter != kNil) {
+      advance(p.counter, w, true);
     } else if (size_ < cap_) {
-      c = static_cast<std::uint32_t>(size_++);
-      counters_[c] = Counter{k, 0, 0, kNil, kNil, kNil};
-      *slot = c;
-      attached = false;
+      const auto c = static_cast<std::uint32_t>(size_++);
+      counters_[c] = Counter{k, 0, 0, kNil, kNil, kNil, tag};
+      place(Slot{tag, c}, p.slot);
+      advance(c, w, false);
     } else {
       // Evict the minimum: replace its key, inherit its count as the error
-      // bound (the classic Space-Saving replacement step). Write the slot
-      // value BEFORE erasing the evicted key: backward-shift deletion may
-      // relocate our freshly inserted entry (copying its value along), so
-      // the pointer is only trustworthy until the erase.
+      // bound (the classic Space-Saving replacement step). The erase may
+      // shift the probe run, so the new key is placed from its home slot.
       const std::uint32_t b = bucket_head_;
-      c = buckets_[b].head;
+      const std::uint32_t c = buckets_[b].head;
       const std::uint64_t min = buckets_[b].value;
-      *slot = c;
-      index_.erase(counters_[c].key);
-      counters_[c].key = k;
-      counters_[c].error = min;
-      counters_[c].count = min;
+      erase(c);
+      place(Slot{tag, c}, tag & mask_);
+      Counter& cn = counters_[c];
+      cn.key = k;
+      cn.tag = tag;
+      cn.error = min;
+      cn.count = min;
       ++evictions_;
+      advance(c, w, true);
     }
-    advance(c, w, attached);
   }
 
   /// Upper bound on the number of arrivals of `k`.
   [[nodiscard]] std::uint64_t upper(const Key& k) const noexcept {
-    const std::uint32_t* slot = index_.find(k);
-    return slot != nullptr ? counters_[*slot].count : min_bound();
+    const std::uint32_t c = find(k, hash_of(k));
+    return c != kNil ? counters_[c].count : min_bound();
   }
   /// Lower bound on the number of arrivals of `k`.
   [[nodiscard]] std::uint64_t lower(const Key& k) const noexcept {
-    const std::uint32_t* slot = index_.find(k);
-    if (slot == nullptr) return 0;
-    const Counter& c = counters_[*slot];
-    return c.count - c.error;
+    const std::uint32_t c = find(k, hash_of(k));
+    return c != kNil ? counters_[c].count - counters_[c].error : 0;
   }
-  [[nodiscard]] bool tracked(const Key& k) const noexcept { return index_.contains(k); }
+  [[nodiscard]] bool tracked(const Key& k) const noexcept {
+    return find(k, hash_of(k)) != kNil;
+  }
 
   /// Upper bound on the arrivals of *any* untracked key.
   [[nodiscard]] std::uint64_t min_bound() const noexcept {
@@ -175,7 +197,7 @@ class SpaceSaving {
     // the O(capacity) walks are skipped -- a freshly built instance about
     // to be load()ed pays them once, in the constructor.
     if (size_ != 0) {
-      index_.clear();
+      std::fill(slots_.begin(), slots_.end(), kEmpty);
       reset_freelist();
     }
     size_ = 0;
@@ -230,12 +252,12 @@ class SpaceSaving {
     std::vector<std::uint32_t> unmatched;
     unmatched.reserve(n);
     for (std::size_t j = 0; j < n; ++j) {
-      if (j + kMergePrefetch < n) index_.prefetch(hash[j + kMergePrefetch]);
-      const std::uint32_t* slot = index_.find_hashed(in[j].key, hash[j]);
-      if (slot == nullptr) {
+      if (j + kMergePrefetch < n) prefetch(hash[j + kMergePrefetch]);
+      const std::uint32_t c = find(in[j].key, hash[j]);
+      if (c == kNil) {
         unmatched.push_back(static_cast<std::uint32_t>(j));
-      } else if (partner[*slot] == kNil) {
-        partner[*slot] = static_cast<std::uint32_t>(j);
+      } else if (partner[c] == kNil) {
+        partner[c] = static_cast<std::uint32_t>(j);
       } else {
         throw std::invalid_argument("SpaceSaving::merge: duplicate key in roster");
       }
@@ -308,7 +330,8 @@ class SpaceSaving {
   }
 
   /// Structural invariant check for tests: bucket list ascending and
-  /// consistent, every counter indexed, counts summing to total().
+  /// consistent, every counter indexed under its own hash's tag and found by
+  /// a probe, and the index holding exactly size() slots.
   [[nodiscard]] bool validate() const {
     std::size_t seen = 0;
     std::uint64_t sum = 0;
@@ -325,25 +348,28 @@ class SpaceSaving {
         const Counter& cn = counters_[c];
         if (cn.bucket != b || cn.prev != prev_c) return false;
         if (cn.count != bk.value || cn.error > cn.count) return false;
-        const std::uint32_t* slot = index_.find(cn.key);
-        if (slot == nullptr || *slot != c) return false;
+        const std::uint64_t h = hash_of(cn.key);
+        if (cn.tag != static_cast<std::uint32_t>(h) || find(cn.key, h) != c) return false;
         sum += cn.count;
         ++seen;
         prev_c = c;
       }
     }
     (void)sum;  // equals total() for pure streams; merge() legitimately drops mass
-    return seen == size_ && index_.size() == size_;
+    const auto indexed = std::count_if(slots_.begin(), slots_.end(),
+                                       [](const Slot& s) { return s.counter != kNil; });
+    return seen == size_ && static_cast<std::size_t>(indexed) == size_;
   }
 
+  /// Bytes of the three arrays this instance allocated.
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
     return counters_.capacity() * sizeof(Counter) +
-           buckets_.capacity() * sizeof(Bucket) +
-           index_.capacity() * (sizeof(Key) + sizeof(std::uint32_t) + 2);
+           buckets_.capacity() * sizeof(Bucket) + slots_.capacity() * sizeof(Slot);
   }
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
+  static constexpr std::size_t kMaxCapacity = std::size_t{1} << 30;
 
   struct Counter {
     Key key{};
@@ -352,13 +378,81 @@ class SpaceSaving {
     std::uint32_t bucket = kNil;
     std::uint32_t prev = kNil;  // within-bucket list
     std::uint32_t next = kNil;
+    std::uint32_t tag = 0;  // the key's index tag; fills Key128's padding
   };
+  static_assert(!std::is_same_v<Key, Key128> || sizeof(Counter) == 48);
+
   struct Bucket {
     std::uint64_t value = 0;
     std::uint32_t head = kNil;  // first counter in this bucket
     std::uint32_t prev = kNil;  // bucket list (ascending by value)
     std::uint32_t next = kNil;
   };
+
+  /// One index slot: the low 32 bits of the key hash and the key's counter.
+  /// The home slot is `tag & mask_`, so a slot's probe distance follows
+  /// from its tag; a tag match is confirmed against the counter's key.
+  /// Robin-hood insertion and backward-shift erase keep each probe run
+  /// dense and ordered by distance, so a probe stops at the first empty
+  /// slot or the first resident closer to its home than the probe is.
+  struct Slot {
+    std::uint32_t tag;
+    std::uint32_t counter;  // kNil: empty
+  };
+  static constexpr Slot kEmpty{0, kNil};
+
+  /// Where a key sits in the index: its counter, or kNil and the slot at
+  /// which its robin-hood insertion starts.
+  struct Probe {
+    std::uint32_t counter;
+    std::size_t slot;
+  };
+
+  /// Probe distance of slot `s` at position `i` from its home slot.
+  [[nodiscard]] std::size_t distance(Slot s, std::size_t i) const noexcept {
+    return (i - (s.tag & mask_)) & mask_;
+  }
+
+  [[nodiscard]] Probe probe(const Key& k, std::uint32_t tag) const noexcept {
+    std::size_t i = tag & mask_;
+    for (std::size_t d = 0;; i = (i + 1) & mask_, ++d) {
+      const Slot s = slots_[i];
+      if (s.counter == kNil || distance(s, i) < d) return Probe{kNil, i};
+      if (s.tag == tag && counters_[s.counter].key == k) return Probe{s.counter, i};
+    }
+  }
+
+  /// The counter index of `k` (hashed `h`), or kNil when untracked.
+  [[nodiscard]] std::uint32_t find(const Key& k, std::uint64_t h) const noexcept {
+    return probe(k, static_cast<std::uint32_t>(h)).counter;
+  }
+
+  /// Robin-hood insertion of `s` (its key absent), starting at slot `i` on
+  /// its probe run: a resident closer to its home than `s` is yields the
+  /// slot and moves on in its place.
+  void place(Slot s, std::size_t i) noexcept {
+    for (;; i = (i + 1) & mask_) {
+      Slot& r = slots_[i];
+      if (r.counter == kNil) {
+        r = s;
+        return;
+      }
+      if (distance(r, i) < distance(s, i)) std::swap(r, s);
+    }
+  }
+
+  /// Remove counter c's slot, found from its stored tag's home by counter
+  /// index, and shift the rest of the run back over it.
+  void erase(std::uint32_t c) noexcept {
+    std::size_t i = counters_[c].tag & mask_;
+    while (slots_[i].counter != c) i = (i + 1) & mask_;
+    for (std::size_t next = (i + 1) & mask_;; i = next, next = (next + 1) & mask_) {
+      const Slot s = slots_[next];
+      if (s.counter == kNil || (s.tag & mask_) == next) break;
+      slots_[i] = s;
+    }
+    slots_[i] = kEmpty;
+  }
 
   void reset_freelist() noexcept {
     bucket_free_ = 0;
@@ -464,22 +558,25 @@ class SpaceSaving {
     std::array<std::uint64_t, kMergePrefetch> ahead{};  // hashes of i..i+D-1
     for (std::size_t i = 0; i < std::min(n, kMergePrefetch); ++i) {
       ahead[i] = hash_of(get(i).key);
-      index_.prefetch(ahead[i]);
+      prefetch(ahead[i]);
     }
     for (std::size_t i = 0; i < n; ++i) {
       const HhEntry<Key>& e = get(i);
       std::uint64_t& h = ahead[i & (kMergePrefetch - 1)];
       const auto c = static_cast<std::uint32_t>(size_);
-      if (!index_.try_emplace_hashed(e.key, h, c).second) {
+      const auto tag = static_cast<std::uint32_t>(h);
+      const Probe p = probe(e.key, tag);
+      if (p.counter != kNil) {
         clear();
         return false;
       }
+      counters_[c] = Counter{e.key, e.upper, e.upper - e.lower, kNil, kNil, kNil, tag};
+      place(Slot{tag, c}, p.slot);
       if (i + kMergePrefetch < n) {
         h = hash_of(get(i + kMergePrefetch).key);
-        index_.prefetch(h);
+        prefetch(h);
       }
       ++size_;
-      counters_[c] = Counter{e.key, e.upper, e.upper - e.lower, kNil, kNil, kNil};
       // Runs of equal counts share the previous entry's bucket.
       if (b == kNil || buckets_[b].value != e.upper) {
         if (!bucket_of && (b == kNil || buckets_[b].value < e.upper)) {
@@ -547,7 +644,8 @@ class SpaceSaving {
   std::vector<Bucket> buckets_;
   std::uint32_t bucket_free_ = kNil;
   std::uint32_t bucket_head_ = kNil;
-  FlatHashMap<Key, std::uint32_t, Hash> index_;
+  std::vector<Slot> slots_;
+  std::size_t mask_ = 0;
   std::size_t cap_;
   std::size_t size_ = 0;
   std::uint64_t total_ = 0;

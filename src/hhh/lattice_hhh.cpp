@@ -91,7 +91,7 @@ void LatticeHhh::apply_survivors() {
     }
     if (far != 0 && j + near < m) {
       const Survivor& s = survivors_[j + near];
-      hh_[s.node].prefetch_counter(s.mkey, s.hash);
+      hh_[s.node].prefetch_counter(s.hash);
     }
     const Survivor& s = survivors_[j];
     hh_[s.node].increment_hashed(s.mkey, s.hash, 1);

@@ -1,10 +1,11 @@
 // FlatHashMap: open-addressing hash map with robin-hood probing and
 // backward-shift deletion.
 //
-// This is the core lookup structure behind Space-Saving, the tries and the
-// ground-truth aggregation. It is specialized for the library's needs:
-// trivially-copyable keys and values, power-of-two capacity, no iterator
-// stability across mutation, and no exceptions on the lookup path.
+// This is the lookup structure behind the tries, the ground-truth
+// aggregation and the vswitch flow tables. It is specialized for the
+// library's needs: trivially-copyable keys and values, power-of-two
+// capacity, no iterator stability across mutation, and no exceptions on
+// the lookup path.
 #pragma once
 
 #include <cassert>
@@ -44,28 +45,9 @@ class FlatHashMap {
     size_ = 0;
   }
 
-  /// Ensure `n` entries fit without rehashing.
-  void reserve(std::size_t n) {
-    const std::size_t want = next_pow2(n + n / 2 + 1);
-    if (want > slots_.size()) rehash(want);
-  }
-
   [[nodiscard]] V* find(const K& key) noexcept {
-    return find_hashed(key, Hash{}(key));
-  }
-  [[nodiscard]] const V* find(const K& key) const noexcept {
-    return const_cast<FlatHashMap*>(this)->find(key);
-  }
-  [[nodiscard]] bool contains(const K& key) const noexcept {
-    return find(key) != nullptr;
-  }
-
-  /// find() with the hash precomputed by the caller -- the probe half of the
-  /// batched pipeline's hash/probe split (hash once, prefetch, probe later).
-  /// `h` must equal Hash{}(key).
-  [[nodiscard]] V* find_hashed(const K& key, std::uint64_t h) noexcept {
     const std::size_t m = mask();
-    std::size_t i = h & m;
+    std::size_t i = Hash{}(key) & m;
     std::uint16_t d = 1;
     while (true) {
       Slot& s = slots_[i];
@@ -75,36 +57,18 @@ class FlatHashMap {
       ++d;
     }
   }
-  [[nodiscard]] const V* find_hashed(const K& key, std::uint64_t h) const noexcept {
-    return const_cast<FlatHashMap*>(this)->find_hashed(key, h);
+  [[nodiscard]] const V* find(const K& key) const noexcept {
+    return const_cast<FlatHashMap*>(this)->find(key);
+  }
+  [[nodiscard]] bool contains(const K& key) const noexcept {
+    return find(key) != nullptr;
   }
 
-  /// Pull the home slot of hash `h` (and the following cache line -- robin-
-  /// hood probe sequences are short) toward L1 ahead of a find/emplace.
-  /// Purely a hint: issuing it for a key never probed is harmless.
-  void prefetch(std::uint64_t h) const noexcept {
-    const Slot* home = slots_.data() + (h & mask());
-    __builtin_prefetch(home, 0, 3);
-    // One line further covers the tail of a short probe run. uintptr
-    // arithmetic so the hint can point past the array without forming an
-    // out-of-bounds pointer.
-    __builtin_prefetch(
-        reinterpret_cast<const void*>(reinterpret_cast<std::uintptr_t>(home) + 64),
-        0, 3);
-  }
-
-  /// Insert `value` under `key` if absent; returns {pointer, inserted}.
+  /// Insert `value` under `key` if absent; returns {pointer, inserted}. One
+  /// probe serves as both the lookup and the insertion point.
   std::pair<V*, bool> try_emplace(const K& key, const V& value) {
-    return try_emplace_hashed(key, Hash{}(key), value);
-  }
-
-  /// try_emplace() with the hash precomputed: ONE probe serves as both the
-  /// lookup and the insertion point (find-or-insert), which is what lets
-  /// SpaceSaving::increment hash its key exactly once.
-  std::pair<V*, bool> try_emplace_hashed(const K& key, std::uint64_t h,
-                                         const V& value) {
     if ((size_ + 1) * 4 > slots_.size() * 3) rehash(slots_.size() * 2);
-    return insert_impl(key, value, h);
+    return insert_impl(key, value, Hash{}(key));
   }
 
   V& operator[](const K& key) { return *try_emplace(key, V{}).first; }

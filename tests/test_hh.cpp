@@ -1,7 +1,8 @@
 // Tests for the Space-Saving counter summary, the paper's building block:
 // exactness below capacity, the classic error bounds, heavy-hitter recall,
 // weighted updates, randomized differential tests against an exact oracle
-// across stream shapes, and the bulk rebuild and merge kernels.
+// across stream shapes, the bulk rebuild and merge kernels, and the key
+// index under colliding tags and wrapping probe runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -532,6 +533,147 @@ TEST(SpaceSavingRebuild, MergeRejectsRepeatedRosterKeysUnchanged) {
     }
     EXPECT_EQ(ss.total(), 8u);
   }
+}
+
+// ------------------------------------------------- space saving index ----
+//
+// The key index is a robin-hood table of 8-byte {tag, counter} slots, the
+// tag being the low 32 bits of the key hash. Two test hashes stress it:
+// TagCollideHash gives the keys four tags, so nearly every probe matches a
+// tag and the key compare decides; EndHomeHash homes every key on the last
+// slot of any table up to 256 slots, so probe runs wrap around the end. The
+// index never decides output, so either must give the default hash's
+// answers op for op.
+
+struct TagCollideHash {
+  [[nodiscard]] std::uint64_t operator()(const Key128& k) const noexcept {
+    return 0xabc00000u + (k.lo & 3);
+  }
+};
+
+struct EndHomeHash {
+  [[nodiscard]] std::uint64_t operator()(const Key128& k) const noexcept {
+    return Key128Hash{}(k) << 32 | (k.lo & 7) << 8 | 0xffu;
+  }
+};
+
+/// One summary's observable state, flattened: for_each() order with both
+/// bounds, upper()/lower()/tracked() over `probes`, min_bound(), total(),
+/// evictions() and validate().
+template <class SS>
+std::vector<std::uint64_t> observe(const SS& ss, const std::vector<Key128>& probes) {
+  std::vector<std::uint64_t> out;
+  ss.for_each([&](const Key128& k, std::uint64_t up, std::uint64_t lo) {
+    out.insert(out.end(), {k.hi, k.lo, up, lo});
+  });
+  for (const Key128& k : probes) {
+    out.insert(out.end(), {ss.upper(k), ss.lower(k), std::uint64_t{ss.tracked(k)}});
+  }
+  out.insert(out.end(), {ss.min_bound(), ss.total(), ss.evictions(),
+                         std::uint64_t{ss.validate()}});
+  return out;
+}
+
+/// A scripted stream through one SpaceSaving<Key128, Hash>: unit and
+/// weighted increments over a universe three times the capacity
+/// (evictions), a merge(Roster) with overlapping keys, a roster repeating
+/// a key (merge and load must throw), a load() of an unsorted roster and a
+/// clear(), each followed by more increments. Returns the observed state
+/// after every operation.
+template <class Hash>
+std::vector<std::vector<std::uint64_t>> index_script(std::size_t cap,
+                                                     std::uint64_t seed) {
+  std::vector<Key128> universe;
+  for (std::uint64_t i = 0; i < 3 * cap + 4; ++i) universe.push_back(Key128{i % 3, 0x1000 + 7 * i});
+  Xoroshiro128 rng(seed);
+  SpaceSaving<Key128, Hash> ss(cap);
+  std::vector<std::vector<std::uint64_t>> trace;
+  const auto snap = [&] { trace.push_back(observe(ss, universe)); };
+  const auto pick = [&] {
+    return universe[rng.bounded(static_cast<std::uint32_t>(universe.size()))];
+  };
+  const auto churn = [&](std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      ss.increment(pick(), rng.bounded(4) == 0 ? 1 + rng.bounded(20) : 1);
+      snap();
+    }
+  };
+
+  churn(8 * cap + 8);
+  SpaceSaving<Key128> other(cap);  // default hash: its roster order is the same either way
+  for (std::size_t i = 0; i < 4 * cap; ++i) other.increment(pick(), 1 + rng.bounded(3));
+  const auto roster = other.entries();
+  ss.merge(Roster<Key128>{roster, other.total(), other.evictions(), other.capacity()});
+  snap();
+  churn(4 * cap);
+
+  std::vector<HhEntry<Key128>> dup = ss.entries();
+  dup.push_back(dup.front());
+  EXPECT_THROW(ss.merge(Roster<Key128>{dup, 1, 0, dup.size()}), std::invalid_argument);
+  snap();
+  dup.assign(2, HhEntry<Key128>{Key128{9, 9}, 1, 1});  // a key no one holds, twice
+  EXPECT_THROW(ss.merge(Roster<Key128>{dup, 2, 0, cap}), std::invalid_argument);
+  snap();
+
+  std::vector<HhEntry<Key128>> load;
+  for (std::size_t i = 0; i < cap; ++i) {
+    const std::uint64_t up = 1 + rng.bounded(40);  // unsorted, with ties
+    load.push_back(HhEntry<Key128>{universe[universe.size() - 1 - 2 * i], up,
+                                   up - rng.bounded(static_cast<std::uint32_t>(up))});
+  }
+  ss.load(load, 1000);
+  snap();
+  churn(4 * cap);
+  if (cap > 1) {
+    dup = load;
+    dup.back() = dup.front();
+    EXPECT_THROW(ss.load(dup, 1), std::invalid_argument);  // leaves it cleared
+    snap();
+    churn(2 * cap);
+  }
+
+  ss.clear();
+  snap();
+  churn(4 * cap);
+  return trace;
+}
+
+TEST(SpaceSavingIndex, TagCollisionsMatchDefaultHash) {
+  for (const std::size_t cap : {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
+    const auto ref = index_script<KeyHash<Key128>>(cap, 0x7A9 + cap);
+    const auto got = index_script<TagCollideHash>(cap, 0x7A9 + cap);
+    ASSERT_EQ(got.size(), ref.size()) << "cap " << cap;
+    for (std::size_t op = 0; op < ref.size(); ++op) {
+      ASSERT_EQ(ref[op].back(), 1u) << "cap " << cap << " op " << op << ": validate()";
+      ASSERT_EQ(got[op], ref[op]) << "cap " << cap << " op " << op;
+    }
+  }
+}
+
+TEST(SpaceSavingIndex, TinyTablesWrapAroundTheEnd) {
+  // Capacities 1-4 get an 8-slot table and 5 a 16-slot one; every
+  // EndHomeHash key homes on the last slot, so its runs wrap to slot 0.
+  for (std::size_t cap = 1; cap <= 5; ++cap) {
+    const auto ref = index_script<KeyHash<Key128>>(cap, 0xE0D + cap);
+    const auto got = index_script<EndHomeHash>(cap, 0xE0D + cap);
+    ASSERT_EQ(got.size(), ref.size()) << "cap " << cap;
+    for (std::size_t op = 0; op < ref.size(); ++op) {
+      ASSERT_EQ(ref[op].back(), 1u) << "cap " << cap << " op " << op << ": validate()";
+      ASSERT_EQ(got[op].back(), 1u) << "cap " << cap << " op " << op << ": validate()";
+      ASSERT_EQ(got[op], ref[op]) << "cap " << cap << " op " << op;
+    }
+  }
+}
+
+TEST(SpaceSavingIndex, MemoryBytesPricesTheAllocatedArrays) {
+  // 2,001 counters (eps = 0.001): 48-byte counters, 2,002 24-byte buckets
+  // and 4,096 8-byte index slots.
+  SpaceSaving<Key128> ss(2001);
+  EXPECT_EQ(ss.memory_bytes(), 2001u * 48 + 2002u * 24 + 4096u * 8);
+  EXPECT_EQ(ss.memory_bytes(), 176'864u);
+  for (std::uint64_t i = 0; i < 5000; ++i) ss.increment(Key128::from_u64(i % 3001));
+  ss.clear();
+  EXPECT_EQ(ss.memory_bytes(), 176'864u);  // nothing grows or shrinks
 }
 
 }  // namespace
