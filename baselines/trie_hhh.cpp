@@ -1,4 +1,4 @@
-#include "hhh/trie_hhh.hpp"
+#include "trie_hhh.hpp"
 
 #include <algorithm>
 #include <stdexcept>

@@ -28,7 +28,7 @@
 #include <string>
 #include <vector>
 
-#include "hhh/hhh_types.hpp"
+#include "contender.hpp"
 #include "util/flat_hash_map.hpp"
 
 namespace rhhh {
@@ -39,12 +39,12 @@ enum class AncestryMode : std::uint8_t { kFull, kPartial };
   return m == AncestryMode::kFull ? "Full-Ancestry" : "Partial-Ancestry";
 }
 
-class TrieHhh final : public HhhAlgorithm {
+class TrieHhh final : public HhhContender {
  public:
   TrieHhh(const Hierarchy& h, AncestryMode mode, double eps);
 
   void update(Key128 x) override { update_weighted(x, 1); }
-  void update_weighted(Key128 x, std::uint64_t w) override;
+  void update_weighted(Key128 x, std::uint64_t w);
   [[nodiscard]] HhhSet output(double theta) const override;
   /// Counted mass of every tracked node under p plus the lossy-counting
   /// undercount bound (epoch - 1) -- exactly the f_hi output() computes
@@ -57,8 +57,8 @@ class TrieHhh final : public HhhAlgorithm {
   /// *ancestors* of p during lazy path expansion are not included (the
   /// same holds for output()'s f_hi), so early-stream estimates can trail
   /// the true count by more than the slack until the paths are built.
-  [[nodiscard]] double estimate(const Prefix& p) const override;
-  [[nodiscard]] std::uint64_t stream_length() const override { return n_; }
+  [[nodiscard]] double estimate(const Prefix& p) const;
+  [[nodiscard]] std::uint64_t stream_length() const { return n_; }
   void clear() override;
   [[nodiscard]] std::string_view name() const override { return name_; }
   [[nodiscard]] const Hierarchy& hierarchy() const override { return *h_; }

@@ -30,7 +30,7 @@ std::vector<Key128> ipv6_keys(std::size_t n, std::uint64_t seed) {
   return out;
 }
 
-double mpps(HhhAlgorithm& alg, const std::vector<Key128>& keys) {
+double mpps(HhhContender& alg, const std::vector<Key128>& keys) {
   alg.clear();
   const double t0 = now_sec();
   for (const Key128& k : keys) alg.update(k);
@@ -69,11 +69,11 @@ int main(int argc, char** argv) {
     lp.eps = args.eps;
     lp.delta = args.delta;
     lp.seed = args.seed;
-    RhhhSpaceSaving r1(panel.h, LatticeMode::kRhhh, lp);
+    LatticeContender r1(panel.h, LatticeMode::kRhhh, lp);
     LatticeParams lp10 = lp;
     lp10.V = 10 * static_cast<std::uint32_t>(panel.h.size());
-    RhhhSpaceSaving r10(panel.h, LatticeMode::kRhhh, lp10);
-    RhhhSpaceSaving mst(panel.h, LatticeMode::kMst, lp);
+    LatticeContender r10(panel.h, LatticeMode::kRhhh, lp10);
+    LatticeContender mst(panel.h, LatticeMode::kMst, lp);
     TrieHhh partial(panel.h, AncestryMode::kPartial, args.eps);
 
     RunningStats s1, s10, sm, sp;

@@ -21,7 +21,7 @@ struct Tail {
   double p50, p99, p999, max, mean;
 };
 
-Tail measure(HhhAlgorithm& alg, const std::vector<Key128>& keys) {
+Tail measure(LatticeHhh& alg, const std::vector<Key128>& keys) {
   std::vector<double> lat;
   lat.reserve(keys.size());
   for (const Key128& k : keys) {
@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   print_row({"algorithm", "mean", "p50", "p99", "p99.9", "max"});
   struct Entry {
     std::string name;
-    std::unique_ptr<HhhAlgorithm> alg;
+    std::unique_ptr<LatticeHhh> alg;
   };
   std::vector<Entry> entries;
   entries.push_back(

@@ -89,11 +89,10 @@ int main(int argc, char** argv) {
       // Probe latency over the whole retained history (K+1 estimates).
       constexpr int kProbes = 2000;
       const auto windows = ring.windows_oldest_first();
-      std::vector<const HhhAlgorithm*> alg_windows(windows.begin(), windows.end());
       const double q0 = now_sec();
       double sink = 0.0;
       for (int q = 0; q < kProbes; ++q) {
-        for (const TrendPoint& tp : trend_of(alg_windows, probe)) sink += tp.share;
+        for (const TrendPoint& tp : trend_of(windows, probe)) sink += tp.share;
       }
       probe_us = (now_sec() - q0) / kProbes * 1e6;
       if (sink < 0.0) std::printf("?");  // keep the probe loop alive

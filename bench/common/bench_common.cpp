@@ -198,19 +198,19 @@ const std::vector<Key128>& trace_keys(const Hierarchy& h, const std::string& pre
   return slot;
 }
 
-std::vector<std::unique_ptr<HhhAlgorithm>> paper_roster(const Hierarchy& h,
+std::vector<std::unique_ptr<HhhContender>> paper_roster(const Hierarchy& h,
                                                         double eps, double delta,
                                                         std::uint64_t seed) {
   LatticeParams lp;
   lp.eps = eps;
   lp.delta = delta;
   lp.seed = seed;
-  std::vector<std::unique_ptr<HhhAlgorithm>> out;
-  out.push_back(std::make_unique<RhhhSpaceSaving>(h, LatticeMode::kRhhh, lp));
+  std::vector<std::unique_ptr<HhhContender>> out;
+  out.push_back(std::make_unique<LatticeContender>(h, LatticeMode::kRhhh, lp));
   LatticeParams lp10 = lp;
   lp10.V = 10 * static_cast<std::uint32_t>(h.size());
-  out.push_back(std::make_unique<RhhhSpaceSaving>(h, LatticeMode::kRhhh, lp10));
-  out.push_back(std::make_unique<RhhhSpaceSaving>(h, LatticeMode::kMst, lp));
+  out.push_back(std::make_unique<LatticeContender>(h, LatticeMode::kRhhh, lp10));
+  out.push_back(std::make_unique<LatticeContender>(h, LatticeMode::kMst, lp));
   out.push_back(std::make_unique<TrieHhh>(h, AncestryMode::kPartial, eps));
   out.push_back(std::make_unique<TrieHhh>(h, AncestryMode::kFull, eps));
   return out;

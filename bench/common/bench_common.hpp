@@ -15,9 +15,9 @@
 #include "eval/ground_truth.hpp"
 #include "eval/metrics.hpp"
 #include "hhh/lattice_hhh.hpp"
-#include "hhh/trie_hhh.hpp"
 #include "stats/summary.hpp"
 #include "trace/trace_gen.hpp"
+#include "trie_hhh.hpp"
 
 namespace rhhh::bench {
 
@@ -59,8 +59,9 @@ void json_flush();
 [[nodiscard]] const std::vector<PacketRecord>& trace_packets(const std::string& preset,
                                                              std::size_t n);
 
-/// The paper's evaluated algorithm roster, in its plotting order.
-[[nodiscard]] std::vector<std::unique_ptr<HhhAlgorithm>> paper_roster(
+/// The paper's evaluated algorithm roster, in its plotting order: RHHH,
+/// 10-RHHH, MST, Partial Ancestry, Full Ancestry.
+[[nodiscard]] std::vector<std::unique_ptr<HhhContender>> paper_roster(
     const Hierarchy& h, double eps, double delta, std::uint64_t seed);
 
 /// Prints "## <title>" plus a parameter line, mirroring figure captions.

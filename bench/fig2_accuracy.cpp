@@ -30,11 +30,8 @@ int main(int argc, char** argv) {
 
     auto roster = paper_roster(h, args.eps, args.delta, args.seed);
     std::printf("\n-- %s --\n", trace.c_str());
-    {
-      auto* rhhh_alg = dynamic_cast<RhhhSpaceSaving*>(roster[0].get());
-      std::printf("psi(RHHH)=%.3g psi(10-RHHH)=%.3g\n", rhhh_alg->psi(),
-                  dynamic_cast<RhhhSpaceSaving*>(roster[1].get())->psi());
-    }
+    std::printf("psi(RHHH)=%.3g psi(10-RHHH)=%.3g\n", roster[0]->psi(),
+                roster[1]->psi());
     std::vector<std::string> head = {"algorithm \\ N"};
     for (const auto cp : checkpoints) head.push_back(fmt(double(cp)));
     print_row(head);

@@ -17,7 +17,7 @@ using namespace rhhh::bench;
 
 namespace {
 
-double mpps_once(HhhAlgorithm& alg, const std::vector<Key128>& keys) {
+double mpps_once(HhhContender& alg, const std::vector<Key128>& keys) {
   alg.clear();
   const double t0 = now_sec();
   for (const Key128& k : keys) alg.update(k);
@@ -27,7 +27,7 @@ double mpps_once(HhhAlgorithm& alg, const std::vector<Key128>& keys) {
 
 /// Same stream through update_batch in `batch`-sized chunks -- the staged
 /// pipeline the engine workers run (byte-identical results by contract).
-double mpps_batched_once(HhhAlgorithm& alg, const std::vector<Key128>& keys,
+double mpps_batched_once(LatticeHhh& alg, const std::vector<Key128>& keys,
                          std::size_t batch) {
   alg.clear();
   const double t0 = now_sec();
@@ -111,10 +111,13 @@ int main(int argc, char** argv) {
       lp.delta = args.delta;
       lp.seed = args.seed;
       lp.V = c.v_mult * static_cast<std::uint32_t>(h2.size());
-      RhhhSpaceSaving alg(h2, LatticeMode::kRhhh, lp);
+      // Per-packet through the roster interface, as in every panel above.
+      LatticeContender alg(h2, LatticeMode::kRhhh, lp);
       RunningStats pp, bt;
       for (int r = 0; r < args.runs; ++r) pp.add(mpps_once(alg, keys));
-      for (int r = 0; r < args.runs; ++r) bt.add(mpps_batched_once(alg, keys, 2048));
+      for (int r = 0; r < args.runs; ++r) {
+        bt.add(mpps_batched_once(alg.lattice(), keys, 2048));
+      }
       print_row({c.name, ci_cell(pp), ci_cell(bt),
                  xcell(fmt(bt.mean() / pp.mean()))});
     }

@@ -8,8 +8,8 @@
 
 #include "hh/space_saving.hpp"
 #include "hhh/lattice_hhh.hpp"
-#include "hhh/trie_hhh.hpp"
 #include "trace/trace_gen.hpp"
+#include "trie_hhh.hpp"
 #include "util/random.hpp"
 
 namespace rhhh {

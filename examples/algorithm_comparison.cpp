@@ -1,7 +1,8 @@
-// Side-by-side comparison of every HHH algorithm in the library on the same
-// stream: runtime, memory-ish footprint (tracked state), returned set, and
-// agreement with the exact offline ground truth -- a miniature of the
-// paper's evaluation section in one program.
+// Side-by-side comparison of every HHH algorithm the paper evaluates on the
+// same stream -- the library's lattice modes and the Partial/Full Ancestry
+// tries from baselines/: runtime, returned set, and agreement with the
+// exact offline ground truth -- a miniature of the paper's evaluation
+// section in one program.
 //
 // Run:  ./algorithm_comparison [trace] [num_packets]
 //       trace in {chicago15, chicago16, sanjose13, sanjose14}
@@ -16,6 +17,7 @@
 #include "eval/ground_truth.hpp"
 #include "eval/metrics.hpp"
 #include "trace/trace_gen.hpp"
+#include "trie_hhh.hpp"
 
 namespace {
 
@@ -52,20 +54,23 @@ int main(int argc, char** argv) {
                 100.0 * c.f_est / static_cast<double>(n));
   }
 
-  const rhhh::AlgorithmKind kinds[] = {
-      rhhh::AlgorithmKind::kRhhh,         rhhh::AlgorithmKind::kTenRhhh,
-      rhhh::AlgorithmKind::kMst,          rhhh::AlgorithmKind::kSampledMst,
-      rhhh::AlgorithmKind::kPartialAncestry, rhhh::AlgorithmKind::kFullAncestry,
-  };
-
-  std::printf("\n%-18s %12s %10s %10s %10s %10s\n", "algorithm", "Mpkt/s",
-              "returned", "FP-ratio", "recall", "psi");
-  for (const rhhh::AlgorithmKind kind : kinds) {
+  std::vector<std::unique_ptr<rhhh::HhhContender>> roster;
+  for (const rhhh::AlgorithmKind kind :
+       {rhhh::AlgorithmKind::kRhhh, rhhh::AlgorithmKind::kTenRhhh,
+        rhhh::AlgorithmKind::kMst, rhhh::AlgorithmKind::kSampledMst}) {
     rhhh::MonitorConfig cfg;
     cfg.algorithm = kind;
     cfg.eps = eps;
     cfg.delta = delta;
-    auto alg = rhhh::make_algorithm(h, cfg);
+    const auto [mode, lp] = rhhh::lattice_config_of(h, cfg);
+    roster.push_back(std::make_unique<rhhh::LatticeContender>(h, mode, lp));
+  }
+  roster.push_back(std::make_unique<rhhh::TrieHhh>(h, rhhh::AncestryMode::kPartial, eps));
+  roster.push_back(std::make_unique<rhhh::TrieHhh>(h, rhhh::AncestryMode::kFull, eps));
+
+  std::printf("\n%-18s %12s %10s %10s %10s %10s\n", "algorithm", "Mpkt/s",
+              "returned", "FP-ratio", "recall", "psi");
+  for (const auto& alg : roster) {
     const double t0 = now_sec();
     for (const rhhh::Key128& k : keys) alg->update(k);
     const double mpps = static_cast<double>(n) / (now_sec() - t0) / 1e6;

@@ -17,7 +17,7 @@ Checks things no generic tool enforces:
    src/hh/, src/hhh/ must not include <mutex>, <shared_mutex>, or
    <condition_variable> (the engine's control plane lives in src/engine/,
    which may).
-3. Every header under src/ starts with #pragma once.
+3. Every header under src/ and baselines/ starts with #pragma once.
 4. Telemetry call-site discipline (src/, tests/, examples/, bench/):
    instruments are registry-owned -- `obs::Counter/Gauge/Histogram` must
    never be constructed directly outside src/obs/ (cache the reference
@@ -384,6 +384,11 @@ def main() -> int:
             lint_pragma_once(path, rel, findings)
             if path.parent.name in HOT_PATH_DIRS:
                 lint_hot_path_header(path, rel, findings)
+
+    baselines = args.root / "baselines"
+    if baselines.is_dir():
+        for path in sorted(baselines.rglob("*.hpp")):
+            lint_pragma_once(path, path.relative_to(args.root).as_posix(), findings)
 
     # Telemetry call-site rules also cover the consumers of src/obs/.
     for extra in ("tests", "examples", "bench"):

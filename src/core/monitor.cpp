@@ -24,8 +24,6 @@ std::string_view to_string(AlgorithmKind k) noexcept {
     case AlgorithmKind::kTenRhhh: return "10-RHHH";
     case AlgorithmKind::kMst: return "MST";
     case AlgorithmKind::kSampledMst: return "Sampled-MST";
-    case AlgorithmKind::kPartialAncestry: return "Partial-Ancestry";
-    case AlgorithmKind::kFullAncestry: return "Full-Ancestry";
   }
   return "?";
 }
@@ -78,26 +76,13 @@ std::pair<LatticeMode, LatticeParams> lattice_config_of(const Hierarchy& h,
       return {LatticeMode::kMst, lp};
     case AlgorithmKind::kSampledMst:
       return {LatticeMode::kSampledMst, lp};
-    case AlgorithmKind::kPartialAncestry:
-    case AlgorithmKind::kFullAncestry:
-      throw std::invalid_argument(
-          "lattice_config_of: the ancestry tries are not lattice algorithms");
   }
   throw std::invalid_argument("lattice_config_of: unknown kind");
 }
 
-std::unique_ptr<HhhAlgorithm> make_algorithm(const Hierarchy& h,
-                                             const MonitorConfig& cfg) {
-  switch (cfg.algorithm) {
-    case AlgorithmKind::kPartialAncestry:
-      return std::make_unique<TrieHhh>(h, AncestryMode::kPartial, cfg.eps);
-    case AlgorithmKind::kFullAncestry:
-      return std::make_unique<TrieHhh>(h, AncestryMode::kFull, cfg.eps);
-    default: {
-      const auto [mode, lp] = lattice_config_of(h, cfg);
-      return std::make_unique<RhhhSpaceSaving>(h, mode, lp);
-    }
-  }
+std::unique_ptr<LatticeHhh> make_algorithm(const Hierarchy& h, const MonitorConfig& cfg) {
+  const auto [mode, lp] = lattice_config_of(h, cfg);
+  return std::make_unique<LatticeHhh>(h, mode, lp);
 }
 
 HhhMonitor::HhhMonitor(MonitorConfig cfg)

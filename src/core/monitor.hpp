@@ -1,6 +1,7 @@
-// HhhMonitor: the library's front door. Picks a hierarchy and an HHH
-// algorithm from a declarative config, consumes packets, and answers HHH
-// queries -- the API the examples and downstream users work against.
+// HhhMonitor: the library's front door. Picks a hierarchy and a lattice
+// update discipline from a declarative config, consumes packets, and
+// answers HHH queries -- the API the examples and downstream users work
+// against.
 //
 //   MonitorConfig cfg;
 //   cfg.hierarchy = HierarchyKind::kIpv4TwoDimBytes;
@@ -17,7 +18,6 @@
 
 #include "engine/shard_router.hpp"
 #include "hhh/lattice_hhh.hpp"
-#include "hhh/trie_hhh.hpp"
 
 namespace rhhh {
 
@@ -40,8 +40,6 @@ enum class AlgorithmKind : std::uint8_t {
   kTenRhhh,      // V = 10H ("10-RHHH")
   kMst,          // deterministic baseline [35]
   kSampledMst,   // Section 1 strawman
-  kPartialAncestry,
-  kFullAncestry,
 };
 
 [[nodiscard]] std::string_view to_string(HierarchyKind k) noexcept;
@@ -60,14 +58,13 @@ struct MonitorConfig {
 /// Builds the hierarchy for a kind (factory shared with benches/tests).
 [[nodiscard]] Hierarchy make_hierarchy(HierarchyKind k);
 
-/// Builds a standalone algorithm over an existing hierarchy.
-[[nodiscard]] std::unique_ptr<HhhAlgorithm> make_algorithm(const Hierarchy& h,
-                                                           const MonitorConfig& cfg);
+/// Builds a standalone lattice over an existing hierarchy.
+[[nodiscard]] std::unique_ptr<LatticeHhh> make_algorithm(const Hierarchy& h,
+                                                         const MonitorConfig& cfg);
 
-/// Resolves the lattice portion of a MonitorConfig: mode plus LatticeParams
-/// with kTenRhhh's V = 10H applied. Throws std::invalid_argument for the
-/// trie-based algorithms (they are neither lattice-configured nor
-/// mergeable). Shared by make_algorithm and the engine factory.
+/// Resolves a MonitorConfig to a lattice mode plus LatticeParams, with
+/// kTenRhhh's V = 10H applied. Shared by make_algorithm and the engine
+/// factory.
 [[nodiscard]] std::pair<LatticeMode, LatticeParams> lattice_config_of(
     const Hierarchy& h, const MonitorConfig& cfg);
 
@@ -160,9 +157,9 @@ struct HealthConfig {
 };
 
 /// Configuration of the sharded multi-core ingest engine: a MonitorConfig
-/// restricted to the (mergeable) lattice algorithms, plus the fan-out
-/// topology. See HhhEngine (engine/engine.hpp) for the moving parts and
-/// README "Architecture" for when to choose HhhMonitor vs HhhEngine.
+/// plus the fan-out topology. See HhhEngine (engine/engine.hpp) for the
+/// moving parts and README "Architecture" for when to choose HhhMonitor vs
+/// HhhEngine.
 struct EngineConfig {
   MonitorConfig monitor{};            ///< hierarchy + lattice parameters
   std::uint32_t workers = 4;          ///< W shard (consumer) threads
@@ -224,15 +221,15 @@ struct EngineConfig {
 class HhhEngine;  // engine/engine.hpp
 
 /// Builds a sharded engine from the front-door config (defined in
-/// engine/engine.cpp). Throws std::invalid_argument for trie algorithms or
-/// a degenerate topology (0 workers/producers/batch).
+/// engine/engine.cpp). Throws std::invalid_argument for a degenerate
+/// topology (0 workers/producers/batch).
 [[nodiscard]] std::unique_ptr<HhhEngine> make_engine(const EngineConfig& cfg);
 
 class HhhMonitor {
  public:
   explicit HhhMonitor(MonitorConfig cfg = {});
 
-  /// Per-packet update. IPv4-based hierarchies only (use the algorithm
+  /// Per-packet update. IPv4-based hierarchies only (use the lattice
   /// directly with Key128 keys for IPv6 streams).
   void update(const PacketRecord& p) { alg_->update(hierarchy_->key_of(p)); }
   void update(Ipv4 src, Ipv4 dst) {
@@ -253,20 +250,20 @@ class HhhMonitor {
   /// packets() > psi().
   [[nodiscard]] double psi() const noexcept { return alg_->psi(); }
   [[nodiscard]] bool converged() const noexcept {
-    // Deterministic algorithms (psi == 0) carry their guarantees at any N.
+    // MST (psi == 0) carries its guarantees at any N.
     return psi() == 0.0 || static_cast<double>(packets()) > psi();
   }
   void clear() { alg_->clear(); }
 
   [[nodiscard]] const Hierarchy& hierarchy() const noexcept { return *hierarchy_; }
-  [[nodiscard]] HhhAlgorithm& algorithm() noexcept { return *alg_; }
-  [[nodiscard]] const HhhAlgorithm& algorithm() const noexcept { return *alg_; }
+  [[nodiscard]] LatticeHhh& algorithm() noexcept { return *alg_; }
+  [[nodiscard]] const LatticeHhh& algorithm() const noexcept { return *alg_; }
   [[nodiscard]] const MonitorConfig& config() const noexcept { return cfg_; }
 
  private:
   MonitorConfig cfg_;
   std::unique_ptr<Hierarchy> hierarchy_;
-  std::unique_ptr<HhhAlgorithm> alg_;
+  std::unique_ptr<LatticeHhh> alg_;
 };
 
 }  // namespace rhhh

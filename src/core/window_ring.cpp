@@ -9,7 +9,7 @@ namespace {
 
 /// Upper-bound share of prefix p in one window (0 for an empty window),
 /// clamped to 1: estimates can exceed the window length by slack terms.
-double share_in(const HhhAlgorithm& w, const Prefix& p) {
+double share_in(const LatticeHhh& w, const Prefix& p) {
   const std::uint64_t n = w.stream_length();
   if (n == 0) return 0.0;
   return std::min(w.estimate(p) / static_cast<double>(n), 1.0);
@@ -17,8 +17,8 @@ double share_in(const HhhAlgorithm& w, const Prefix& p) {
 
 }  // namespace
 
-std::vector<EmergingPrefix> emerging_from(const HhhAlgorithm& now,
-                                          const HhhAlgorithm* before, double theta,
+std::vector<EmergingPrefix> emerging_from(const LatticeHhh& now,
+                                          const LatticeHhh* before, double theta,
                                           double growth_factor) {
   std::vector<EmergingPrefix> out;
   const std::uint64_t n_now = now.stream_length();
@@ -45,11 +45,11 @@ std::vector<EmergingPrefix> emerging_from(const HhhAlgorithm& now,
   return out;
 }
 
-std::vector<TrendPoint> trend_of(const std::vector<const HhhAlgorithm*>& windows,
+std::vector<TrendPoint> trend_of(const std::vector<const LatticeHhh*>& windows,
                                  const Prefix& p) {
   std::vector<TrendPoint> out;
   out.reserve(windows.size());
-  for (const HhhAlgorithm* w : windows) {
+  for (const LatticeHhh* w : windows) {
     TrendPoint t;
     t.stream_length = w->stream_length();
     t.estimate = t.stream_length == 0 ? 0.0 : w->estimate(p);
@@ -60,7 +60,7 @@ std::vector<TrendPoint> trend_of(const std::vector<const HhhAlgorithm*>& windows
 }
 
 std::vector<SustainedPrefix> emerging_sustained_from(
-    const std::vector<const HhhAlgorithm*>& windows, double theta,
+    const std::vector<const LatticeHhh*>& windows, double theta,
     double growth_factor, std::uint32_t min_epochs, double alpha) {
   if (min_epochs == 0) {
     throw std::invalid_argument("emerging_sustained_from: min_epochs must be >= 1");
@@ -73,7 +73,7 @@ std::vector<SustainedPrefix> emerging_sustained_from(
   // older window must remain to form the baseline, or a ramp is
   // indistinguishable from "the stream just started" -- report nothing.
   if (windows.size() < static_cast<std::size_t>(min_epochs) + 1) return out;
-  const HhhAlgorithm& live = *windows.back();
+  const LatticeHhh& live = *windows.back();
   const std::uint64_t n_live = live.stream_length();
   if (n_live == 0) return out;
   const std::size_t run_begin = windows.size() - min_epochs;

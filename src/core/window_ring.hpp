@@ -19,7 +19,7 @@
 #include <utility>
 #include <vector>
 
-#include "hhh/hhh_types.hpp"
+#include "hhh/lattice_hhh.hpp"
 
 namespace rhhh {
 
@@ -63,12 +63,11 @@ struct SustainedPrefix {
   }
 };
 
-/// A ring of one live window plus up to K sealed windows. `Alg` is any type
-/// with `clear()` (HhhAlgorithm for the monitor, LatticeHhh for the engine
-/// shards). The ring starts with zero completed epochs: sealed windows only
-/// exist after rotations, so "no previous epoch" stays distinguishable from
-/// "an empty previous epoch". Depth 1 reproduces the original live/sealed
-/// pair behavior exactly (same instances, same clear points).
+/// A ring of one live window plus up to K sealed windows. The ring starts
+/// with zero completed epochs: sealed windows only exist after rotations,
+/// so "no previous epoch" stays distinguishable from "an empty previous
+/// epoch". Depth 1 reproduces the original live/sealed pair behavior
+/// exactly (same instances, same clear points).
 template <class Alg>
 class WindowRing {
  public:
@@ -104,9 +103,9 @@ class WindowRing {
   }
 
   /// The live window instance. This is also the ring's batched ingest entry
-  /// point: feed whole record batches through live().update_batch(...) (the
-  /// HhhAlgorithm contract guarantees state byte-identical to per-record
-  /// update() calls); callers owning a rotation budget -- the windowed
+  /// point: feed whole record batches through live().update_batch(...)
+  /// (byte-identical to per-record update() calls by LatticeHhh's
+  /// contract); callers owning a rotation budget -- the windowed
   /// monitor, the engine workers -- split batches at their own epoch
   /// boundaries before the call.
   [[nodiscard]] Alg& live() noexcept { return *slots_[live_]; }
@@ -154,14 +153,14 @@ class WindowRing {
 /// Prefixes that are HHH in `now` (at threshold theta) and whose share of
 /// the stream grew by >= growth_factor since `before` (nullptr or an empty
 /// instance: every current HHH is emerging with infinite growth). The
-/// previous epoch is probed through HhhAlgorithm::estimate -- a direct
+/// previous epoch is probed through LatticeHhh::estimate -- a direct
 /// per-prefix upper bound -- not through its HHH set, so an aggregate that
 /// was heavy before but conditioned out of the previous set still gets its
 /// true previous share. Shares are estimates relative to each epoch's own
 /// stream length; previous shares are upper bounds (growth is understated,
 /// the conservative direction for alarms).
-[[nodiscard]] std::vector<EmergingPrefix> emerging_from(const HhhAlgorithm& now,
-                                                        const HhhAlgorithm* before,
+[[nodiscard]] std::vector<EmergingPrefix> emerging_from(const LatticeHhh& now,
+                                                        const LatticeHhh* before,
                                                         double theta,
                                                         double growth_factor);
 
@@ -170,7 +169,7 @@ class WindowRing {
 /// probes that window's per-prefix estimate, so off-HHH-set aggregates are
 /// tracked too. Returned in the same oldest -> newest order.
 [[nodiscard]] std::vector<TrendPoint> trend_of(
-    const std::vector<const HhhAlgorithm*>& windows, const Prefix& p);
+    const std::vector<const LatticeHhh*>& windows, const Prefix& p);
 
 /// Sustained-growth detection over a window ring (ordered oldest -> newest,
 /// live window last): prefixes that are HHH in the live window (threshold
@@ -186,7 +185,7 @@ class WindowRing {
 /// direction). min_epochs must be >= 1 (throws std::invalid_argument), and
 /// alpha must be in (0, 1].
 [[nodiscard]] std::vector<SustainedPrefix> emerging_sustained_from(
-    const std::vector<const HhhAlgorithm*>& windows, double theta,
+    const std::vector<const LatticeHhh*>& windows, double theta,
     double growth_factor, std::uint32_t min_epochs, double alpha = 0.5);
 
 }  // namespace rhhh

@@ -18,7 +18,7 @@ WindowedHhhMonitor::WindowedHhhMonitor(MonitorConfig cfg, std::uint64_t epoch_pa
   // One instance per ring slot with independent randomness; slot 0 keeps
   // the config's own seed so depth 1 reproduces the classic live/sealed
   // pair byte for byte.
-  ring_ = WindowRing<HhhAlgorithm>(history_depth, [&](std::size_t slot) {
+  ring_ = WindowRing<LatticeHhh>(history_depth, [&](std::size_t slot) {
     MonitorConfig slot_cfg = cfg_;
     slot_cfg.seed = cfg_.seed + slot;
     return make_algorithm(*hierarchy_, slot_cfg);
@@ -70,7 +70,7 @@ HhhSet WindowedHhhMonitor::current(double theta) const {
 }
 
 HhhSet WindowedHhhMonitor::previous(double theta) const {
-  const HhhAlgorithm* sealed = ring_.sealed_or_null();
+  const LatticeHhh* sealed = ring_.sealed_or_null();
   if (sealed == nullptr) return HhhSet(hierarchy_->size());
   return sealed->output(theta);
 }

@@ -49,7 +49,7 @@ class WindowedHhhMonitor {
   /// Batches are split internally at epoch boundaries, so a rotation lands
   /// on exactly the same packet as the per-packet path -- batch sizing
   /// never shifts a window edge. Feeds WindowRing::live() through
-  /// HhhAlgorithm::update_batch (the staged LatticeHhh pipeline).
+  /// LatticeHhh::update_batch (the staged pipeline).
   void update_batch(const Key128* keys, std::size_t n);
 
   /// HHH set of the current (partial) epoch.
@@ -98,14 +98,14 @@ class WindowedHhhMonitor {
 
  private:
   void maybe_rotate();
-  [[nodiscard]] std::vector<const HhhAlgorithm*> windows_oldest_first() const {
+  [[nodiscard]] std::vector<const LatticeHhh*> windows_oldest_first() const {
     return ring_.windows_oldest_first();
   }
 
   MonitorConfig cfg_;
   std::uint64_t epoch_packets_;
   std::unique_ptr<Hierarchy> hierarchy_;
-  WindowRing<HhhAlgorithm> ring_;
+  WindowRing<LatticeHhh> ring_;
 };
 
 }  // namespace rhhh

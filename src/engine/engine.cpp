@@ -151,7 +151,6 @@ HhhEngine::HhhEngine(const EngineConfig& cfg)
   if (cfg.archive.enabled() && cfg.archive.queue_windows == 0) {
     throw std::invalid_argument("HhhEngine: archive queue_windows must be >= 1");
   }
-  // Throws for the (unmergeable) trie algorithms.
   std::tie(mode_, params_) = lattice_config_of(*hierarchy_, cfg.monitor);
 
   pop_batch_ = std::clamp<std::size_t>(cfg.batch, 1, 4096);

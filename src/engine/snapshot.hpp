@@ -151,8 +151,8 @@ class TrendSnapshot {
   [[nodiscard]] std::uint64_t window_epochs() const noexcept { return window_epochs_; }
 
  private:
-  [[nodiscard]] std::vector<const HhhAlgorithm*> ordered_windows() const {
-    std::vector<const HhhAlgorithm*> out;
+  [[nodiscard]] std::vector<const LatticeHhh*> ordered_windows() const {
+    std::vector<const LatticeHhh*> out;
     out.reserve(sealed_.size() + 1);
     for (std::size_t age = sealed_.size(); age-- > 0;) {
       out.push_back(sealed_[age].get());

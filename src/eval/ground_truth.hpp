@@ -12,7 +12,7 @@
 #include <span>
 #include <vector>
 
-#include "hhh/hhh_types.hpp"
+#include "hhh/hhh_set.hpp"
 #include "util/flat_hash_map.hpp"
 
 namespace rhhh {

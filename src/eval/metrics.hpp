@@ -6,7 +6,7 @@
 #include <cstddef>
 
 #include "eval/ground_truth.hpp"
-#include "hhh/hhh_types.hpp"
+#include "hhh/hhh_set.hpp"
 
 namespace rhhh {
 

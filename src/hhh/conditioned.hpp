@@ -6,7 +6,7 @@
 #include <functional>
 #include <vector>
 
-#include "hhh/hhh_types.hpp"
+#include "hhh/hhh_set.hpp"
 #include "hierarchy/hierarchy.hpp"
 
 namespace rhhh {

@@ -23,7 +23,7 @@
 #include "hh/backend.hpp"
 #include "hh/space_saving.hpp"
 #include "hhh/conditioned.hpp"
-#include "hhh/hhh_types.hpp"
+#include "hhh/hhh_set.hpp"
 #include "stats/normal.hpp"
 #include "util/random.hpp"
 
@@ -57,13 +57,17 @@ struct LatticeParams {
 
 /// The lattice of per-node Space-Saving summaries (paper Section 3.1: one
 /// heavy-hitter instance per lattice node; Space-Saving because it merges,
-/// which the engine's cross-shard view and the store rely on).
-class LatticeHhh final : public HhhAlgorithm {
+/// which the engine's cross-shard view and the store rely on). The
+/// library's one HHH class: the monitors, the engine, the store and the
+/// health layer all run it directly.
+class LatticeHhh {
  public:
   LatticeHhh(const Hierarchy& h, LatticeMode mode, LatticeParams p);
+  LatticeHhh(const LatticeHhh&) = delete;
+  LatticeHhh& operator=(const LatticeHhh&) = delete;
 
   /// Per-packet update (Algorithm 1 lines 1-7). noexcept and allocation-free.
-  void update(Key128 x) override {
+  void update(Key128 x) {
     ++n_;
     switch (mode_) {
       case LatticeMode::kRhhh:
@@ -124,14 +128,15 @@ class LatticeHhh final : public HhhAlgorithm {
   /// nodes. Per-node increment order equals the per-packet path's, so all
   /// modes produce identical output()/estimate() state (golden-digest
   /// pinned in tests/test_batch.cpp).
-  void update_batch(const Key128* keys, std::size_t n) override;
+  void update_batch(const Key128* keys, std::size_t n);
 
   /// Weighted arrival: behaves as w consecutive packets of key x, but the
   /// randomized modes draw once and feed the whole weight through (the
   /// "duplicate the packet" view of Corollary 6.8 applied to weights).
-  void update_weighted(Key128 x, std::uint64_t w) override;
+  void update_weighted(Key128 x, std::uint64_t w);
 
-  [[nodiscard]] HhhSet output(double theta) const override;
+  /// The approximate HHH set at threshold theta (Definition 10).
+  [[nodiscard]] HhhSet output(double theta) const;
 
   // -- distributed deployment support (paper Section 5.2) -------------------
   /// Ingest one pre-sampled record: the switch already drew d < H and
@@ -170,11 +175,14 @@ class LatticeHhh final : public HhhAlgorithm {
   /// resolved value). Snapshot paths use this to clone compatible instances.
   [[nodiscard]] const LatticeParams& params() const noexcept { return p_; }
 
-  [[nodiscard]] std::uint64_t stream_length() const override { return n_; }
-  [[nodiscard]] double psi() const override;
-  void clear() override;
-  [[nodiscard]] std::string_view name() const override { return name_; }
-  [[nodiscard]] const Hierarchy& hierarchy() const override { return *h_; }
+  /// N: stream length consumed so far (total weight).
+  [[nodiscard]] std::uint64_t stream_length() const { return n_; }
+  /// Convergence bound psi (Theorem 6.17); 0 for MST.
+  [[nodiscard]] double psi() const;
+  /// Reset to the empty-stream state (same configuration).
+  void clear();
+  [[nodiscard]] std::string_view name() const { return name_; }
+  [[nodiscard]] const Hierarchy& hierarchy() const { return *h_; }
 
   // -- introspection (tests, benches) ---------------------------------------
   [[nodiscard]] LatticeMode mode() const noexcept { return mode_; }
@@ -196,7 +204,7 @@ class LatticeHhh final : public HhhAlgorithm {
   void set_prefetch_distance(std::uint32_t d) noexcept { p_.prefetch_distance = d; }
   /// One BackendProbe per lattice node; the estimator health layer folds
   /// these into accuracy certificates.
-  [[nodiscard]] std::vector<BackendProbe> health_probes() const override;
+  [[nodiscard]] std::vector<BackendProbe> health_probes() const;
   [[nodiscard]] double eps_a() const noexcept { return eps_a_; }
   [[nodiscard]] double eps_s() const noexcept { return eps_s_; }
   /// The Z_{1 - delta/8} quantile correction() is built from (0 for MST);
@@ -206,8 +214,11 @@ class LatticeHhh final : public HhhAlgorithm {
   /// The additive conditioned-frequency slack used by output (0 for MST).
   [[nodiscard]] double correction() const noexcept;
   /// Point estimate f-hat for an arbitrary prefix (Definition 11's
-  /// V * X-hat, using the node's upper estimate).
-  [[nodiscard]] double estimate(const Prefix& p) const override {
+  /// V * X-hat, using the node's upper estimate), usable without
+  /// materializing an HHH set: the emerging and trend queries
+  /// (core/window_ring.hpp) probe sealed windows with it. At least the
+  /// f_hi output() would report for the prefix.
+  [[nodiscard]] double estimate(const Prefix& p) const {
     return scale_ * static_cast<double>(hh_[p.node].upper(p.key));
   }
 
@@ -270,6 +281,9 @@ class LatticeHhh final : public HhhAlgorithm {
 /// The name most callers spell: the lattice over Space-Saving, the paper's
 /// evaluated configuration.
 using RhhhSpaceSaving = LatticeHhh;
+/// The name of the algorithm interface LatticeHhh replaced; kept so code
+/// written against that interface still compiles.
+using HhhAlgorithm = LatticeHhh;
 
 /// Factory helpers mirroring the paper's named configurations.
 [[nodiscard]] std::unique_ptr<RhhhSpaceSaving> make_rhhh(const Hierarchy& h,

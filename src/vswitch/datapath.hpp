@@ -9,7 +9,6 @@
 #include <span>
 #include <string_view>
 
-#include "hhh/hhh_types.hpp"
 #include "net/packet.hpp"
 #include "vswitch/emc.hpp"
 #include "vswitch/megaflow.hpp"
@@ -29,17 +28,19 @@ class MeasurementHook {
   [[nodiscard]] virtual std::string_view name() const = 0;
 };
 
-/// Adapts any HhhAlgorithm into a dataplane hook.
+/// Adapts an HHH algorithm -- any type with update(Key128), hierarchy()
+/// and name(), such as LatticeHhh -- into a dataplane hook.
+template <class Alg>
 class HhhHook final : public MeasurementHook {
  public:
-  explicit HhhHook(HhhAlgorithm& alg) : alg_(&alg) {}
+  explicit HhhHook(Alg& alg) : alg_(&alg) {}
   void on_packet(const PacketRecord& p) override {
     alg_->update(alg_->hierarchy().key_of(p));
   }
   [[nodiscard]] std::string_view name() const override { return alg_->name(); }
 
  private:
-  HhhAlgorithm* alg_;
+  Alg* alg_;
 };
 
 struct DatapathConfig {

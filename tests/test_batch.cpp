@@ -1,5 +1,5 @@
 // Equivalence suite for the batched hot-path update pipeline: feeding a
-// stream through HhhAlgorithm::update_batch must leave every algorithm in
+// stream through LatticeHhh::update_batch must leave the lattice in
 // state byte-identical to n per-packet update() calls -- same RNG draw
 // sequence, same rotation packets, same counter rosters, same output() and
 // estimate() values -- for every lattice mode and for arbitrary batch split
@@ -15,7 +15,6 @@
 #include "core/windowed.hpp"
 #include "hh/space_saving.hpp"
 #include "hhh/lattice_hhh.hpp"
-#include "hhh/trie_hhh.hpp"
 #include "net/ipv4.hpp"
 #include "trace/trace_gen.hpp"
 #include "util/random.hpp"
@@ -176,21 +175,6 @@ TEST(BatchEquivalence, PrefetchDistanceNeverChangesResults) {
       EXPECT_EQ(d, reference) << "prefetch_distance=" << dist;
     }
   }
-}
-
-TEST(BatchEquivalence, BaseClassFallbackLoop) {
-  // Algorithms that do not override update_batch get the base-class loop;
-  // it must be exactly n update() calls.
-  const Hierarchy h = Hierarchy::ipv4_1d(Granularity::kByte);
-  TrieHhh serial(h, AncestryMode::kFull, 0.01);
-  TrieHhh batched(h, AncestryMode::kFull, 0.01);
-  const std::vector<Key128> keys = make_stream(20000, 3);
-  for (const Key128& k : keys) serial.update(k);
-  HhhAlgorithm& base = batched;  // dispatch through the virtual
-  feed_batched(base, keys, 11);
-  EXPECT_EQ(serial.stream_length(), batched.stream_length());
-  EXPECT_EQ(digest_set_ordered(h, serial.output(0.01)),
-            digest_set_ordered(h, batched.output(0.01)));
 }
 
 TEST(BatchEquivalence, WindowedMonitorRotatesOnTheSamePacket) {

@@ -1,10 +1,10 @@
 // Statistical conformance suite: the paper's accuracy (Theorem 6.11) and
 // coverage (Theorem 6.15) guarantees, checked against exact ground truth
 // (eval/ground_truth) on seeded heavy-tailed Zipf traces (trace_gen), at
-// several (eps, theta, V) operating points, for the full algorithm roster:
-// the randomized lattice modes (RHHH at V = H and V = 10H, Sampled-MST),
-// the deterministic lattice baseline (MST), and the deterministic
-// trie-based comparators (Partial/Full Ancestry).
+// several (eps, theta, V) operating points, for every lattice mode: the
+// randomized ones (RHHH at V = H and V = 10H, Sampled-MST) and the
+// deterministic baseline (MST). The trie-based comparators (Partial/Full
+// Ancestry) run the same operating points in test_baselines.cpp.
 //
 // What the theorems promise once the stream passes the convergence bound
 // psi (Theorem 6.17):
@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "conformance_points.hpp"
 #include "core/monitor.hpp"
 #include "eval/ground_truth.hpp"
 #include "eval/metrics.hpp"
@@ -37,39 +38,13 @@
 namespace rhhh {
 namespace {
 
+using conformance::kPoints;
+using conformance::OperatingPoint;
+
 /// Finite-sample slack on top of delta for the randomized ratio checks:
 /// with tens of candidates per point, one unlucky candidate moves the
 /// empirical ratio by a few percent.
 constexpr double kMargin = 0.08;
-
-struct OperatingPoint {
-  const char* label;
-  HierarchyKind hierarchy;
-  AlgorithmKind randomized;  ///< the randomized mode under test at this point
-  double eps;
-  double delta;
-  std::uint32_t V;  ///< 0 = V = H
-  double theta;
-  std::uint64_t n;
-  const char* trace;
-  std::uint64_t seed;
-};
-
-const OperatingPoint kPoints[] = {
-    // 1D bytes (H = 5): the cheapest hierarchy, tight eps.
-    {"1d_rhhh_VH", HierarchyKind::kIpv4OneDimBytes, AlgorithmKind::kRhhh, 0.04,
-     0.05, 0, 0.10, 400000, "chicago16", 11},
-    // V = 10H: the paper's throughput configuration; psi grows with V, so
-    // the stream is longer.
-    {"1d_rhhh_V10H", HierarchyKind::kIpv4OneDimBytes, AlgorithmKind::kRhhh, 0.04,
-     0.05, 50, 0.05, 1200000, "sanjose14", 12},
-    // The Section 1 strawman at V = 5H.
-    {"1d_sampledmst_V5H", HierarchyKind::kIpv4OneDimBytes,
-     AlgorithmKind::kSampledMst, 0.04, 0.05, 25, 0.10, 600000, "chicago15", 13},
-    // 2D bytes (H = 25): the paper's main evaluated hierarchy.
-    {"2d_rhhh_VH", HierarchyKind::kIpv4TwoDimBytes, AlgorithmKind::kRhhh, 0.05,
-     0.05, 0, 0.10, 500000, "sanjose13", 14},
-};
 
 class Conformance : public ::testing::TestWithParam<int> {};
 
@@ -97,17 +72,14 @@ TEST_P(Conformance, TheoremBoundsHoldAtOperatingPoint) {
   base.V = pt.V;
   base.seed = pt.seed;
 
-  const AlgorithmKind roster[] = {pt.randomized, AlgorithmKind::kMst,
-                                  AlgorithmKind::kPartialAncestry,
-                                  AlgorithmKind::kFullAncestry};
+  const AlgorithmKind roster[] = {pt.randomized, AlgorithmKind::kMst};
   for (const AlgorithmKind kind : roster) {
     MonitorConfig cfg = base;
     cfg.algorithm = kind;
-    if (kind == AlgorithmKind::kPartialAncestry ||
-        kind == AlgorithmKind::kFullAncestry || kind == AlgorithmKind::kMst) {
+    if (kind == AlgorithmKind::kMst) {
       cfg.V = 0;  // V is a randomized-lattice parameter only
     }
-    const std::unique_ptr<HhhAlgorithm> alg = make_algorithm(h, cfg);
+    const std::unique_ptr<LatticeHhh> alg = make_algorithm(h, cfg);
     SCOPED_TRACE(std::string(alg->name()));
 
     for (const Key128& k : keys) alg->update(k);
@@ -139,31 +111,28 @@ TEST_P(Conformance, TheoremBoundsHoldAtOperatingPoint) {
                                    "conditioned prefix";
     }
 
-    // The theorem-shaped per-candidate check for the lattice modes: the
-    // estimate sits within eps_a * N plus the 2 Z sqrt(NV) sampling slack
-    // of Theorem 6.11 (a *tighter* additive bound than eps * N past psi).
-    if (const auto* lattice = dynamic_cast<const RhhhSpaceSaving*>(alg.get())) {
-      std::vector<Prefix> prefixes;
-      prefixes.reserve(out.size());
-      for (const HhhCandidate& c : out) prefixes.push_back(c.prefix);
-      const std::vector<std::uint64_t> exact = truth.frequencies(prefixes);
-      const double bound = lattice->eps_a() * static_cast<double>(pt.n) +
-                           lattice->correction();
-      std::size_t violations = 0;
-      for (std::size_t i = 0; i < prefixes.size(); ++i) {
-        const double err =
-            std::abs(out[i].f_est - static_cast<double>(exact[i]));
-        if (err > bound) ++violations;
-      }
-      if (randomized) {
-        EXPECT_LE(static_cast<double>(violations) /
-                      static_cast<double>(prefixes.size()),
-                  pt.delta + kMargin)
-            << violations << "/" << prefixes.size()
-            << " exceed eps_a*N + 2Z*sqrt(NV)";
-      } else {
-        EXPECT_EQ(violations, 0u);
-      }
+    // The theorem-shaped per-candidate check: the estimate sits within
+    // eps_a * N plus the 2 Z sqrt(NV) sampling slack of Theorem 6.11 (a
+    // *tighter* additive bound than eps * N past psi).
+    std::vector<Prefix> prefixes;
+    prefixes.reserve(out.size());
+    for (const HhhCandidate& c : out) prefixes.push_back(c.prefix);
+    const std::vector<std::uint64_t> exact = truth.frequencies(prefixes);
+    const double bound =
+        alg->eps_a() * static_cast<double>(pt.n) + alg->correction();
+    std::size_t violations = 0;
+    for (std::size_t i = 0; i < prefixes.size(); ++i) {
+      const double err = std::abs(out[i].f_est - static_cast<double>(exact[i]));
+      if (err > bound) ++violations;
+    }
+    if (randomized) {
+      EXPECT_LE(static_cast<double>(violations) /
+                    static_cast<double>(prefixes.size()),
+                pt.delta + kMargin)
+          << violations << "/" << prefixes.size()
+          << " exceed eps_a*N + 2Z*sqrt(NV)";
+    } else {
+      EXPECT_EQ(violations, 0u);
     }
   }
 }
@@ -204,19 +173,18 @@ TEST_P(Conformance, CertificateBoundDominatesObservedError) {
     MonitorConfig cfg = base;
     cfg.algorithm = kind;
     if (kind == AlgorithmKind::kMst) cfg.V = 0;
-    const std::unique_ptr<HhhAlgorithm> alg = make_algorithm(h, cfg);
+    const std::unique_ptr<LatticeHhh> alg = make_algorithm(h, cfg);
     SCOPED_TRACE(std::string(alg->name()));
-    const auto* lattice = dynamic_cast<const RhhhSpaceSaving*>(alg.get());
-    ASSERT_NE(lattice, nullptr);
+    const LatticeHhh& lattice = *alg;
 
     for (const Key128& k : keys) alg->update(k);
     const obs::AccuracyCertificate cert =
-        obs::certify_window({lattice}, /*epoch=*/1, /*drops=*/0,
+        obs::certify_window({&lattice}, /*epoch=*/1, /*drops=*/0,
                             /*stamped_ns=*/0);
     EXPECT_EQ(cert.stream_length, pt.n);
     EXPECT_EQ(cert.epoch, 1u);
     EXPECT_TRUE(cert.converged) << "operating point mis-sized: N below psi";
-    EXPECT_DOUBLE_EQ(cert.eps_configured, lattice->eps_a());
+    EXPECT_DOUBLE_EQ(cert.eps_configured, lattice.eps_a());
     if (kind == AlgorithmKind::kMst) {
       EXPECT_EQ(cert.sampling_slack, 0.0) << "MST has no sampling variance";
     } else {
@@ -243,12 +211,12 @@ TEST_P(Conformance, CertificateBoundDominatesObservedError) {
 
     // The empirical eps is itself recomputable from the public probes:
     // max over nodes of scale * min-count, over N.
-    const std::vector<BackendProbe> probes = lattice->health_probes();
-    ASSERT_EQ(probes.size(), lattice->H());
+    const std::vector<BackendProbe> probes = lattice.health_probes();
+    ASSERT_EQ(probes.size(), lattice.H());
     double expect_eps = 0.0;
     for (const BackendProbe& p : probes) {
       expect_eps = std::max(expect_eps,
-                            lattice->scale() * static_cast<double>(p.min_count) /
+                            lattice.scale() * static_cast<double>(p.min_count) /
                                 static_cast<double>(pt.n));
     }
     EXPECT_DOUBLE_EQ(cert.eps_empirical, expect_eps);
@@ -260,29 +228,27 @@ TEST_P(Conformance, CertificateBoundDominatesObservedError) {
   // the drop-folded sum.
   MonitorConfig cfg = base;
   cfg.algorithm = pt.randomized;
-  const std::unique_ptr<HhhAlgorithm> a = make_algorithm(h, cfg);
+  const std::unique_ptr<LatticeHhh> a = make_algorithm(h, cfg);
   cfg.seed = pt.seed + 1;
-  const std::unique_ptr<HhhAlgorithm> b = make_algorithm(h, cfg);
+  const std::unique_ptr<LatticeHhh> b = make_algorithm(h, cfg);
   for (std::size_t i = 0; i < keys.size(); ++i) {
     (i % 2 == 0 ? a : b)->update(keys[i]);
   }
-  const auto* sa = dynamic_cast<const RhhhSpaceSaving*>(a.get());
-  const auto* sb = dynamic_cast<const RhhhSpaceSaving*>(b.get());
-  ASSERT_NE(sa, nullptr);
-  ASSERT_NE(sb, nullptr);
+  const LatticeHhh& sa = *a;
+  const LatticeHhh& sb = *b;
   const std::uint64_t drops = 1000;
   const obs::AccuracyCertificate pair =
-      obs::certify_window({sa, sb}, /*epoch=*/2, drops, /*stamped_ns=*/0);
+      obs::certify_window({&sa, &sb}, /*epoch=*/2, drops, /*stamped_ns=*/0);
   EXPECT_EQ(pair.stream_length, pt.n + drops);
   EXPECT_EQ(pair.drops, drops);
-  const std::vector<BackendProbe> pa = sa->health_probes();
-  const std::vector<BackendProbe> pb = sb->health_probes();
+  const std::vector<BackendProbe> pa = sa.health_probes();
+  const std::vector<BackendProbe> pb = sb.health_probes();
   ASSERT_EQ(pa.size(), pb.size());
   double expect_eps = 0.0;
   for (std::size_t d = 0; d < pa.size(); ++d) {
     const double untracked =
-        sa->scale() * static_cast<double>(pa[d].min_count) +
-        sb->scale() * static_cast<double>(pb[d].min_count);
+        sa.scale() * static_cast<double>(pa[d].min_count) +
+        sb.scale() * static_cast<double>(pb[d].min_count);
     expect_eps =
         std::max(expect_eps, untracked / static_cast<double>(pt.n + drops));
   }

@@ -73,10 +73,6 @@ TEST(EngineConfigTest, Validation) {
   cfg = {};
   cfg.batch = 0;
   EXPECT_THROW(HhhEngine{cfg}, std::invalid_argument);
-  cfg = {};
-  cfg.monitor.algorithm = AlgorithmKind::kFullAncestry;
-  EXPECT_THROW(HhhEngine{cfg}, std::invalid_argument)
-      << "trie algorithms are not mergeable and must be rejected";
 }
 
 TEST(EngineConfigTest, FactoryBuildsConfiguredTopology) {

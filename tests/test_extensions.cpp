@@ -10,7 +10,6 @@
 
 #include "hh/space_saving.hpp"
 #include "hhh/lattice_hhh.hpp"
-#include "hhh/trie_hhh.hpp"
 #include "net/ipv4.hpp"
 #include "stats/histogram.hpp"
 #include "trace/trace_gen.hpp"
@@ -255,26 +254,6 @@ TEST(Validators, SpaceSavingUnderRandomOps) {
     }
     ASSERT_TRUE(ss.validate()) << "after step " << step;
   }
-}
-
-TEST(Validators, TrieUnderRandomStreams) {
-  const Hierarchy h = Hierarchy::ipv4_2d(Granularity::kByte);
-  for (const AncestryMode mode : {AncestryMode::kFull, AncestryMode::kPartial}) {
-    TrieHhh t(h, mode, 0.02);
-    TraceGenerator gen(trace_preset("chicago16"));
-    for (int step = 0; step < 50; ++step) {
-      for (int i = 0; i < 2000; ++i) t.update(h.key_of(gen.next()));
-      ASSERT_TRUE(t.validate()) << to_string(mode) << " step " << step;
-    }
-  }
-}
-
-TEST(Validators, TrieValidAfterClear) {
-  const Hierarchy h = Hierarchy::ipv4_1d(Granularity::kByte);
-  TrieHhh t(h, AncestryMode::kFull, 0.01);
-  for (int i = 0; i < 10000; ++i) t.update(Key128::from_u32(static_cast<std::uint32_t>(i * 2654435761u)));
-  t.clear();
-  EXPECT_TRUE(t.validate());
 }
 
 }  // namespace

@@ -2,17 +2,18 @@
 // machinery (G(p|P), calcPred), the paper's worked example from Section 3.1,
 // MST exactness, RHHH's randomized behaviour (update counting, psi, planted
 // heavy hitters, Corollary 6.8), Sampled-MST, the spare-capacity exact
-// configuration, the ancestry tries, and cross-algorithm agreement.
+// configuration, and cross-mode agreement. The ancestry tries the paper
+// compares against are tested in test_baselines.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "eval/ground_truth.hpp"
 #include "hhh/conditioned.hpp"
 #include "hhh/lattice_hhh.hpp"
-#include "hhh/trie_hhh.hpp"
 #include "net/ipv4.hpp"
 #include "trace/trace_gen.hpp"
 #include "trace/zipf.hpp"
@@ -20,6 +21,12 @@
 
 namespace rhhh {
 namespace {
+
+// The library has one HHH class and no vtable on its packet path; the old
+// interface and backend names are aliases of it.
+static_assert(!std::is_polymorphic_v<LatticeHhh>);
+static_assert(std::is_same_v<HhhAlgorithm, LatticeHhh>);
+static_assert(std::is_same_v<RhhhSpaceSaving, LatticeHhh>);
 
 // ------------------------------------------------------ conditioned ----
 
@@ -146,17 +153,6 @@ TEST(PaperExample, MstReturnsOnlyTheDeepHhh) {
   EXPECT_EQ(h.format(out[0].prefix), "101.102.*.*");
   // p1 = 101.* has frequency 108 >= 100 but conditioned frequency 6 < 100.
   EXPECT_NEAR(out[0].f_est, 102.0, 1e-9);
-}
-
-TEST(PaperExample, TrieAlgorithmsAgree) {
-  const Hierarchy h = Hierarchy::ipv4_1d(Granularity::kByte);
-  for (const AncestryMode mode : {AncestryMode::kFull, AncestryMode::kPartial}) {
-    TrieHhh trie(h, mode, 1e-4);  // window larger than the stream: no pruning
-    for (const Key128& k : paper_example_stream()) trie.update(k);
-    const HhhSet out = trie.output(kPaperTheta);
-    ASSERT_EQ(out.size(), 1u) << to_string(mode);
-    EXPECT_EQ(h.format(out[0].prefix), "101.102.*.*") << to_string(mode);
-  }
 }
 
 TEST(PaperExample, ExactGroundTruthMatches) {
@@ -564,158 +560,12 @@ TEST(SpareCapacity, LatticeMatchesGroundTruthShape) {
   EXPECT_EQ(h.format(out[0].prefix), "101.102.*.*");
 }
 
-// ------------------------------------------------------------- TrieHhh ----
-
-TEST(TrieHhhTest, Validation) {
-  const Hierarchy h = Hierarchy::ipv4_1d(Granularity::kByte);
-  EXPECT_THROW(TrieHhh(h, AncestryMode::kFull, 0.0), std::invalid_argument);
-  EXPECT_THROW(TrieHhh(h, AncestryMode::kFull, 1.0), std::invalid_argument);
-}
-
-TEST(TrieHhhTest, RootAlwaysTracked) {
-  const Hierarchy h = Hierarchy::ipv4_1d(Granularity::kByte);
-  TrieHhh t(h, AncestryMode::kFull, 0.01);
-  EXPECT_EQ(t.tracked_nodes(), 1u);
-  t.update(Key128::from_u32(ipv4(1, 2, 3, 4)));
-  EXPECT_GT(t.tracked_nodes(), 1u);
-}
-
-TEST(TrieHhhTest, EstimateIndexKeepsLossyCountingBounds) {
-  // estimate() now answers from a lazily rebuilt per-prefix mass index;
-  // interleave updates (which dirty the index), compressions and probes,
-  // and check every probe against the exact stream counts. Tracked mass
-  // never exceeds the true count, so estimate <= f + slack everywhere. On
-  // the 1D chain (every lattice node on the canonical chain) full
-  // ancestry additionally keeps the classic lossy-counting guarantee: a
-  // nonzero estimate upper-bounds f, a zero one means f <= slack. (2D
-  // off-chain aggregates can undercount past the slack when compression
-  // folds mass to a canonical parent outside their cone -- the documented
-  // adaptation caveat, same as output()'s f_hi.)
-  for (const bool one_dim : {true, false}) {
-    const Hierarchy h = one_dim ? Hierarchy::ipv4_1d(Granularity::kByte)
-                                : Hierarchy::ipv4_2d(Granularity::kByte);
-    for (const AncestryMode mode : {AncestryMode::kFull, AncestryMode::kPartial}) {
-      TrieHhh t(h, mode, 0.02);
-      TraceGenerator gen(trace_preset("chicago16"));
-      Xoroshiro128 rng(11);
-      FlatHashMap<Key128, std::uint64_t, KeyHash<Key128>> exact(1 << 12);
-      std::vector<Key128> seen;
-      for (int round = 0; round < 6; ++round) {
-        for (int i = 0; i < 2000; ++i) {
-          const Key128 k = h.key_of(gen.next());
-          t.update(k);
-          ++exact[k];
-          if (seen.size() < 64) seen.push_back(k);
-        }
-        ASSERT_TRUE(t.validate());
-        const double slack = static_cast<double>(t.epoch() - 1);
-        for (int probe = 0; probe < 24; ++probe) {
-          const Key128 k =
-              seen[rng.bounded(static_cast<std::uint32_t>(seen.size()))];
-          const auto node = static_cast<std::uint32_t>(
-              rng.bounded(static_cast<std::uint32_t>(h.size())));
-          const Prefix p{node, h.mask_key(node, k)};
-          std::uint64_t f = 0;  // exact mass of p over the stream so far
-          exact.for_each([&](const Key128& key, const std::uint64_t& c) {
-            if (h.mask_key(node, key) == p.key) f += c;
-          });
-          const double est = t.estimate(p);
-          EXPECT_LE(est, static_cast<double>(f) + slack)
-              << to_string(mode) << " " << h.format(p);
-          if (one_dim && mode == AncestryMode::kFull) {
-            if (est > 0.0) {
-              EXPECT_GE(est, static_cast<double>(f)) << h.format(p);
-            } else {
-              EXPECT_LE(static_cast<double>(f), slack) << h.format(p);
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(TrieHhhTest, FullAncestryTracksWholePath) {
-  const Hierarchy h = Hierarchy::ipv4_1d(Granularity::kByte);
-  TrieHhh t(h, AncestryMode::kFull, 1e-4);
-  t.update(Key128::from_u32(ipv4(1, 2, 3, 4)));
-  // Root + the 4 prefix nodes of the chain.
-  EXPECT_EQ(t.tracked_nodes(), 5u);
-  TrieHhh p(h, AncestryMode::kPartial, 1e-4);
-  p.update(Key128::from_u32(ipv4(1, 2, 3, 4)));
-  EXPECT_EQ(p.tracked_nodes(), 2u);  // root + one lazily expanded node (1.*)
-  p.update(Key128::from_u32(ipv4(1, 2, 3, 4)));
-  EXPECT_EQ(p.tracked_nodes(), 3u);  // the path grows one level per arrival
-}
-
-TEST(TrieHhhTest, CompressionBoundsState) {
-  const Hierarchy h = Hierarchy::ipv4_1d(Granularity::kByte);
-  TrieHhh t(h, AncestryMode::kPartial, 0.01);  // window 100
-  Xoroshiro128 rng(5);
-  for (int i = 0; i < 50000; ++i) {
-    t.update(Key128::from_u32(static_cast<std::uint32_t>(rng())));  // all noise
-  }
-  EXPECT_GT(t.compressions(), 0u);
-  // Lossy-counting style space bound: O(levels/eps).
-  EXPECT_LT(t.tracked_nodes(), 5u * 100u * 4u);
-}
-
-TEST(TrieHhhTest, MassConservedUnderCompression) {
-  const Hierarchy h = Hierarchy::ipv4_1d(Granularity::kByte);
-  TrieHhh t(h, AncestryMode::kFull, 0.02);
-  Xoroshiro128 rng(6);
-  const int kN = 20000;
-  for (int i = 0; i < kN; ++i) {
-    t.update(Key128::from_u32(static_cast<std::uint32_t>(rng.bounded(1000) * 7919)));
-  }
-  // The root's subtree total (all g) must equal N: compression rolls mass up
-  // but never loses it. Query via output at theta=0: root's f_lo covers all.
-  const HhhSet all = t.output(0.0);
-  double root_flo = -1;
-  for (const HhhCandidate& c : all) {
-    if (c.prefix.node == h.top()) root_flo = c.f_lo;
-  }
-  ASSERT_GE(root_flo, 0.0) << "root must be in a theta=0 output";
-  EXPECT_DOUBLE_EQ(root_flo, static_cast<double>(kN));
-}
-
-TEST(TrieHhhTest, PlantedHeavyHitterFound2D) {
-  const Hierarchy h = Hierarchy::ipv4_2d(Granularity::kByte);
-  for (const AncestryMode mode : {AncestryMode::kFull, AncestryMode::kPartial}) {
-    TrieHhh t(h, mode, 0.01);
-    Xoroshiro128 rng(7);
-    const Key128 hot = Key128::from_pair(ipv4(10, 1, 2, 3), ipv4(99, 5, 6, 7));
-    for (int i = 0; i < 100000; ++i) {
-      if (rng.bounded(10) < 3) {
-        t.update(hot);
-      } else {
-        t.update(Key128::from_pair(rng(), static_cast<std::uint32_t>(rng())));
-      }
-    }
-    const HhhSet out = t.output(0.2);
-    bool covered = false;
-    for (const HhhCandidate& c : out) {
-      if (h.generalizes(c.prefix, Prefix{h.bottom(), hot})) covered = true;
-    }
-    EXPECT_TRUE(covered) << to_string(mode);
-  }
-}
-
-TEST(TrieHhhTest, ClearResets) {
-  const Hierarchy h = Hierarchy::ipv4_1d(Granularity::kByte);
-  TrieHhh t(h, AncestryMode::kFull, 0.01);
-  for (int i = 0; i < 5000; ++i) t.update(Key128::from_u32(42));
-  t.clear();
-  EXPECT_EQ(t.stream_length(), 0u);
-  EXPECT_EQ(t.tracked_nodes(), 1u);
-  EXPECT_TRUE(t.output(0.5).empty());
-}
-
 // ------------------------------------------------- cross-algorithm ----
 
-/// All five algorithms on the same skewed stream: every exact HHH must be
-/// covered (itself or refined) in every algorithm's output at a threshold
-/// comfortably above the noise floor.
+/// RHHH and MST on the same skewed stream: every exact HHH must be covered
+/// (itself or refined) in each one's output at a threshold comfortably
+/// above the noise floor. The tries' half of this check is
+/// CrossAlgorithm.TriesCoverExactHhhs in test_baselines.cpp.
 TEST(CrossAlgorithm, AllAlgorithmsCoverExactHhhs) {
   const Hierarchy h = Hierarchy::ipv4_2d(Granularity::kByte);
   const auto packets = [&] {
@@ -735,11 +585,9 @@ TEST(CrossAlgorithm, AllAlgorithmsCoverExactHhhs) {
   LatticeParams lp;
   lp.eps = 0.02;
   lp.delta = 0.05;
-  std::vector<std::unique_ptr<HhhAlgorithm>> algs;
-  algs.push_back(std::make_unique<RhhhSpaceSaving>(h, LatticeMode::kRhhh, lp));
-  algs.push_back(std::make_unique<RhhhSpaceSaving>(h, LatticeMode::kMst, lp));
-  algs.push_back(std::make_unique<TrieHhh>(h, AncestryMode::kFull, lp.eps));
-  algs.push_back(std::make_unique<TrieHhh>(h, AncestryMode::kPartial, lp.eps));
+  std::vector<std::unique_ptr<LatticeHhh>> algs;
+  algs.push_back(std::make_unique<LatticeHhh>(h, LatticeMode::kRhhh, lp));
+  algs.push_back(std::make_unique<LatticeHhh>(h, LatticeMode::kMst, lp));
 
   for (auto& alg : algs) {
     for (const Key128& k : packets) alg->update(k);

@@ -10,7 +10,6 @@
 #include "eval/ground_truth.hpp"
 #include "eval/metrics.hpp"
 #include "hhh/lattice_hhh.hpp"
-#include "hhh/trie_hhh.hpp"
 #include "net/ipv4.hpp"
 #include "trace/trace_gen.hpp"
 #include "util/random.hpp"
@@ -44,29 +43,6 @@ TEST(WeightedEquivalence, MstWeightedEqualsRepeatedUnits) {
     ASSERT_NE(d, nullptr) << h.format(c.prefix);
     EXPECT_DOUBLE_EQ(c.f_hi, d->f_hi);
     EXPECT_DOUBLE_EQ(c.f_lo, d->f_lo);
-  }
-}
-
-/// Same law for the tries (also deterministic).
-TEST(WeightedEquivalence, TrieWeightedEqualsRepeatedUnits) {
-  const Hierarchy h = Hierarchy::ipv4_1d(Granularity::kByte);
-  for (const AncestryMode mode : {AncestryMode::kFull, AncestryMode::kPartial}) {
-    TrieHhh a(h, mode, 0.01);
-    TrieHhh b(h, mode, 0.01);
-    Xoroshiro128 rng(32);
-    for (int i = 0; i < 2000; ++i) {
-      const Key128 k = Key128::from_u32(rng.bounded(512) * 7919u);
-      const std::uint64_t w = 1 + rng.bounded(4);
-      a.update_weighted(k, w);
-      for (std::uint64_t j = 0; j < w; ++j) b.update(k);
-    }
-    ASSERT_EQ(a.stream_length(), b.stream_length()) << to_string(mode);
-    const HhhSet oa = a.output(0.02);
-    const HhhSet ob = b.output(0.02);
-    EXPECT_EQ(oa.size(), ob.size()) << to_string(mode);
-    for (const HhhCandidate& c : oa) {
-      EXPECT_TRUE(ob.contains(c.prefix)) << to_string(mode) << " " << h.format(c.prefix);
-    }
   }
 }
 
