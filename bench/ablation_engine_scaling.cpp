@@ -8,12 +8,18 @@
 // and the ring/transport share grows. Drop, backpressure and epoch
 // counters from the final snapshot are part of the table (and the --json
 // mirror), so multi-core trajectories are tracked in BENCH_*.json.
+//
+// A second panel reports the ingest pause per window boundary: one
+// producer, packet-budget windows, W in {2, 4}. Each worker rotates its own
+// shard at a cut while the others keep ingesting, so a boundary pauses
+// ingest for the slowest shard's own rotation (rhhh_engine_rotation_ns).
 #include <cstdio>
 #include <thread>
 #include <vector>
 
 #include "common/bench_common.hpp"
 #include "engine/engine.hpp"
+#include "obs/metrics.hpp"
 
 using namespace rhhh;
 using namespace rhhh::bench;
@@ -79,5 +85,45 @@ int main(int argc, char** argv) {
       " [this host: %u hardware threads]; V = 10H shifts work from the shard\n"
       " lattices to the rings, so it scales further before transport binds)\n",
       std::thread::hardware_concurrency());
+
+  print_figure_header(
+      "Engine window boundary pause",
+      "Ingest pause per window boundary: the slowest shard's own rotation, "
+      "RHHH, 2D bytes, one producer, 16 budget windows",
+      args);
+  print_row({"workers", "pause us (95% CI)", "boundaries"});
+  for (const std::uint32_t workers : {2u, 4u}) {
+    RunningStats pause_us;
+    std::uint64_t boundaries = 0;
+    for (int r = 0; r < args.runs; ++r) {
+      obs::MetricsRegistry reg;
+      EngineConfig cfg;
+      cfg.monitor.hierarchy = HierarchyKind::kIpv4TwoDimBytes;
+      cfg.monitor.algorithm = AlgorithmKind::kRhhh;
+      cfg.monitor.eps = args.eps;
+      cfg.monitor.delta = args.delta;
+      cfg.monitor.seed = args.seed + static_cast<std::uint64_t>(r);
+      cfg.workers = workers;
+      cfg.producers = 1;
+      cfg.ring_capacity = 1 << 16;
+      cfg.batch = 256;
+      cfg.epoch_packets = keys.size() / 16;
+      cfg.metrics = &reg;
+      const std::unique_ptr<HhhEngine> eng = make_engine(cfg);
+      eng->start();
+      HhhEngine::Producer& prod = eng->producer(0);
+      for (const Key128& k : keys) prod.ingest(k);
+      prod.flush();
+      eng->stop();
+      const LogHistogram pause = reg.histogram("rhhh_engine_rotation_ns").snapshot();
+      pause_us.add(pause.mean() / 1e3);
+      boundaries = pause.count();
+    }
+    print_row({std::to_string(workers), ci_cell(pause_us), std::to_string(boundaries)});
+  }
+  std::printf(
+      "\n(each worker clears its own shard's oldest ring slot at a cut while\n"
+      " the others keep ingesting; the pause tracks one shard's counters,\n"
+      " not W of them)\n");
   return 0;
 }

@@ -6,21 +6,22 @@
 // HhhEngine, with a burst planted at 60% of the stream (30% of subsequent
 // traffic toward one /16 -> victim pair). Window epochs close every
 // `epoch` records through the engine's own packet budget
-// (EngineConfig::epoch_packets) -- the workers meter the budget at their
-// batch boundaries and the one that sees it spent rotates in place, so the
-// budget itself paces the run. The bench probes trend_snapshot()'s
-// two-window emerging() every quarter epoch of ingested records.
+// (EngineConfig::epoch_packets) -- the push that spends it posts a cut and
+// each worker rotates its shard there, so the budget itself paces the run.
+// The bench probes trend_snapshot()'s two-window emerging() every quarter
+// epoch of ingested records.
 //
 // Columns: ingest throughput (Mpps, lossless blocking overflow, clock from
 // first push until every record is consumed, rotation + probe quiesces
 // included), detection latency in packets past burst start (kpkt), windows
-// closed, measured boundary drift (mean ns between the budget crossing and
-// the rotation that sealed the window -- EngineStats drift telemetry), and
-// drops. Smaller epochs detect sooner but quiesce more often; more workers
-// push Mpps up until transport (or the host's core count) binds.
+// closed, measured boundary drift (mean ns from a cut's posting to the
+// start of the last shard's rotation at it -- EngineStats drift
+// telemetry), and drops. Smaller epochs detect sooner but quiesce more
+// often; more workers push Mpps up until transport (or the host's core
+// count) binds.
 //
-// A second, probe-free panel measures the drift of worker-driven
-// (cooperative) rotation alone: it is bounded by one worker batch.
+// A second, probe-free panel measures the drift of cut rotation alone: how
+// far the slowest worker lags the producer.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -220,24 +221,23 @@ int main(int argc, char** argv) {
   }
 
   // Drift at a fixed sweep point, probe-free so the sample measures the
-  // rotation alone: the budget is checked at worker batch boundaries and
-  // the crossing worker rotates in place. Small blocking rings keep the
-  // pipeline in steady state -- backpressure paces the producers to the
-  // workers' consumption rate, so rotations happen live instead of piling
-  // into the shutdown drain (which never rotates) on oversubscribed hosts.
-  // This is the trajectory-gated drift cell.
+  // rotation alone. Small blocking rings keep the pipeline in steady state
+  // -- backpressure paces the producers to the workers' consumption rate,
+  // so the lag behind a cut stays within a ring's backlog instead of piling
+  // into the shutdown sweep on oversubscribed hosts. This is the
+  // trajectory-gated drift cell.
   print_row({"rotation", "epoch/n", "drift ns (95% CI)", "windows"});
   const std::size_t drift_epoch = std::max<std::size_t>(n / 16, 4);
   const SweepResult res = run_config(in, /*workers=*/2, drift_epoch,
                                      /*probes=*/false, /*ring=*/1 << 10);
-  print_row({"cooperative", xcell("1/16"), drift_cell_of(res),
+  print_row({"cut", xcell("1/16"), drift_cell_of(res),
              std::to_string(res.windows)});
 
   std::printf(
       "\n(expected shape: Mpps tracks the non-windowed engine ablation while\n"
       " cores last [this host: %u hardware threads]; fine epochs [1/16 of the\n"
       " stream] flag the planted burst after fewer packets than coarse ones\n"
-      " [1/4]; cooperative drift sits near one worker batch)\n",
+      " [1/4]; cut drift stays within one ring's backlog)\n",
       std::thread::hardware_concurrency());
   return 0;
 }

@@ -108,13 +108,11 @@ struct ArchiveConfig {
   /// store exceeds this many bytes (retention-by-bytes compaction; the
   /// segment being written is never deleted). 0 = keep everything.
   std::uint64_t retain_bytes = 0;
-  /// Bounded depth of the rotation -> archiver queue. A full queue drops
-  /// the sealed window (counted in EngineStats::archive_queue_drops)
-  /// rather than ever blocking a rotation on I/O. A queued window is not
-  /// copied: it shares the engine's sealed shard lattices, whose ring
-  /// slots are reused history_depth rotations later, so a rotation that
-  /// evicts a queued window the archiver has not merged yet waits for or
-  /// runs that merge first.
+  /// Bounded depth of the archiver queue. A full queue drops the sealed
+  /// window (counted in EngineStats::archive_queue_drops) rather than ever
+  /// blocking on I/O. A queued window shares the engine's sealed shard
+  /// lattices, whose ring slots are reused history_depth cuts later: the
+  /// first shard to reuse one waits for or runs the window's merge first.
   std::size_t queue_windows = 8;
   /// Durability cadence for the segment writer (all I/O stays on the
   /// archiver thread, so even kPerRecord never stalls a rotation).
@@ -170,20 +168,16 @@ struct EngineConfig {
   OverflowPolicy overflow = OverflowPolicy::kBlock;
 
   // -- windowed change detection (HhhEngine::trend_snapshot) ----------------
-  /// >0: a window epoch closes once this many records have been CONSUMED
-  /// into shard lattices since the last boundary. The budget basis is
-  /// consumed-only by contract: drop-tail drops are attributed to the
-  /// window they fell in (they fold into its stream length N) but do NOT
-  /// spend the budget, so a saturated ring can never silently shorten
-  /// windows relative to the traffic that actually reached the lattices.
-  /// 0 disables the packet budget. The budget is the engine's only
-  /// automatic window clock (the paper's bounds are stated in packets):
-  /// workers meter it at batch boundaries and the one whose decrement
-  /// spends it rotates, so boundary drift is bounded by one worker batch
-  /// (a 200us fallback clock thread rotates a spent budget that worker
-  /// has not).
-  /// Manual HhhEngine::rotate_epoch() calls compose with it; a caller that
-  /// wants time windows calls rotate_epoch() from its own timer.
+  /// >0: a window closes once this many records have been PUSHED into the
+  /// engine's rings since the last cut: the producer whose push spends the
+  /// budget posts the cut (HhhEngine), and every pushed record reaches a
+  /// lattice. Drop-tail drops fold into their window's N but never spend
+  /// the budget, so a saturated ring cannot shorten windows relative to
+  /// the traffic the lattices saw. With one producer every budget window
+  /// holds exactly this many pushed records; with several, at least this
+  /// many. 0 disables the budget (the paper's bounds are stated in
+  /// packets). Manual HhhEngine::rotate_epoch() calls compose with it; a
+  /// caller that wants time windows calls rotate_epoch() from its own timer.
   std::uint64_t epoch_packets = 0;
   /// Sealed windows each shard retains (>= 1). 1 is the classic
   /// live/previous pair; larger K adds HhhEngine::trend_snapshot()'s

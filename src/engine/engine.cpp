@@ -1,9 +1,13 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <tuple>
+
+#ifdef __linux__
+#include <pthread.h>
+#include <sched.h>
+#endif
 
 #include "obs/health.hpp"
 #include "obs/metrics.hpp"
@@ -17,6 +21,12 @@ namespace {
 /// Seed salt of every merged sealed window, xor'ed with the window's own
 /// epoch: the merge's bytes do not depend on which reader builds it.
 constexpr std::uint64_t kSealedSalt = 0x6e7ac000ULL;
+
+std::int64_t steady_ns() noexcept { return static_cast<std::int64_t>(obs::now_ns()); }
+
+std::int64_t wall_ns() noexcept {
+  return std::chrono::system_clock::now().time_since_epoch().count();
+}
 
 }  // namespace
 
@@ -35,7 +45,7 @@ const HhhEngine::Counter HhhEngine::kCounters[] = {
      "rhhh_engine_backpressure_waits",
      "producer spin rounds on full rings (kBlock)", nullptr},
     {&EngineStats::epochs, "epochs", "rhhh_engine_epochs",
-     "quiesce generations (snapshots + rotations)", &HhhEngine::epoch_req_},
+     "quiesce generations (one per trend_snapshot)", &HhhEngine::epoch_req_},
     {&EngineStats::window_epochs, "window_epochs", "rhhh_engine_window_epochs",
      "completed window rotations", &HhhEngine::window_epochs_},
     {&EngineStats::archived_windows, "archived_windows",
@@ -58,12 +68,13 @@ const HhhEngine::Counter HhhEngine::kCounters[] = {
      nullptr},
     {&EngineStats::budget_rotations, "budget_rotations",
      "rhhh_engine_budget_rotations",
-     "budget-driven rotations (the drift-metered subset)",
+     "budget cuts published (the drift-metered subset)",
      &HhhEngine::budget_rotations_},
     {&EngineStats::rotation_drift_ns_total, "rotation_drift_ns_total", nullptr,
      nullptr, &HhhEngine::drift_ns_total_},
     {&EngineStats::late_rotations, "late_rotations", "rhhh_engine_late_rotations",
-     "budget rotations later than 200us", &HhhEngine::late_rotations_},
+     "budget cuts whose last shard rotated later than 200us",
+     &HhhEngine::late_rotations_},
 };
 
 // ------------------------------------------------------------- Producer ----
@@ -104,15 +115,26 @@ void HhhEngine::Producer::flush_worker(std::uint32_t w) {
   Lane& lane = eng_->lane(id_, w);
   const Key128* data = b.data();
   std::size_t left = b.size();
-  std::size_t pushed = 0;
   while (left != 0) {
-    const std::size_t sent = lane.ring.try_push_n(data, left);
-    data += sent;
-    left -= sent;
-    pushed += sent;
-    if (left == 0) break;
-    // Lossless only while workers are consuming; a stopped engine turns
-    // kBlock into drop-tail rather than spinning forever.
+    // A push that would spend the budget stops where it is spent, so with
+    // one producer budget cuts are exactly epoch_packets records apart.
+    std::size_t quota = left;
+    if (eng_->windowed()) {
+      // order: relaxed -- a split hint only; commit_push() does the metering.
+      const std::int64_t budget = eng_->epoch_budget_left_.load(std::memory_order_relaxed);
+      if (budget > 0 && static_cast<std::uint64_t>(budget) < left) {
+        quota = static_cast<std::size_t>(budget);
+      }
+    }
+    const std::size_t sent = lane.ring.try_push_n(data, quota);
+    if (sent != 0) {
+      eng_->commit_push(lane, sent);
+      data += sent;
+      left -= sent;
+      continue;
+    }
+    // The ring is full. Lossless only while workers are consuming; a
+    // stopped engine turns kBlock into drop-tail rather than spinning forever.
     // order: acquire -- pairs with stop()'s acq_rel exchange of running_; a
     // producer that observes the stop must not keep spinning on a ring whose
     // consumer is being joined.
@@ -125,11 +147,6 @@ void HhhEngine::Producer::flush_worker(std::uint32_t w) {
     // order: relaxed -- backpressure-retry counter, diagnostic only.
     backpressure_.fetch_add(1, std::memory_order_relaxed);
     std::this_thread::yield();
-  }
-  if (pushed != 0) {
-    // order: relaxed -- push counter; the records themselves were published
-    // by the ring's release store, not by this statistic.
-    lane.pushed.fetch_add(pushed, std::memory_order_relaxed);
   }
   if (eng_->obs_.push_ns != nullptr) eng_->obs_.push_ns->record_since(obs_t0);
   b.clear();
@@ -164,6 +181,7 @@ HhhEngine::HhhEngine(const EngineConfig& cfg)
     ws->ring = WindowRing<RhhhSpaceSaving>(cfg.history_depth, [&](std::size_t slot) {
       return make_shard_lattice(0x5eed0000ULL + 0x2000ULL * slot + w);
     });
+    ws->marks.resize(cfg.producers);
     workers_.push_back(std::move(ws));
   }
   const std::size_t n_lanes = std::size_t{cfg.producers} * cfg.workers;
@@ -175,13 +193,13 @@ HhhEngine::HhhEngine(const EngineConfig& cfg)
   for (std::uint32_t p = 0; p < cfg.producers; ++p) {
     producers_.push_back(std::unique_ptr<Producer>(new Producer(this, p)));
   }
-  // order: relaxed -- constructor runs single-threaded; the handoff to any
-  // thread happens-before via std::thread creation in start().
-  win_started_ns_.store(
-      std::chrono::steady_clock::now().time_since_epoch().count(),
-      std::memory_order_relaxed);
-  win_started_wall_ns_ =
-      std::chrono::system_clock::now().time_since_epoch().count();
+  last_cut_.assign(n_lanes, 0);
+  cut_ns_ = steady_ns();
+  cut_wall_ns_ = wall_ns();
+  // order: relaxed -- constructor runs single-threaded; thread creation in
+  // start() (and handing out producer handles) is the happens-before edge.
+  epoch_budget_left_.store(static_cast<std::int64_t>(cfg_.epoch_packets),
+                           std::memory_order_relaxed);
   // The archiver inherits the engine's telemetry switch and registry unless
   // the archive config overrides them explicitly.
   if (!cfg_.telemetry) cfg_.archive.telemetry = false;
@@ -192,7 +210,7 @@ HhhEngine::HhhEngine(const EngineConfig& cfg)
 
 HhhEngine::~HhhEngine() {
   stop();
-  // After stop(): no worker/clock/archiver thread can touch obs_ anymore,
+  // After stop(): no worker/archiver thread can touch obs_ anymore,
   // and the registry must stop sampling the `this`-capturing gauges before
   // the members they read are destroyed.
   unbind_metrics();
@@ -214,12 +232,13 @@ void HhhEngine::bind_metrics() {
       "rhhh_engine_batch_fill",
       "records consumed per productive drain pass (batching efficacy)");
   obs_.quiesce_ns = &reg.histogram(
-      "rhhh_engine_quiesce_ns", "epoch boundary request->all-acked wait (ns)");
-  obs_.rotation_ns =
-      &reg.histogram("rhhh_engine_rotation_ns", "window rotation cost (ns)");
+      "rhhh_engine_quiesce_ns", "trend_snapshot request->all-acked wait (ns)");
+  obs_.rotation_ns = &reg.histogram(
+      "rhhh_engine_rotation_ns",
+      "slowest shard's own rotation per cut: its ingest pause (ns)");
   obs_.rotation_drift_ns = &reg.histogram(
       "rhhh_engine_rotation_drift_ns",
-      "budget-spent to rotation-start drift (ns, budget-driven rotations)");
+      "cut posted to last shard rotation start (ns, budget cuts)");
   obs_.trend_ns = &reg.histogram("rhhh_engine_trend_merge_ns",
                                  "trend_snapshot merge time (ns)");
   obs_.archive_q_depth = &reg.gauge("rhhh_engine_archive_queue_depth",
@@ -283,15 +302,12 @@ void HhhEngine::bind_health() {
     p.consumed = s.consumed;
     p.window_epochs = s.window_epochs;
     for (const auto& l : lanes_) p.backlog += l->ring.size_approx();
-    // order: relaxed -- liveness probe; a stale read costs one period.
-    if (windowed() && running_.load(std::memory_order_relaxed)) {
-      const std::int64_t now =
-          std::chrono::steady_clock::now().time_since_epoch().count();
-      // order: relaxed -- stale-tolerant drift mark (see meter_consumed);
-      // "overdue" means a full watchdog period past the ideal boundary.
-      const std::int64_t mark =
-          budget_spent_ns_.load(std::memory_order_relaxed);
-      p.rotation_overdue = mark != 0 && now > mark + period;
+    // order: relaxed x2 -- liveness probe and the stale-tolerant posting
+    // instant of the oldest cut some shard has not rotated at; "overdue"
+    // means a full watchdog period past its posting.
+    if (running_.load(std::memory_order_relaxed)) {
+      const std::int64_t mark = pending_cut_ns_.load(std::memory_order_relaxed);
+      p.rotation_overdue = mark != 0 && steady_ns() > mark + period;
     }
     return p;
   };
@@ -345,31 +361,15 @@ void HhhEngine::start() {
   // thread, but producer handles may be polled from threads start() never
   // spawned).
   running_.store(true, std::memory_order_release);
-  if (windowed()) {
-    // Reset the budget state BEFORE any worker thread exists: workers meter
-    // the budget from their first batch, and a previous run may have left a
-    // spent countdown behind (a claim dies with the worker stop() joined).
-    // order: relaxed x3 -- read by the worker threads created below;
-    // std::thread creation is the happens-before edge, not these atomics.
-    win_started_ns_.store(
-        std::chrono::steady_clock::now().time_since_epoch().count(),
-        std::memory_order_relaxed);
-    epoch_budget_left_.store(static_cast<std::int64_t>(cfg_.epoch_packets),
-                             std::memory_order_relaxed);
-    budget_spent_ns_.store(0, std::memory_order_relaxed);
-  }
   for (std::uint32_t w = 0; w < workers(); ++w) {
     workers_[w]->thread = std::thread([this, w] { worker_loop(w); });
   }
-  if (windowed()) {
-    // order: relaxed -- the generation token is read by the clock thread
-    // created on the next line; thread creation is the happens-before edge.
-    const std::uint64_t gen = clock_gen_.load(std::memory_order_relaxed);
-    clock_thread_ = std::thread([this, gen] { clock_loop(gen); });
-  }
   if (archive_ != nullptr) {
-    win_started_wall_ns_ =
-        std::chrono::system_clock::now().time_since_epoch().count();
+    {
+      std::lock_guard<std::mutex> lk(cut_mu_);
+      cut_wall_ns_ = wall_ns();  // the archived window starts with the run
+    }
+    archive_quit_ = false;  // the previous archiver is joined
     archive_thread_ =
         std::thread([this, arch = archive_.get()] { archive_loop(arch); });
   }
@@ -380,7 +380,7 @@ void HhhEngine::start() {
 }
 
 void HhhEngine::stop() {
-  std::unique_lock<std::mutex> snap_lk(snap_mu_);
+  std::lock_guard<std::mutex> snap_lk(snap_mu_);
   // order: acq_rel -- the release half publishes the flip to the acquire
   // loads in flush_worker()/worker_loop() (spinning kBlock producers fall
   // back to drop-tail, workers enter their shutdown drain); the acquire half
@@ -398,23 +398,25 @@ void HhhEngine::stop() {
   for (auto& ws : workers_) {
     if (ws->thread.joinable()) ws->thread.join();
   }
-  // A producer racing stop() can slip a batch into a ring after that
-  // worker's shutdown drain; sweep the rings once more from here (workers
-  // are joined, so this thread is the only consumer) so no record pushed
-  // before stop() returns is stranded outside consumed/dropped accounting.
-  // Bounded by the backlog visible now, like the workers' own shutdown
-  // drain: a producer that keeps pushing cannot keep stop() from returning.
+  // A producer racing stop() can slip records (and cuts) in after a
+  // worker's shutdown drain, and a worker may have quit at a cut another
+  // shard had to publish first: from here (the only consumer now) rotate
+  // every shard through every cut posted so far and drain the backlog, so
+  // nothing pushed before stop() returns is unaccounted. Bounded by what
+  // is visible now, so producers that keep pushing cannot hold stop() up.
   std::vector<Key128> batch(pop_batch_);
-  for (std::uint32_t w = 0; w < workers(); ++w) (void)drain(w, batch, true);
-  // The archiver never takes snap_mu_, so it is joined under the lock like
-  // the workers: it writes every queued window, sees running_ == false and
-  // exits, and no rotation can enqueue meanwhile (rotations need
-  // snap_mu_). Taking arch_mu_ once orders the flip before its next
-  // predicate check, so the notify cannot be lost. Then seal the segment so
-  // a cold reader gets the footer-indexed fast path; a later start() opens
-  // a fresh one.
+  // order: relaxed -- drain() loads each cut under cut_mu_.
+  sweep(cuts_announced_.load(std::memory_order_relaxed), /*backlog=*/true, batch);
+  // Nothing publishes from here on. The archiver never takes snap_mu_, so
+  // it is joined under the lock like the workers: it writes every queued
+  // window, sees the quit flag and exits. Then seal the segment so a cold
+  // reader gets the footer-indexed fast path; a later start() opens a
+  // fresh one.
   if (archive_thread_.joinable()) {
-    { std::lock_guard<std::mutex> lk(arch_mu_); }
+    {
+      std::lock_guard<std::mutex> lk(arch_mu_);
+      archive_quit_ = true;
+    }
     arch_cv_.notify_all();
     archive_thread_.join();
   }
@@ -427,30 +429,26 @@ void HhhEngine::stop() {
     }
     archive_.reset();
   }
-  // Retire the clock generation and take its handle while still under
-  // snap_mu_ (so a concurrent start() never assigns over a joinable
-  // thread), but join OUTSIDE the lock: the clock may be blocked on
-  // snap_mu_ for a rotation, and the stale generation token makes it exit
-  // without rotating as soon as it gets through.
-  // order: release -- pairs with clock_loop()'s acquire load of clock_gen_;
-  // a clock that observes the new generation also observes running_ == false
-  // and every teardown write sequenced before this bump.
-  clock_gen_.fetch_add(1, std::memory_order_release);
-  std::thread clock = std::move(clock_thread_);
-  snap_lk.unlock();
-  if (clock.joinable()) clock.join();
 }
 
 void HhhEngine::archive_loop(store::WindowArchive* arch) {
+#ifdef __linux__
+  // Background persistence yields the CPU to every foreground thread. Its
+  // seal-time merge (5-8 ms on the end-to-end benchmark's wire10 workload,
+  // 4 CPUs) otherwise holds a CPU the benchmark's window watcher shares:
+  // the watcher's seal p50 read 3.0-4.1 ms against the engine's own
+  // 0.7-0.8 ms. Watcher p50 per remedy: SCHED_IDLE 0.85-0.93 ms; archive
+  // work deferred 10 ms 0.81-0.96 ms; nice 19 1.6-4.0 ms; a yield per node
+  // in LatticeHhh::merge 1.8-2.1 ms; a 200 us timed queue wait 2.7-4.1 ms.
+  // An idle CPU still runs it, and a thread waiting on its merge blocks.
+  sched_param idle{};
+  (void)pthread_setschedparam(pthread_self(), SCHED_IDLE, &idle);
+#endif
   for (;;) {
     std::shared_ptr<SealedWindow> w;
     {
       std::unique_lock<std::mutex> lk(arch_mu_);
-      arch_cv_.wait(lk, [&] {
-        // order: acquire -- pairs with stop()'s acq_rel exchange; stop()
-        // takes arch_mu_ after the flip, so this check cannot miss it.
-        return !archive_q_.empty() || !running_.load(std::memory_order_acquire);
-      });
+      arch_cv_.wait(lk, [&] { return !archive_q_.empty() || archive_quit_; });
       // Stopped AND drained: exit. While records remain, keep writing
       // after the stop so stop() loses nothing.
       if (archive_q_.empty()) return;
@@ -498,7 +496,7 @@ void HhhEngine::archive_loop(store::WindowArchive* arch) {
   }
 }
 
-void HhhEngine::enqueue_archive(const std::shared_ptr<SealedWindow>& w) {
+bool HhhEngine::enqueue_archive(const std::shared_ptr<SealedWindow>& w) {
   {
     std::lock_guard<std::mutex> lk(arch_mu_);
     if (archive_q_.size() >= cfg_.archive.queue_windows) {
@@ -508,30 +506,128 @@ void HhhEngine::enqueue_archive(const std::shared_ptr<SealedWindow>& w) {
         obs_.trace->record(obs::TraceEvent::kArchiveDrop,
                            static_cast<std::int64_t>(obs::now_ns()), w->epoch, 0);
       }
-      return;
+      return false;
     }
-    w->archiving = true;
     archive_q_.push_back(w);
     if (obs_.archive_q_depth != nullptr) {
       obs_.archive_q_depth->set(static_cast<std::int64_t>(archive_q_.size()));
     }
   }
   arch_cv_.notify_one();
+  return true;
 }
 
-std::size_t HhhEngine::drain(std::uint32_t w, std::vector<Key128>& batch,
-                             bool backlog, bool* claimed) {
+void HhhEngine::commit_push(Lane& l, std::size_t n) {
+  // order: seq_cst -- the producers' part of the announce/mark handshake
+  // (post_cuts()); the records themselves were published by the ring.
+  l.pushed.fetch_add(n, std::memory_order_seq_cst);
+  if (!windowed()) return;
+  // order: acq_rel -- release: the mark above reaches whoever acquires the
+  // budget to post the cut it spends; acquire: this push sees the top-up of
+  // the cut before it. The one push per window that takes the budget from
+  // positive to spent posts the cut.
+  const std::int64_t left = epoch_budget_left_.fetch_sub(
+      static_cast<std::int64_t>(n), std::memory_order_acq_rel);
+  if (left > 0 && left <= static_cast<std::int64_t>(n)) (void)post_cuts(CutAt::kBudget);
+}
+
+std::uint64_t HhhEngine::post_cuts(CutAt at) {
+  std::lock_guard<std::mutex> lk(cut_mu_);
+  std::uint64_t first = 0;
+  for (;; at = CutAt::kBudget) {
+    // order: acquire -- pairs with commit_push()'s acq_rel fetch_sub: the
+    // pushed marks of every push the budget counted are visible below, so
+    // a budget cut is never shorter than epoch_packets.
+    if (at == CutAt::kBudget &&
+        !(windowed() && epoch_budget_left_.load(std::memory_order_acquire) <= 0)) {
+      break;
+    }
+    // Announce, then read the marks; drain() reads its marks, then the
+    // announcement. With those accesses and the pushes all seq_cst, a
+    // worker that misses the announcement read no mark later than the
+    // loads below, so it never pops past a cut it does not know.
+    // order: seq_cst -- the announce half of that handshake.
+    const std::uint64_t epoch = cuts_announced_.fetch_add(1, std::memory_order_seq_cst) + 1;
+    auto win = std::make_shared<SealedWindow>();
+    win->cut.resize(lanes_.size());
+    std::uint64_t len = 0;  // the closing window's pushed records
+    std::uint64_t dropped = 0;
+    for (std::size_t i = 0; i < lanes_.size(); ++i) {
+      const Lane& l = *lanes_[i];
+      // order: seq_cst -- the mark half of the handshake. A stopped engine
+      // cuts at what its shards consumed instead (relaxed: the last
+      // consumer was joined, or is this thread, under snap_mu_), never
+      // below the previous cut.
+      win->cut[i] = at == CutAt::kConsumed
+                        ? std::max(l.popped.load(std::memory_order_relaxed), last_cut_[i])
+                        : l.pushed.load(std::memory_order_seq_cst);
+      len += win->cut[i] - last_cut_[i];
+      // order: relaxed -- drop counter; attribution needs no ordering.
+      dropped += l.dropped.load(std::memory_order_relaxed);
+    }
+    const std::int64_t now = steady_ns();
+    const std::int64_t wall = wall_ns();
+    win->epoch = epoch;
+    win->drops = dropped - cut_drops_;
+    win->duration_ns = now > cut_ns_ ? static_cast<std::uint64_t>(now - cut_ns_) : 0;
+    win->wall_start_ns = cut_wall_ns_;
+    win->wall_end_ns = wall;
+    win->posted_ns = now;
+    win->budget = at == CutAt::kBudget;
+    win->shards.assign(workers(), nullptr);
+    // order: relaxed x2 -- window_epochs_ moves under cut_mu_ (held); the
+    // watchdog reads the mark lock-free and tolerates staleness.
+    if (epoch == window_epochs_.load(std::memory_order_relaxed) + 1) {
+      pending_cut_ns_.store(now, std::memory_order_relaxed);
+    }
+    cut_drops_ = dropped;
+    cut_ns_ = now;
+    cut_wall_ns_ = wall;
+    last_cut_ = win->cut;
+    windows_.push_back(std::move(win));
+    if (first == 0) first = epoch;
+    if (!windowed()) break;
+    // The next window's budget counts from this cut: top it up by this
+    // window's length.
+    // order: acq_rel -- the release half publishes this cut to the push
+    // that spends the topped-up budget; see commit_push().
+    epoch_budget_left_.fetch_add(static_cast<std::int64_t>(len),
+                                 std::memory_order_acq_rel);
+  }
+  return first;
+}
+
+std::size_t HhhEngine::drain(std::uint32_t w, std::vector<Key128>& batch, bool backlog) {
   WorkerState& ws = *workers_[w];
+  // The marks first, the announcement second (see post_cuts()): popping up
+  // to these marks never crosses a cut this drain has not loaded.
+  for (std::uint32_t p = 0; p < producers(); ++p) {
+    // order: seq_cst -- the worker's mark half of the handshake.
+    ws.marks[p] = lane(p, w).pushed.load(std::memory_order_seq_cst);
+  }
+  // order: seq_cst -- the worker's announce half of the handshake.
+  if (ws.cut.empty() && cuts_announced_.load(std::memory_order_seq_cst) > ws.rotations) {
+    // The poster holds cut_mu_ from its announcement until the cut is in
+    // windows_, so the lock finds it.
+    std::lock_guard<std::mutex> lk(cut_mu_);
+    const SealedWindow& next = *windows_[ws.rotations + 1 - windows_.front()->epoch];
+    ws.cut.resize(producers());
+    for (std::uint32_t p = 0; p < producers(); ++p) {
+      ws.cut[p] = next.cut[std::size_t{p} * workers() + w];
+    }
+  }
   RhhhSpaceSaving& lattice = ws.ring.live();
   std::size_t total = 0;
   for (std::uint32_t p = 0; p < producers(); ++p) {
     Lane& l = lane(p, w);
-    // A regular pass pops at most one batch per lane; a backlog drain pops
-    // batches until the size observed here is consumed.
-    std::size_t left = backlog ? l.ring.size_approx() : batch.size();
+    // order: relaxed -- this thread is the lane's only popper.
+    const std::uint64_t popped = l.popped.load(std::memory_order_relaxed);
+    const std::uint64_t end = ws.cut.empty() ? ws.marks[p] : std::min(ws.marks[p], ws.cut[p]);
+    std::uint64_t left = end - popped;
+    if (!backlog) left = std::min<std::uint64_t>(left, batch.size());
     while (left != 0) {
-      const std::size_t n =
-          l.ring.try_pop_n(batch.data(), std::min(batch.size(), left));
+      const std::size_t n = l.ring.try_pop_n(
+          batch.data(), static_cast<std::size_t>(std::min<std::uint64_t>(batch.size(), left)));
       if (n == 0) break;
       // Whole popped batches feed the staged LatticeHhh pipeline (block-RNG,
       // survivor compaction, prefetched apply) -- state remains
@@ -546,31 +642,129 @@ std::size_t HhhEngine::drain(std::uint32_t w, std::vector<Key128>& batch,
       l.popped.fetch_add(n, std::memory_order_relaxed);
       ws.consumed.fetch_add(n, std::memory_order_relaxed);
       total += n;
-      left = backlog ? left - n : 0;
+      left -= n;
     }
   }
-  // Consumed records reached the live lattice, so they spend the packet
-  // budget (the consumed-only basis). At a rotation boundary the decrement
-  // lands before this worker's ack -- and therefore before the budget
-  // reset, which runs only once every worker has acked -- so it is wiped
-  // with the sealed window, never leaked into the fresh one.
-  if (total != 0 && windowed() && meter_consumed(total) && claimed != nullptr) {
-    *claimed = true;
-  }
   return total;
+}
+
+bool HhhEngine::try_rotate(std::uint32_t w) {
+  WorkerState& ws = *workers_[w];
+  if (ws.cut.empty()) return false;
+  for (std::uint32_t p = 0; p < producers(); ++p) {
+    // order: relaxed -- this thread is the lane's only popper.
+    if (lane(p, w).popped.load(std::memory_order_relaxed) != ws.cut[p]) return false;
+  }
+  const std::uint64_t epoch = ws.rotations + 1;  // the window this rotation seals
+  const std::uint64_t depth = cfg_.history_depth;
+  // This rotation clears the slot of window epoch - depth, so that window
+  // must be published (else this shard is depth windows ahead: retry).
+  // order: acquire -- pairs with publish()'s release store.
+  if (epoch > depth && window_epochs_.load(std::memory_order_acquire) < epoch - depth) {
+    return false;
+  }
+  const std::int64_t t0 = steady_ns();
+  std::shared_ptr<SealedWindow> reuse;  // a wanted window whose slot this clears
+  {
+    std::lock_guard<std::mutex> lk(cut_mu_);
+    if (epoch > quiesce_gate_) return false;
+    if (epoch > depth && windows_.front()->epoch == epoch - depth) {
+      // Still retained: the first shard to reuse its slot evicts it. A
+      // reader holding it gets its merge built (or waited for) first.
+      if (windows_.front()->wanted) {
+        reuse = windows_.front();
+      } else {
+        windows_.pop_front();
+      }
+    }
+  }
+  if (reuse != nullptr) {
+    (void)merged(*reuse);
+    std::lock_guard<std::mutex> lk(cut_mu_);
+    if (windows_.front() == reuse) windows_.pop_front();
+  }
+  ws.ring.rotate();
+  const std::int64_t t1 = steady_ns();
+  std::shared_ptr<SealedWindow> last;
+  {
+    std::lock_guard<std::mutex> lk(cut_mu_);
+    const std::shared_ptr<SealedWindow>& win = windows_[epoch - windows_.front()->epoch];
+    win->shards[w] = &ws.ring.sealed(0);
+    win->last_start_ns = std::max(win->last_start_ns, t0);
+    win->pause_ns = std::max(win->pause_ns, static_cast<std::uint64_t>(t1 - t0));
+    if (++win->rotated == workers()) last = win;
+  }
+  ws.rotations = epoch;
+  ws.cut.clear();
+  if (last != nullptr) publish(last);
+  return true;
+}
+
+void HhhEngine::publish(const std::shared_ptr<SealedWindow>& w) {
+  // Every shard has sealed the window and none can reuse its slots before
+  // the window_epochs_ bump below, so the probe and the hand-off read them
+  // safely. The archiver's merge clears w->shards: probe first.
+  if (health_ != nullptr) {
+    health_->stamp(obs::certify_window(w->shards, w->epoch, w->drops,
+                                       static_cast<std::int64_t>(obs::now_ns())));
+  }
+  const bool queued = archive_ != nullptr && enqueue_archive(w);
+  if (w->budget) {
+    const std::uint64_t drift = w->last_start_ns > w->posted_ns
+                                    ? static_cast<std::uint64_t>(w->last_start_ns - w->posted_ns)
+                                    : 0;
+    // order: relaxed x3 -- drift statistics; windows publish one at a time.
+    budget_rotations_.fetch_add(1, std::memory_order_relaxed);
+    drift_ns_total_.fetch_add(drift, std::memory_order_relaxed);
+    if (drift > static_cast<std::uint64_t>(kLateRotationNs)) {
+      late_rotations_.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (obs_.rotation_drift_ns != nullptr) obs_.rotation_drift_ns->record(drift);
+  }
+  if (obs_.rotation_ns != nullptr) {
+    const auto now = static_cast<std::int64_t>(obs::now_ns());
+    obs_.rotation_ns->record(w->pause_ns);
+    obs_.trace->record(obs::TraceEvent::kRotate, now, w->epoch, w->pause_ns);
+    obs_.trace->record(obs::TraceEvent::kSeal, now, w->epoch, w->duration_ns);
+  }
+  {
+    std::lock_guard<std::mutex> lk(cut_mu_);
+    w->wanted = queued;
+    win_drops_base_ += w->drops;
+    const std::size_t next = w->epoch + 1 - windows_.front()->epoch;
+    // order: relaxed -- the watchdog's stale-tolerant mark.
+    pending_cut_ns_.store(next < windows_.size() ? windows_[next]->posted_ns : 0,
+                          std::memory_order_relaxed);
+    // order: release -- pairs with window_epochs()'s and try_rotate()'s
+    // acquire loads: whoever sees window N published sees its shards sealed.
+    window_epochs_.store(w->epoch, std::memory_order_release);
+  }
+  pub_cv_.notify_all();
+}
+
+void HhhEngine::sweep(std::uint64_t target, bool backlog, std::vector<Key128>& batch) {
+  for (bool progress = true; progress;) {
+    progress = false;
+    for (std::uint32_t w = 0; w < workers(); ++w) {
+      while (workers_[w]->rotations < target) {
+        (void)drain(w, batch, /*backlog=*/true);
+        if (!try_rotate(w)) break;
+        progress = true;
+      }
+    }
+  }
+  if (!backlog) return;
+  for (std::uint32_t w = 0; w < workers(); ++w) (void)drain(w, batch, /*backlog=*/true);
 }
 
 void HhhEngine::worker_loop(std::uint32_t w) {
   WorkerState& ws = *workers_[w];
   std::vector<Key128> batch(pop_batch_);
-  std::uint64_t acked = 0;
-  // Worker-driven rotation state. drain() sets `claimed` when this worker's
-  // decrement spends the window's packet budget -- exactly one worker per
-  // window, whether the decrement came from a regular pass or a boundary
-  // drain -- and it is held across loop passes while snap_mu_ is busy (the
-  // claim survives quiesce boundaries: a try-lock miss below never blocks
-  // this worker from acking them).
-  bool claimed = false;
+  // Requests up to the resume mark are over (one issued on a stopped engine
+  // waited for nobody); a later one still needs this worker's ack.
+  // order: relaxed -- the coordinator cannot move the mark past a request
+  // before this worker acks it.
+  std::uint64_t acked = epoch_resume_.load(std::memory_order_relaxed);
   for (;;) {
     // TEST HOOK (see test_block_worker): park while singled out. Costs the
     // production path one relaxed load + compare per drain pass.
@@ -584,39 +778,37 @@ void HhhEngine::worker_loop(std::uint32_t w) {
     // Telemetry probe: one clock read per pass, recorded only for passes that
     // consumed something (idle spins would swamp the histograms with noise).
     const std::uint64_t obs_t0 = obs_.pop_ns != nullptr ? obs::now_ns() : 0;
-    // Amortized budget metering inside: one relaxed fetch_sub per pass, so
-    // the per-record update stays O(1).
-    const std::size_t got = drain(w, batch, /*backlog=*/false, &claimed);
+    const std::size_t got = drain(w, batch, /*backlog=*/false);
     if (got != 0 && obs_.pop_ns != nullptr) {
       obs_.pop_ns->record_since(obs_t0);
       // Batching efficacy: how full each productive pass ran.
       obs_.batch_fill->record(got);
     }
-    // Retried on every pass, traffic or not, until settled: either we
-    // rotated, or a manual rotation already reset the budget. A false
-    // return keeps the claim: snap_mu_ was busy, retry on the next pass
-    // (after servicing any boundary below).
-    if (claimed && try_rotate_cooperative(w, batch, acked)) claimed = false;
-    // order: acquire -- pairs with quiesced()'s release store: a worker that
-    // sees the new epoch also sees every coordinator write sequenced before
-    // the request (nothing rides on it today, but the boundary must not be
-    // weaker than the request that created it).
+    // At a cut on every lane: rotate this shard's ring, on this core.
+    const bool rotated = try_rotate(w);
+    // order: acquire -- pairs with trend_snapshot()'s release store: a
+    // worker that sees the request also sees its gate.
     const std::uint64_t e = epoch_req_.load(std::memory_order_acquire);
     if (e > acked) {
-      // Epoch boundary: consume exactly the backlog visible in each ring at
-      // this instant, then ack and park until the coordinator is done with
-      // this shard's lattices (merging, or rotating the window pair). A
-      // drain that spends the budget makes this worker the claimant: it
-      // rotates after the resume even if no traffic follows.
-      (void)drain(w, batch, /*backlog=*/true, &claimed);
+      // Quiesce: rotate through every cut posted before the request (the
+      // gate), drain the backlog visible up to the next cut, then ack and
+      // park until the coordinator is done with this shard's live lattice.
+      // The gate is written before the request and reset only after every
+      // ack, so it is stable here.
+      while (ws.rotations < quiesce_gate_) {
+        (void)drain(w, batch, /*backlog=*/true);
+        if (!try_rotate(w)) std::this_thread::yield();
+      }
+      (void)drain(w, batch, /*backlog=*/true);
       std::unique_lock<std::mutex> lk(ctl_mu_);
       ws.epoch_acked = e;
       acked = e;
       ctl_cv_.notify_all();
       ctl_cv_.wait(lk, [&] {
         // order: relaxed x2 -- both flags are checked under ctl_mu_, and
-        // their writers (quiesced() resume, stop()) notify under the same
-        // mutex: the lock is the happens-before edge, not the atomics.
+        // their writers (trend_snapshot()'s resume, stop()) notify under
+        // the same mutex: the lock is the happens-before edge, not the
+        // atomics.
         return epoch_resume_.load(std::memory_order_relaxed) >= e ||
                !running_.load(std::memory_order_relaxed);
       });
@@ -626,89 +818,14 @@ void HhhEngine::worker_loop(std::uint32_t w) {
     // the stop must also observe any record a producer pushed before it
     // observed the stop (the final drain below must not miss them).
     if (!running_.load(std::memory_order_acquire)) {
-      // Shutdown: consume the backlog visible now, then exit. Checked on
-      // every pass and bounded by the observed size, so producers that
-      // keep the rings busy cannot keep this worker (and stop()) running.
+      // Shutdown: consume the backlog visible now, up to the pending cut,
+      // then exit; stop()'s sweep rotates every shard through the cuts
+      // left. Bounded by the observed size, so producers that keep the
+      // rings busy cannot keep this worker (and stop()) running.
       (void)drain(w, batch, /*backlog=*/true);
       return;
     }
-    if (got == 0) std::this_thread::yield();
-  }
-}
-
-bool HhhEngine::meter_consumed(std::size_t n) {
-  // order: relaxed -- the countdown is budget bookkeeping, not a
-  // synchronization point: the rotator re-checks under snap_mu_ before
-  // acting, and the reset inside the quiesced rotation cannot race a
-  // decrement (every worker is parked past its boundary drain by then).
-  const std::int64_t old = epoch_budget_left_.fetch_sub(
-      static_cast<std::int64_t>(n), std::memory_order_relaxed);
-  // Exactly one decrement per window takes the countdown from positive to
-  // spent (fetch_sub totally orders them).
-  if (old <= 0 || old > static_cast<std::int64_t>(n)) return false;
-  // order: relaxed -- the mark's one writer per window stores it before
-  // acking any boundary under ctl_mu_, and the rotator reads it (then
-  // resets it) only after every ack: the ctl_mu_ hand-off is the edge.
-  budget_spent_ns_.store(
-      std::chrono::steady_clock::now().time_since_epoch().count(),
-      std::memory_order_relaxed);
-  return true;
-}
-
-bool HhhEngine::try_rotate_cooperative(std::uint32_t w,
-                                       std::vector<Key128>& batch,
-                                       std::uint64_t& acked) {
-  // NEVER block on snap_mu_ here: a control op holding it may be waiting
-  // for this very worker's quiesce ack. On a miss the worker keeps the
-  // claim, services any pending boundary, and retries after the next batch.
-  std::unique_lock<std::mutex> snap_lk(snap_mu_, std::try_to_lock);
-  if (!snap_lk.owns_lock()) return false;
-  // order: relaxed -- running_ only flips under snap_mu_ (held); a stopping
-  // engine settles the claim without rotating.
-  if (!running_.load(std::memory_order_relaxed)) return true;
-  // Re-check under the lock: a manual rotate_epoch() or the fallback clock
-  // may have rotated (and reset the budget) while we held the claim -- the
-  // claim then simply dissolves. No double rotation is possible.
-  // order: relaxed -- the budget is reset only inside a rotation, under
-  // snap_mu_ (held).
-  if (epoch_budget_left_.load(std::memory_order_relaxed) > 0) return true;
-  rotate_locked(w, &batch, &acked);
-  return true;
-}
-
-void HhhEngine::clock_loop(std::uint64_t gen) {
-  // The fallback clock. The worker whose decrement spends the budget is
-  // the window's rotator, so this thread only rotates a spent budget that
-  // worker has not rotated by the next 200us tick (it is losing try_lock
-  // to a stream of queries, say). It polls the countdown lock-free and
-  // takes snap_mu_ only when a rotation is due. Without it, the end-to-end
-  // benchmark's wire10 seal latency (latency_ms_p50) went from ~1.3 ms to
-  // 2.3-3.6 ms on a 4-vCPU VM, a scheduling effect of its 200us wakeups
-  // that is not yet understood, so it stays for now. A stale generation
-  // token (retired by stop(), possibly with a successor running) exits
-  // without touching anything.
-  constexpr auto kTimeslice = std::chrono::microseconds(200);
-  // order: acquire x2 -- pair with stop()'s release bump of clock_gen_ and
-  // acq_rel flip of running_: a retired/stopped clock must also observe the
-  // teardown that retired it before touching anything.
-  while (clock_gen_.load(std::memory_order_acquire) == gen &&
-         running_.load(std::memory_order_acquire)) {
-    // order: relaxed -- stale-tolerant poll; re-checked under snap_mu_.
-    if (epoch_budget_left_.load(std::memory_order_relaxed) > 0) {
-      std::this_thread::sleep_for(kTimeslice);
-      continue;
-    }
-    std::lock_guard<std::mutex> lk(snap_mu_);
-    // order: acquire x2 -- re-check under snap_mu_; stop() may have retired
-    // this generation while we slept or waited for the lock.
-    if (clock_gen_.load(std::memory_order_acquire) != gen ||
-        !running_.load(std::memory_order_acquire)) {
-      break;
-    }
-    // Re-check under the lock: a worker or a manual rotate_epoch() may
-    // have just reset the budget while we waited.
-    // order: relaxed -- the budget is reset only under snap_mu_ (held).
-    if (epoch_budget_left_.load(std::memory_order_relaxed) <= 0) rotate_locked();
+    if (got == 0 && !rotated) std::this_thread::yield();
   }
 }
 
@@ -716,7 +833,7 @@ EngineStats HhhEngine::stats() const {
   EngineStats s;
   // order: acquire -- pairs with merged()'s release add, and is read before
   // window_epochs_ (the table loop below): a scrape that sees a merge also
-  // sees the rotation that sealed its window, so trend_sealed_merges <=
+  // sees the publication of its window, so trend_sealed_merges <=
   // window_epochs holds.
   s.trend_sealed_merges = trend_sealed_merges_.load(std::memory_order_acquire);
   for (const Counter& c : kCounters) {
@@ -752,87 +869,21 @@ EngineStats HhhEngine::stats() const {
   return s;
 }
 
-template <class Fn>
-std::uint64_t HhhEngine::quiesced(Fn&& fn, std::uint32_t self,
-                                  std::vector<Key128>* self_batch) {
-  // order: relaxed -- epoch_req_ is only advanced under snap_mu_ (held by
-  // every caller), so this read-modify-write cannot race another request.
-  const std::uint64_t e = epoch_req_.load(std::memory_order_relaxed) + 1;
-  // running_ cannot flip underneath us: start()/stop() take snap_mu_, which
-  // the caller holds.
-  // order: acquire -- pairs with start()'s release store; a live engine's
-  // worker state is fully visible before we signal its workers.
-  const bool live = running_.load(std::memory_order_acquire);
-  if (live) {
-    const std::uint64_t obs_t0 =
-        obs_.quiesce_ns != nullptr ? obs::now_ns() : 0;
-    // order: release -- pairs with the workers' acquire load in
-    // worker_loop(): the boundary request publishes everything sequenced
-    // before it alongside the new epoch number.
-    epoch_req_.store(e, std::memory_order_release);
-    if (self != kNoWorker) {
-      // The caller IS worker `self` (a cooperative rotator): it cannot park
-      // at its own boundary, so it performs its own boundary drain here and
-      // self-acks below, then operates while the other workers wait. The
-      // budget it rotates on is already spent, so this drain cannot cross
-      // it again.
-      (void)drain(self, *self_batch, /*backlog=*/true);
-    }
-    {
-      std::unique_lock<std::mutex> lk(ctl_mu_);
-      if (self != kNoWorker) workers_[self]->epoch_acked = e;
-      ctl_cv_.wait(lk, [&] {
-        return std::all_of(workers_.begin(), workers_.end(),
-                           [&](const auto& ws) { return ws->epoch_acked >= e; });
-      });
-    }
-    if (obs_.quiesce_ns != nullptr) {
-      const std::uint64_t now = obs::now_ns();
-      const std::uint64_t dur = now >= obs_t0 ? now - obs_t0 : 0;
-      obs_.quiesce_ns->record(dur);
-      obs_.trace->record(obs::TraceEvent::kQuiesce,
-                         static_cast<std::int64_t>(now), e, dur);
-    }
-  } else {
-    // No workers to quiesce (before start() or after stop()); the lattices
-    // are only mutated by workers, so operating directly is safe. The
-    // resume mark still has to advance with the request, or workers started
-    // later would park at this epoch's boundary waiting for a resume that
-    // already happened.
-    // order: relaxed x2 -- no workers exist to synchronize with; a later
-    // start() publishes these via thread creation.
-    epoch_req_.store(e, std::memory_order_relaxed);
-    epoch_resume_.store(e, std::memory_order_relaxed);
-  }
-  fn();
-  if (live) {
-    // Workers park inside ctl_cv_.wait, so everything fn() did to the shard
-    // lattices happens-before their wakeup via this mutex hand-off.
-    // order: relaxed -- written and read under ctl_mu_; the mutex is the
-    // happens-before edge, not the atomic.
-    std::lock_guard<std::mutex> lk(ctl_mu_);
-    epoch_resume_.store(e, std::memory_order_relaxed);
-    ctl_cv_.notify_all();
-  }
-  return e;
-}
-
 void HhhEngine::merge_shards(RhhhSpaceSaving& m,
                              const std::vector<const RhhhSpaceSaving*>& shards,
                              std::uint64_t drops) const {
   for (const RhhhSpaceSaving* shard : shards) m.merge(*shard);
   // A dropped record was still offered on the wire: fold the window's drops
-  // into N so thresholds and slack terms see the full window, exactly like
-  // DistributedMeasurement::stop() does.
+  // into N so thresholds and slack terms see the full window.
   if (drops != 0) m.advance_stream(drops);
 }
 
 const std::shared_ptr<const RhhhSpaceSaving>& HhhEngine::merged(SealedWindow& w,
                                                                 bool* built) {
   std::call_once(w.merge_once, [&] {
-    // All shards rotate on one shared boundary, so every shard's slot
-    // covers the same network-wide epoch. Seeded by the window's own epoch,
-    // so the bytes never depend on who merged it or when.
+    // Every shard rotated at the same cut, so every shard's slot covers
+    // the same network-wide window. Seeded by the window's own epoch, so
+    // the bytes never depend on who merged it or when.
     auto m = make_shard_lattice(kSealedSalt ^ w.epoch);
     merge_shards(*m, w.shards, w.drops);
     w.lattice = std::move(m);
@@ -844,174 +895,131 @@ const std::shared_ptr<const RhhhSpaceSaving>& HhhEngine::merged(SealedWindow& w,
   return w.lattice;
 }
 
-void HhhEngine::rotate_locked(std::uint32_t self, std::vector<Key128>* self_batch,
-                              std::uint64_t* self_acked) {
-  const std::uint64_t obs_t0 = obs_.rotation_ns != nullptr ? obs::now_ns() : 0;
-  // This rotation clears the oldest retained window's shard slots. If the
-  // archiver still holds that window, build its merge first: a no-op when
-  // the archiver already did, otherwise this waits for or runs the merge
-  // -- the only merge a rotation ever runs, before the quiesce so the
-  // workers keep ingesting (and before the drift clock starts, so a
-  // boundary it delays counts as drift).
-  if (sealed_.size() == cfg_.history_depth && sealed_.back()->archiving) {
-    (void)merged(*sealed_.back());
-  }
-  // Drift metering: a budget-driven rotation measures rotation-start minus
-  // the instant the budget was spent. The mark is read inside the quiesce,
-  // just before the reset (see there). A manual rotation of a window whose
-  // budget is not yet spent (no mark) records nothing.
-  const std::int64_t rot_start_ns =
-      std::chrono::steady_clock::now().time_since_epoch().count();
-  std::int64_t mark = 0;
-  std::uint64_t sealed_drop = 0;
-  std::uint64_t duration_ns = 0;
-  const std::int64_t wall_start_ns = win_started_wall_ns_;
-  const std::int64_t wall_end_ns =
-      std::chrono::system_clock::now().time_since_epoch().count();
-  const std::uint64_t e = quiesced(
-      [&] {
-    for (auto& ws : workers_) ws->ring.rotate();
-    // Drops since the last boundary happened while the just-sealed window
-    // was live: attribute them to it, along with how long it was live (the
-    // archive metadata).
-    const std::uint64_t d = stats().dropped;
-    sealed_drop = d - win_drops_base_;
-    win_drops_base_ = d;
-    const std::int64_t now_ns =
-        std::chrono::steady_clock::now().time_since_epoch().count();
-    // order: relaxed -- written only under snap_mu_ (held), stable here.
-    const std::int64_t started =
-        win_started_ns_.load(std::memory_order_relaxed);
-    duration_ns =
-        now_ns > started ? static_cast<std::uint64_t>(now_ns - started) : 0;
-    // order: relaxed -- the worker whose decrement crossed zero CASes its
-    // mark before it acks this boundary under ctl_mu_, and quiesced() took
-    // ctl_mu_ to see every ack: that ctl_mu_ edge orders the mark before
-    // this load. Any earlier read could miss the mark of a crossing worker
-    // preempted between its decrement and its CAS (another worker may
-    // rotate on the spent budget meanwhile), and the reset below would
-    // wipe it: an uncounted budget rotation.
-    mark = budget_spent_ns_.load(std::memory_order_relaxed);
-    // Reset the whole budget state for the fresh window while every worker
-    // is parked past its boundary drain (or IS this thread): no metering
-    // decrement can race these stores, and the ctl_mu_ hand-off at resume
-    // publishes them to the workers.
-    // order: relaxed x3 -- the parked workers' resume (ctl_mu_) is the
-    // happens-before edge; the watchdog's lock-free read of the mark
-    // tolerates staleness by contract.
-    win_started_ns_.store(now_ns, std::memory_order_relaxed);
-    epoch_budget_left_.store(static_cast<std::int64_t>(cfg_.epoch_packets),
-                             std::memory_order_relaxed);
-    budget_spent_ns_.store(0, std::memory_order_relaxed);
-      },
-      self, self_batch);
-  // A rotating worker must not re-park at the boundary it just drove.
-  if (self_acked != nullptr) *self_acked = e;
-  if (mark != 0) {
-    const std::uint64_t drift =
-        rot_start_ns > mark ? static_cast<std::uint64_t>(rot_start_ns - mark) : 0;
-    // order: relaxed x3 -- drift statistics, written only under snap_mu_.
-    budget_rotations_.fetch_add(1, std::memory_order_relaxed);
-    drift_ns_total_.fetch_add(drift, std::memory_order_relaxed);
-    if (drift > static_cast<std::uint64_t>(kLateRotationNs)) {
-      late_rotations_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (obs_.rotation_drift_ns != nullptr) obs_.rotation_drift_ns->record(drift);
-  }
-  win_started_wall_ns_ = wall_end_ns;
-  // order: release -- pairs with window_epochs()'s acquire load: a poller
-  // that observes rotation N also observes the sealed shard windows.
-  const std::uint64_t epoch = window_epochs_.fetch_add(1, std::memory_order_release) + 1;
-  // The window's record is created after the bump, so any merge of it --
-  // and its trend_sealed_merges_ count -- happens after the bump too. The
-  // workers have resumed into the fresh window, but the just-sealed shard
-  // windows stay immutable until their slots leave the ring, which takes
-  // history_depth more rotations (each needs snap_mu_, held here).
-  auto w = std::make_shared<SealedWindow>();
-  w->epoch = epoch;
-  w->drops = sealed_drop;
-  w->duration_ns = duration_ns;
-  w->wall_start_ns = wall_start_ns;
-  w->wall_end_ns = wall_end_ns;
-  w->shards.reserve(workers_.size());
-  for (const auto& ws : workers_) w->shards.push_back(&ws->ring.sealed(0));
-  sealed_.push_front(w);
-  if (sealed_.size() > cfg_.history_depth) sealed_.pop_back();
-  // Probing the sealed shard windows costs control-plane time only. It runs
-  // before the hand-off: the archiver's merge clears w->shards.
-  if (health_ != nullptr) {
-    health_->stamp(obs::certify_window(w->shards, epoch, sealed_drop,
-                                       static_cast<std::int64_t>(obs::now_ns())));
-  }
-  // The hand-off never blocks: the archiver merges and writes on its own.
-  if (archive_ != nullptr) enqueue_archive(w);
-  if (obs_.rotation_ns != nullptr) {
-    const std::uint64_t now = obs::now_ns();
-    const std::uint64_t rot_ns = now >= obs_t0 ? now - obs_t0 : 0;
-    obs_.rotation_ns->record(rot_ns);
-    obs_.trace->record(obs::TraceEvent::kRotate,
-                       static_cast<std::int64_t>(now), epoch, rot_ns);
-    obs_.trace->record(obs::TraceEvent::kSeal, static_cast<std::int64_t>(now),
-                       epoch, duration_ns);
-  }
-}
-
 void HhhEngine::rotate_epoch() {
   std::lock_guard<std::mutex> snap_lk(snap_mu_);
-  rotate_locked();
+  // order: relaxed -- running_ only changes under snap_mu_ (held).
+  if (running_.load(std::memory_order_relaxed)) {
+    // The workers rotate at the cut as they reach it; wait for the last.
+    const std::uint64_t epoch = post_cuts(CutAt::kPushed);
+    std::unique_lock<std::mutex> lk(cut_mu_);
+    pub_cv_.wait(lk, [&] {
+      // order: relaxed -- stored under cut_mu_ (held while checked).
+      return window_epochs_.load(std::memory_order_relaxed) >= epoch;
+    });
+    return;
+  }
+  // Stopped: no consumer runs, so this thread rotates every shard at a cut
+  // on what it has consumed (what waits in the rings goes to the next
+  // window).
+  std::vector<Key128> batch(pop_batch_);
+  sweep(post_cuts(CutAt::kConsumed), /*backlog=*/false, batch);
 }
 
 TrendSnapshot HhhEngine::trend_snapshot() {
   std::lock_guard<std::mutex> snap_lk(snap_mu_);
   const std::uint64_t obs_t0 = obs_.trend_ns != nullptr ? obs::now_ns() : 0;
-  // The live window: merged across shards under one quiesce, with the drops
-  // counted since the last rotation folded into its N (older drops belong
-  // to the sealed windows; the base is 0 until a rotation), and the ingest
-  // counters frozen at the same instant. Its lattice is built (allocated
-  // and zero-filled) before the pause, so the workers stay parked for the
-  // merge alone; it is seeded by the quiesce generation that pause opens
-  // (epoch_req_ advances only in quiesced(), under snap_mu_, held here).
+  // The live window is merged across shards under one quiesce, with the
+  // drops counted since the last published cut folded into its N and the
+  // ingest counters frozen at the same instant. Its lattice is built
+  // (allocated and zero-filled) before the pause, so the workers stay
+  // parked for the merge alone, and seeded by the quiesce generation
+  // (epoch_req_ only advances here, under snap_mu_).
   // order: relaxed -- epoch_req_ only changes under snap_mu_ (held).
-  const std::uint64_t live_gen = epoch_req_.load(std::memory_order_relaxed) + 1;
-  std::unique_ptr<RhhhSpaceSaving> live = make_shard_lattice(0x6e7a9000ULL ^ live_gen);
-  EngineStats live_stats;
+  const std::uint64_t e = epoch_req_.load(std::memory_order_relaxed) + 1;
+  std::unique_ptr<RhhhSpaceSaving> live = make_shard_lattice(0x6e7a9000ULL ^ e);
+  // running_ only flips under snap_mu_ (held).
+  // order: acquire -- pairs with start()'s release store; a live engine's
+  // worker state is fully visible before we signal its workers.
+  const bool running = running_.load(std::memory_order_acquire);
+  const std::uint64_t quiesce_t0 = obs_.quiesce_ns != nullptr ? obs::now_ns() : 0;
+  if (running) {
+    {
+      // The gate goes up with the request, under cut_mu_ like every shard's
+      // decision to rotate: a shard either rotated at a cut posted before
+      // the gate, or sees the gate and stops there.
+      std::lock_guard<std::mutex> lk(cut_mu_);
+      // order: relaxed -- cuts_announced_ only moves under cut_mu_ (held).
+      quiesce_gate_ = cuts_announced_.load(std::memory_order_relaxed);
+      // order: release -- pairs with the workers' acquire load in
+      // worker_loop(): a worker that sees the request also sees its gate.
+      epoch_req_.store(e, std::memory_order_release);
+    }
+    std::unique_lock<std::mutex> lk(ctl_mu_);
+    ctl_cv_.wait(lk, [&] {
+      return std::all_of(workers_.begin(), workers_.end(),
+                         [&](const auto& ws) { return ws->epoch_acked >= e; });
+    });
+  } else {
+    // No workers (before start() or after stop()): the lattices are only
+    // mutated by their consumers, so operating directly is safe. The resume
+    // mark advances with the request, or workers started later would wait
+    // for a resume that already happened.
+    // order: relaxed x2 -- no workers exist to synchronize with; a later
+    // start() publishes these via thread creation.
+    epoch_req_.store(e, std::memory_order_relaxed);
+    epoch_resume_.store(e, std::memory_order_relaxed);
+  }
+  if (running && obs_.quiesce_ns != nullptr) {
+    const std::uint64_t now = obs::now_ns();
+    const std::uint64_t dur = now >= quiesce_t0 ? now - quiesce_t0 : 0;
+    obs_.quiesce_ns->record(dur);
+    obs_.trace->record(obs::TraceEvent::kQuiesce, static_cast<std::int64_t>(now), e, dur);
+  }
+  // Every shard now sits at the same cut, and every window before it is
+  // published. Marking the retained ones wanted keeps their slots until
+  // their merges below are built.
+  std::vector<const RhhhSpaceSaving*> shards;
+  shards.reserve(workers_.size());
+  for (const auto& ws : workers_) shards.push_back(&ws->ring.live());
+  EngineStats live_stats = stats();
   std::uint64_t live_drops = 0;
-  const std::uint64_t live_epoch = quiesced([&] {
-    std::vector<const RhhhSpaceSaving*> shards;
-    shards.reserve(workers_.size());
-    for (const auto& ws : workers_) shards.push_back(&ws->ring.live());
-    live_stats = stats();
+  std::uint64_t we = 0;
+  std::vector<std::shared_ptr<SealedWindow>> retained;  // newest first
+  {
+    std::lock_guard<std::mutex> lk(cut_mu_);
+    // order: relaxed -- stored under cut_mu_ (held).
+    we = window_epochs_.load(std::memory_order_relaxed);
+    for (auto it = windows_.rbegin(); it != windows_.rend(); ++it) {
+      if ((*it)->epoch > we) continue;  // posted after the gate
+      (*it)->wanted = true;
+      retained.push_back(*it);
+    }
     live_drops = live_stats.dropped - win_drops_base_;
-    merge_shards(*live, shards, live_drops);
-  });
-  assert(live_epoch == live_gen);
-  // The sealed merges run after the workers resumed: sealed shard windows
-  // are immutable while retained (evicting one needs snap_mu_, held here),
-  // so only the live-window merge needs the quiesce pause. Each sealed
-  // window is merged once, by the first query or the archiver, so a poller
-  // querying once per window pays at most one W-shard merge per epoch and
-  // repeated polls between rotations pay the live merge only.
+    quiesce_gate_ = ~std::uint64_t{0};
+  }
+  merge_shards(*live, shards, live_drops);
+  if (running) {
+    // Workers park inside ctl_cv_.wait, so the merge above happens-before
+    // their wakeup via this mutex hand-off.
+    // order: relaxed -- written and read under ctl_mu_; the mutex is the
+    // happens-before edge, not the atomic.
+    std::lock_guard<std::mutex> lk(ctl_mu_);
+    epoch_resume_.store(e, std::memory_order_relaxed);
+    ctl_cv_.notify_all();
+  }
+  // The sealed merges run after the workers resumed: a shard reusing a
+  // retained window's slot first waits for (or runs) its merge. Each sealed
+  // window is merged once, by the first query, the archiver or that shard,
+  // so a poller querying once per window pays at most one W-shard merge per
+  // epoch and repeated polls between cuts pay the live merge only.
   std::vector<std::shared_ptr<const RhhhSpaceSaving>> sealed;
   std::vector<std::uint64_t> sealed_drops;
-  sealed.reserve(sealed_.size());
-  sealed_drops.reserve(sealed_.size());
+  sealed.reserve(retained.size());
+  sealed_drops.reserve(retained.size());
   bool any_built = false;
-  for (const auto& w : sealed_) {
+  for (const auto& w : retained) {
     sealed.push_back(merged(*w, &any_built));
     sealed_drops.push_back(w->drops);
   }
-  if (!sealed_.empty() && !any_built) {
+  if (!retained.empty() && !any_built) {
     // order: relaxed -- cache-hit counter, diagnostic only.
     trend_cache_hits_.fetch_add(1, std::memory_order_relaxed);
   }
-  // order: relaxed -- stable under snap_mu_ (held).
-  const std::uint64_t we = window_epochs_.load(std::memory_order_relaxed);
   if (obs_.trend_ns != nullptr) {
     const std::uint64_t now = obs::now_ns();
     const std::uint64_t dur = now >= obs_t0 ? now - obs_t0 : 0;
     obs_.trend_ns->record(dur);
-    obs_.trace->record(obs::TraceEvent::kSnapshot, static_cast<std::int64_t>(now),
-                       live_epoch, dur);
+    obs_.trace->record(obs::TraceEvent::kSnapshot, static_cast<std::int64_t>(now), e, dur);
   }
   return TrendSnapshot(std::move(live), std::move(sealed), std::move(sealed_drops),
                        std::move(live_stats), we, live_drops);

@@ -5,7 +5,7 @@
 //
 //   producer 0 ──ring──▶ worker 0 [LatticeHhh shard]
 //      │    └───ring──▶ worker 1 [LatticeHhh shard]   trend_snapshot(): quiesce
-//   producer 1 ──ring──▶ worker 0         │           ─▶ at an epoch boundary,
+//   producer 1 ──ring──▶ worker 0         │           ─▶ every worker, then
 //      │    └───ring──▶ worker 1 ─────────┘              LatticeHhh::merge all
 //      ⋮                    ⋮                             shards, answer
 //                                                        network-wide queries
@@ -17,33 +17,29 @@
 // ring atomics. Each worker owns a private ring of one live plus K sealed
 // window lattices (core/window_ring.hpp, K = EngineConfig::history_depth;
 // no shared state on the packet path) and consumes its M lanes through one
-// drain routine (drain()). All control operations run through one quiesce
-// mechanism: workers park at the next epoch boundary (each drains its
-// visible lane backlog first), the coordinator operates on the shard
-// lattices, and workers resume.
+// drain routine (drain()).
 //
-// Two operations use it:
-//   * rotate_epoch()    -- seal the current window: every shard rotates its
-//                          window ring on the shared boundary. Driven
-//                          manually or by the workers themselves
-//                          (EngineConfig::epoch_packets: each worker
-//                          meters the consumed-packet budget as it
-//                          consumes, and the one whose decrement spends it
-//                          is the rotator; a fallback clock thread rotates
-//                          a spent budget that worker has not). A caller
-//                          that wants time windows calls rotate_epoch()
-//                          from its own timer.
-//   * trend_snapshot()  -- merge the live shard lattices (LatticeHhh::merge,
-//                          the multi-switch collector of paper Section 7)
-//                          into the current window, and every retained
-//                          sealed window index-aligned across shards
-//                          (shared rotation boundary => ring slot i of
-//                          every shard covers the same epoch) into one
-//                          network-wide lattice per epoch, each window's
-//                          drops folded into its N. Without rotations this
-//                          is the lifetime view; with them it answers the
-//                          WindowedHhhMonitor's emerging/trend/sustained
-//                          queries at engine scale.
+// Windows close at cuts. A cut is one Lane::pushed sequence number per
+// lane: the records of a lane below it belong to the closing window, the
+// rest to the next one. A lane is a FIFO and Space-Saving lattices merge
+// wherever a stream is split, so each worker rotates its own shard's ring
+// once it has popped up to the cut on all of its lanes -- on its own core,
+// with no other worker waiting -- and the last shard to rotate publishes
+// the sealed window (certificate, archive hand-off, window_epochs()). Cuts
+// are posted by the producer whose push spends the EngineConfig::
+// epoch_packets budget, or by rotate_epoch(); a caller that wants time
+// windows calls rotate_epoch() from its own timer.
+//
+// trend_snapshot() is the one operation that quiesces: workers first rotate
+// through every cut posted before the request, drain their visible
+// backlog, and park; the coordinator merges the live shard lattices
+// (LatticeHhh::merge, the multi-switch collector of paper Section 7) into
+// the current window and resumes them. Every retained sealed window is
+// merged index-aligned across shards (ring slot i of every shard covers
+// the same cut-to-cut window) into one network-wide lattice per epoch, once,
+// each window's drops folded into its N. Without cuts this is the lifetime
+// view; with them it answers the WindowedHhhMonitor's emerging/trend/
+// sustained queries at engine scale.
 //
 // Accounting: drops are counted per lane (OverflowPolicy::kDropTail, the
 // saturated-port semantics of the distributed deployment), pushes and pops
@@ -55,15 +51,16 @@
 // watchdog's JSON dump.
 //
 // Durable archiving (EngineConfig::archive, src/store/): when enabled,
-// every rotation hands its sealed window -- the one record trend_snapshot()
-// reads too -- to a background archiver thread through a bounded queue;
-// a full queue drops the window and counts it, and no thread ever waits on
-// the disk. The archiver takes the window's cross-shard merge (built once,
-// by whichever of a query or the archiver needs it first) and appends it
-// to the segment log (store/archive.hpp), where WindowArchive answers
-// last-N / time-range queries that reproduce trend_snapshot()'s sealed
-// windows byte for byte. The archiver never takes snap_mu_, so stop()
-// joins it under that lock, like the workers and the watchdog.
+// every published window -- the one record trend_snapshot() reads too -- is
+// handed to a background archiver thread through a bounded queue; a full
+// queue drops the window and counts it, and no thread ever waits on the
+// disk. The archiver takes the window's cross-shard merge (built once, by
+// whichever of a query, the archiver or the first worker to reuse its
+// slot needs it first) and appends it to the segment log
+// (store/archive.hpp), where WindowArchive answers last-N / time-range
+// queries that reproduce trend_snapshot()'s sealed windows byte for byte.
+// The archiver never takes snap_mu_, so stop() joins it under that lock,
+// like the workers and the watchdog.
 #pragma once
 
 #include <atomic>
@@ -157,46 +154,49 @@ class HhhEngine {
     std::atomic<std::uint64_t> backpressure_{0};  ///< kBlock spin rounds
   };
 
-  /// Spawns the W worker threads (plus the fallback clock thread when the
-  /// packet budget is configured, and the archiver thread when archiving
-  /// is). Idempotent.
+  /// Spawns the W worker threads (and the archiver thread when archiving
+  /// is enabled). Idempotent.
   void start();
-  /// Drains the rings, stops and joins the workers, the archiver (after it
-  /// has written every queued window) and the clock.
-  /// Producer buffers are not flushed (call Producer::flush() from the
-  /// owning thread first). Each drain is bounded by the backlog it sees,
-  /// so producers still pushing cannot hold stop() up; what they push
-  /// after the final sweep waits in the rings for the next start().
-  /// Idempotent; also run by the destructor.
+  /// Drains the rings, rotating every shard through each cut posted before
+  /// the sweep, then stops and joins the workers and the archiver (after it
+  /// has written every queued window). Producer buffers are not flushed
+  /// (call Producer::flush() from the owning thread first). Each drain is
+  /// bounded by the backlog it sees, so producers still pushing cannot hold
+  /// stop() up; what they push (and the cuts they post) after the final
+  /// sweep waits in the rings for the next start(). Idempotent; also run by
+  /// the destructor.
   void stop();
 
   /// Handle for producer `i` in [0, producers()). Hand each to one thread.
   [[nodiscard]] Producer& producer(std::uint32_t i) { return *producers_[i]; }
 
-  /// Close the current window on a shared boundary: quiesce, rotate every
-  /// shard's window ring (the oldest retained sealed window is discarded),
-  /// attribute the drops counted since the last boundary to the newly
-  /// sealed window, resume. With EngineConfig::epoch_packets set this
-  /// happens automatically, by the worker that spends the budget (bounding
-  /// boundary drift by one worker batch); manual calls compose with it
-  /// (the budget resets either way). The packet budget meters CONSUMED
-  /// records only -- see EngineConfig::epoch_packets for the basis
-  /// contract.
+  /// Close the current window: post a cut at every lane's present pushed
+  /// mark (the drops counted since the last cut go to the closing window)
+  /// and return once every shard has rotated at it and the window is
+  /// published (window_epochs() covers it; the oldest retained sealed
+  /// window is discarded). Workers keep ingesting meanwhile: each rotates
+  /// its own shard when it reaches the cut. On a stopped engine the cut
+  /// sits at what each shard has consumed, and this thread rotates the
+  /// shards. With EngineConfig::epoch_packets set, producers post cuts
+  /// themselves; manual calls compose with them (the budget restarts at
+  /// every cut either way).
   void rotate_epoch();
 
-  /// The engine's network-wide query: quiesce every worker at the next
-  /// epoch boundary, merge the live shard lattices into the current
-  /// window, resume; every retained sealed window is merged across shards
-  /// index-aligned (all shards rotate together, so age i covers the same
-  /// epoch on every shard) at most once -- by this query, an earlier one or
-  /// the archiver -- and then shared. Each window's own drops are folded into
+  /// The engine's network-wide query: quiesce every worker (each first
+  /// rotates through every cut posted before the request, then drains its
+  /// visible backlog up to the next cut), merge the live shard lattices
+  /// into the current window, resume; every retained sealed window is
+  /// merged across shards index-aligned (every shard rotates at the same
+  /// cuts, so age i covers the same window on every shard) at most once --
+  /// by this query, an earlier one, the archiver or the worker that reuses
+  /// its slot -- and then shared. Each window's own drops are folded into
   /// its stream length. Packets still buffered in producer handles (not
   /// flushed) are not yet part of it. An engine that never rotated has no
   /// sealed windows, so the query costs one live merge and current() is
   /// the lifetime view. Does NOT rotate -- observing is separate from
   /// sealing, so several queries can watch one window evolve. Serialized
-  /// with itself and with start()/stop(); callable before start() and
-  /// after stop() (no quiesce needed once workers are gone).
+  /// with itself and with start()/stop()/rotate_epoch(); callable before
+  /// start() and after stop() (no quiesce needed once workers are gone).
   [[nodiscard]] TrendSnapshot trend_snapshot();
 
   /// Live ingest counters (no quiesce; individually-consistent atomics).
@@ -210,7 +210,7 @@ class HhhEngine {
   }
   [[nodiscard]] const Hierarchy& hierarchy() const noexcept { return *hierarchy_; }
   [[nodiscard]] const EngineConfig& config() const noexcept { return cfg_; }
-  /// Quiesce generations so far (queries + rotations).
+  /// Quiesce generations so far (one per trend_snapshot()).
   [[nodiscard]] std::uint64_t epochs() const noexcept {
     // order: relaxed -- monotonic counter read for display/tests; no payload
     // is synchronized through it.
@@ -219,16 +219,16 @@ class HhhEngine {
   /// Completed window rotations so far. Safe to poll from any thread (the
   /// detection loops of the demo/bench watch this for new sealed windows).
   [[nodiscard]] std::uint64_t window_epochs() const noexcept {
-    // order: acquire -- pairs with rotate_locked()'s release fetch_add so a
-    // poller that observes rotation N also observes every write the rotation
-    // published before bumping the count (the sealed shard windows).
+    // order: acquire -- pairs with publish()'s release store so a poller
+    // that observes window N also observes every write its publication
+    // made before bumping the count (the sealed shard windows).
     return window_epochs_.load(std::memory_order_acquire);
   }
-  /// True when the packet budget (the engine's window clock) is configured.
+  /// True when the packet budget (the producers' window clock) is configured.
   [[nodiscard]] bool windowed() const noexcept { return cfg_.epoch_packets > 0; }
   /// The live (current-window) shard lattice of worker `w`. Safe to inspect
   /// when quiescent (before start(), after stop(), or from test code that
-  /// knows better).
+  /// knows better); every shard has then rotated at the same cuts.
   [[nodiscard]] const RhhhSpaceSaving& shard(std::uint32_t w) const noexcept {
     return workers_[w]->ring.live();
   }
@@ -253,10 +253,10 @@ class HhhEngine {
   [[nodiscard]] obs::StallWatchdog* watchdog() const noexcept {
     return watchdog_.get();
   }
-  /// TEST HOOK: park worker `w`'s loop (it stops consuming and acking until
-  /// unblocked or the engine stops) -- the deliberate stall the watchdog
-  /// acceptance test injects. Never use outside tests: a blocked worker
-  /// deadlocks any control operation that quiesces.
+  /// TEST HOOK: park worker `w`'s loop (it stops consuming, rotating and
+  /// acking until unblocked or the engine stops) -- the deliberate stall the
+  /// watchdog acceptance test injects. Never use outside tests: a blocked
+  /// worker deadlocks trend_snapshot() and a running rotate_epoch().
   void test_block_worker(std::uint32_t w) noexcept {
     // order: relaxed -- the worker polls this flag; nothing is published
     // through it and detection latency of one loop pass is fine.
@@ -273,11 +273,17 @@ class HhhEngine {
     WindowRing<RhhhSpaceSaving> ring;  ///< live + K sealed window lattices
     std::thread thread;
     std::uint64_t epoch_acked = 0;  ///< guarded by ctl_mu_
+    // Owned by the shard's consumer (its worker, or a sweeping thread).
+    std::uint64_t rotations = 0;       ///< cuts this shard has rotated at
+    std::vector<std::uint64_t> cut;    ///< [producer] pending cut (empty: none loaded)
+    std::vector<std::uint64_t> marks;  ///< [producer] drain() scratch
     alignas(kCacheLine) std::atomic<std::uint64_t> consumed{0};
   };
   /// One producer x worker ring and its conservation counters. The
   /// producer writes `pushed`/`dropped`, the worker writes `popped`: each
-  /// side's counters sit on their own cache line.
+  /// side's counters sit on their own cache line. `pushed` is the lane's
+  /// sequence number: cuts are expressed in it, and workers pop only what
+  /// it counts.
   struct Lane {
     explicit Lane(std::size_t capacity) : ring(capacity) {}
     SpscRing<Key128> ring;
@@ -298,11 +304,10 @@ class HhhEngine {
   };
   static const Counter kCounters[];
 
-  /// `self` sentinel for quiesced()/rotate_locked(): no worker is driving
-  /// the control operation (an external caller or the fallback clock is).
+  /// stall_worker_ sentinel: no worker is parked by the test hook.
   static constexpr std::uint32_t kNoWorker = ~std::uint32_t{0};
-  /// A budget rotation later than 200us counts as late: the rotating
-  /// worker missed its one-batch bound by a scheduler quantum or worse.
+  /// A budget cut whose last shard starts rotating 200us after its posting
+  /// is late: a worker lagged the producer by a scheduler quantum or worse.
   static constexpr std::int64_t kLateRotationNs = 200'000;
 
   [[nodiscard]] Lane& lane(std::uint32_t p, std::uint32_t w) noexcept {
@@ -317,46 +322,51 @@ class HhhEngine {
                     const std::vector<const RhhhSpaceSaving*>& shards,
                     std::uint64_t drops) const;
   void worker_loop(std::uint32_t w);
-  void clock_loop(std::uint64_t gen);
-  /// The engine's one drain: consume from each of worker w's M lanes into
-  /// its live lattice, at most one batch per lane (a regular worker pass),
-  /// or with `backlog` the backlog visible in the lane at its turn (bounded
-  /// by the observed size, so it terminates while producers keep pushing;
-  /// later arrivals belong to the next epoch) -- the drain of a quiesce
-  /// boundary, of a cooperative rotator's own rings, of a worker's shutdown
-  /// and of stop()'s sweep after the join. Every consumed record spends the
-  /// packet budget once; the drain whose records spend it sets *claimed
-  /// (see meter_consumed()). Returns the records consumed.
-  std::size_t drain(std::uint32_t w, std::vector<Key128>& batch, bool backlog,
-                    bool* claimed = nullptr);
-  /// Spend `n` consumed records of the packet budget (the consumed-only
-  /// basis: drops never pass through here). Returns true for the one
-  /// decrement per window that crosses zero (fetch_sub totally orders
-  /// them); that worker records the boundary instant for drift metering
-  /// and becomes the window's rotator. Called by every drain() that
-  /// consumed something.
-  bool meter_consumed(std::size_t n);
-  /// Cooperative rotation attempt by worker w (the window's claimant):
-  /// try-locks snap_mu_ (never blocks -- a worker that waited here could
-  /// deadlock a control op quiescing it), re-checks that the budget is
-  /// still spent, rotates. Returns false only when the lock was unavailable
-  /// (keep the claim, retry next loop pass); true means the claim is
-  /// settled (rotated here, or the clock or a manual rotation already
-  /// reset the budget).
-  bool try_rotate_cooperative(std::uint32_t w, std::vector<Key128>& batch,
-                              std::uint64_t& acked);
-  /// One sealed window, shared by trend_snapshot() and the archiver.
-  /// `shards` are the window's ring slot in every worker: valid while the
-  /// window is retained (a slot is cleared when its window leaves the
-  /// ring, history_depth rotations later).
+  /// The engine's one drain: consume from each of shard w's M lanes into
+  /// its live lattice, never past its pending cut nor the pushed marks read
+  /// at entry -- one batch per lane (a regular pass), or with `backlog` all
+  /// of it (quiesce, shutdown, sweep: bounded while producers keep
+  /// pushing). Returns the records consumed.
+  std::size_t drain(std::uint32_t w, std::vector<Key128>& batch, bool backlog);
+  /// Rotate shard w's ring at its pending cut once it has popped up to it
+  /// on every lane, within the quiesce gate, and the slot it reuses is
+  /// free: that window published (else this shard is history_depth windows
+  /// ahead: retry later) and merged first if a reader wants it. The last
+  /// shard to rotate at a cut publishes the window. True when it rotated.
+  bool try_rotate(std::uint32_t w);
+  /// Rotate every shard through cut `target` from this thread (no workers
+  /// run), round-robin so no shard waits on one that never runs; with
+  /// `backlog`, then drain what each lane shows up to the next cut.
+  void sweep(std::uint64_t target, bool backlog, std::vector<Key128>& batch);
+  /// Where a cut sits: at the pushed marks (a spent budget, or
+  /// rotate_epoch() while running), or at what each shard consumed (a
+  /// stopped rotate_epoch(); never below the previous cut).
+  enum class CutAt : std::uint8_t { kBudget, kPushed, kConsumed };
+  /// Post one cut (kBudget: only if the budget is spent), then every cut a
+  /// still-spent budget owes; returns the first one's epoch (0: none).
+  std::uint64_t post_cuts(CutAt at);
+  /// A push of `n` records into `l` landed: count it and spend the budget,
+  /// posting the cut when this push spends it.
+  void commit_push(Lane& l, std::size_t n);
+  /// One window, from its closing cut to its eviction. `shards` are its
+  /// ring slot in every worker, valid until the first shard reuses one
+  /// (history_depth cuts later), which first builds the merge if `wanted`
+  /// (the archiver or a query holds it). Fields under cut_mu_ until
+  /// published (window_epochs_ covers it), then only the merge changes.
   struct SealedWindow {
-    std::uint64_t epoch = 0;        ///< window_epochs_ after its rotation
+    std::uint64_t epoch = 0;        ///< window_epochs_ once published
     std::uint64_t drops = 0;        ///< drops attributed (folded into N)
-    std::uint64_t duration_ns = 0;  ///< steady-clock live duration
+    std::uint64_t duration_ns = 0;  ///< steady clock, cut to cut
     std::int64_t wall_start_ns = 0;
     std::int64_t wall_end_ns = 0;
-    std::vector<const RhhhSpaceSaving*> shards;  ///< [worker]
-    bool archiving = false;  ///< queued for the archiver (snap_mu_)
+    std::int64_t posted_ns = 0;     ///< steady clock
+    bool budget = false;            ///< posted by a spent budget
+    bool wanted = false;
+    std::vector<std::uint64_t> cut;  ///< [p * W + w] Lane::pushed at the cut
+    std::vector<const RhhhSpaceSaving*> shards;  ///< [worker], as they rotate
+    std::uint32_t rotated = 0;       ///< shards rotated so far
+    std::int64_t last_start_ns = 0;  ///< latest shard rotation start
+    std::uint64_t pause_ns = 0;      ///< slowest shard rotation
     std::once_flag merge_once;
     std::shared_ptr<const RhhhSpaceSaving> lattice;  ///< set by merged()
   };
@@ -366,27 +376,15 @@ class HhhEngine {
   /// *built (left alone otherwise).
   const std::shared_ptr<const RhhhSpaceSaving>& merged(SealedWindow& w,
                                                        bool* built = nullptr);
+  /// After the last shard rotated at `w`'s cut: certificate stamp, archive
+  /// hand-off, drift metering, window_epochs_ bump. No snap_mu_.
+  void publish(const std::shared_ptr<SealedWindow>& w);
   /// Archiver thread body: takes each queued sealed window's merge and
   /// appends it to `arch` (counting successes and failures) until the
   /// engine stops and the queue is empty.
   void archive_loop(store::WindowArchive* arch);
-  /// Queue `w` for the archiver (or drop + count on a full queue). Caller
-  /// must hold snap_mu_.
-  void enqueue_archive(const std::shared_ptr<SealedWindow>& w);
-  /// Parks every worker at the next quiesce boundary, runs fn while they
-  /// are parked, resumes them; returns the quiesce generation. Caller must
-  /// hold snap_mu_. When the caller IS a worker (cooperative rotation),
-  /// pass its index and batch buffer: the worker performs its own boundary
-  /// drain and self-acks the epoch instead of waiting on itself.
-  template <class Fn>
-  std::uint64_t quiesced(Fn&& fn, std::uint32_t self = kNoWorker,
-                         std::vector<Key128>* self_batch = nullptr);
-  /// rotate_epoch() body; caller must hold snap_mu_. `self`/`self_batch`
-  /// as in quiesced(); a rotating worker's local ack mark is updated
-  /// through `self_acked` so it does not re-park on its own boundary.
-  void rotate_locked(std::uint32_t self = kNoWorker,
-                     std::vector<Key128>* self_batch = nullptr,
-                     std::uint64_t* self_acked = nullptr);
+  /// Queue `w` for the archiver; false (counted) on a full queue.
+  bool enqueue_archive(const std::shared_ptr<SealedWindow>& w);
   /// Register this engine's instruments (histograms, counter-mirror and
   /// occupancy gauges) against cfg_.metrics / the global registry when
   /// cfg_.telemetry is set; called once from the constructor. With
@@ -418,61 +416,48 @@ class HhhEngine {
   std::atomic<std::uint64_t> epoch_resume_{0};
   std::mutex ctl_mu_;               ///< guards epoch_acked + the cv below
   std::condition_variable ctl_cv_;
-  std::mutex snap_mu_;              ///< serializes snapshot/rotate/start/stop
+  std::mutex snap_mu_;  ///< serializes snapshot/rotate_epoch/start/stop
 
-  // Window bookkeeping. The atomics are written under snap_mu_ (rotations
-  // are serialized) but read lock-free: window_epochs_ by detection loops
-  // polling for new windows, the budget countdown by workers metering the
-  // epoch budget at batch boundaries and by the fallback clock, neither
-  // touching snap_mu_ until a rotation is actually due (so frequent
-  // snapshots cannot starve either path).
-  std::atomic<std::uint64_t> window_epochs_{0};
-  std::uint64_t win_drops_base_ = 0;  ///< total drops at the last rotation
-  /// The retained sealed windows by age (front = newest), in lockstep with
-  /// the shard rings: at most history_depth. Under snap_mu_.
-  std::deque<std::shared_ptr<SealedWindow>> sealed_;
-  /// Packet-budget countdown for the current window: reset to epoch_packets
-  /// at every boundary (inside the quiesced rotation, all workers parked),
-  /// decremented by each worker's consumed batch size. The worker whose
-  /// decrement crosses zero is the budget's first observer and the
-  /// window's rotator. May go negative (several workers decrement
-  /// concurrently, and consumption continues until the rotation); <= 0
-  /// means spent.
-  std::atomic<std::int64_t> epoch_budget_left_{0};
-  /// Steady-clock instant the current window's budget was spent (0 = not
-  /// yet): the crossing worker's now(), the ideal boundary the next
-  /// rotation meters its drift against.
-  std::atomic<std::int64_t> budget_spent_ns_{0};
-  // Drift bookkeeping (budget-driven rotations only; manual rotate_epoch()
-  // calls have no ideal boundary to drift from).
+  // Cuts and windows: the plain members below are under cut_mu_, which
+  // posters, rotating shards, queries and publication take briefly, never
+  // across a merge, a clear or a wait.
+  std::mutex cut_mu_;
+  std::condition_variable pub_cv_;  ///< window_epochs_ advanced
+  /// Retained published windows (oldest first, at most history_depth),
+  /// then the posted ones not every shard has rotated at yet.
+  std::deque<std::shared_ptr<SealedWindow>> windows_;
+  std::vector<std::uint64_t> last_cut_;  ///< [p * W + w] the newest cut
+  std::uint64_t cut_drops_ = 0;          ///< total drops at the newest cut
+  std::int64_t cut_ns_ = 0;              ///< its steady clock
+  std::int64_t cut_wall_ns_ = 0;         ///< its system clock
+  std::uint64_t win_drops_base_ = 0;     ///< drops of every published window
+  /// Pending trend_snapshot(): no shard rotates past this cut.
+  std::uint64_t quiesce_gate_ = ~std::uint64_t{0};
+  /// Cuts posted (= the newest cut's epoch); see post_cuts().
+  alignas(kCacheLine) std::atomic<std::uint64_t> cuts_announced_{0};
+  /// The current window's packet budget: spent by every landed push,
+  /// topped up by each cut's length; <= 0 means a cut is owed.
+  alignas(kCacheLine) std::atomic<std::int64_t> epoch_budget_left_{0};
+  /// When the oldest cut some shard has not rotated at was posted (steady
+  /// clock, 0 = none): the watchdog's rotation_overdue mark.
+  std::atomic<std::int64_t> pending_cut_ns_{0};
+  std::atomic<std::uint64_t> window_epochs_{0};  ///< published windows
+  // Drift bookkeeping of budget cuts, written at publication.
   std::atomic<std::uint64_t> budget_rotations_{0};
   std::atomic<std::uint64_t> drift_ns_total_{0};
   std::atomic<std::uint64_t> late_rotations_{0};  ///< drift > kLateRotationNs
-  std::atomic<std::int64_t> win_started_ns_{0};  ///< boundary steady-clock ns
-  std::int64_t win_started_wall_ns_ = 0;  ///< boundary system-clock ns (snap_mu_)
-  /// Bumped by stop() to retire the current clock thread. stop() joins the
-  /// moved-out handle after releasing snap_mu_ (joining under the lock
-  /// would deadlock against a clock blocked on it for a rotation), so a
-  /// concurrent start() can already be spawning the next clock generation;
-  /// the token keeps the retired thread from ever rotating again.
-  std::atomic<std::uint64_t> clock_gen_{0};
-  std::thread clock_thread_;
 
   std::atomic<std::uint64_t> trend_cache_hits_{0};  ///< queries that merged none
   std::atomic<std::uint64_t> trend_sealed_merges_{0};  ///< merged() builds
 
-  // Background archiver (EngineConfig::archive). The queue is bounded:
-  // rotations enqueue their SealedWindow (or drop + count) without waiting
-  // or serializing anything. The archiver takes the window's merge -- the
-  // instance trend_snapshot() serves -- and appends it to the segment log.
-  // A queued window's shard slots are reused once it leaves the ring, so
-  // the rotation that evicts a queued window first calls its merged(): a
-  // no-op when the archiver got there first, otherwise the one merge a
-  // rotation ever runs. start() opens the store and spawns the thread;
-  // stop() flips running_, joins the thread once it has written every
-  // queued window (no rotation can enqueue meanwhile: stop() holds
-  // snap_mu_) and seals the segment. Queue state under arch_mu_.
+  // Background archiver (EngineConfig::archive): publication enqueues its
+  // SealedWindow on a bounded queue (or drops + counts), never waiting. The
+  // archiver appends the window's merge -- the instance trend_snapshot()
+  // serves -- to the segment log. start() opens the store and spawns the
+  // thread; stop() joins it once it has written every queued window and
+  // seals the segment. Queue state under arch_mu_.
   std::deque<std::shared_ptr<SealedWindow>> archive_q_;
+  bool archive_quit_ = false;  ///< set by stop() once nothing can publish
   std::mutex arch_mu_;
   std::condition_variable arch_cv_;
   std::thread archive_thread_;
@@ -492,8 +477,8 @@ class HhhEngine {
     obs::Histogram* pop_ns = nullptr;         ///< worker drain-pass latency
     obs::Histogram* batch_fill = nullptr;     ///< records consumed per drain pass
     obs::Histogram* quiesce_ns = nullptr;     ///< request -> all-acked wait
-    obs::Histogram* rotation_ns = nullptr;    ///< full rotate_locked() cost
-    obs::Histogram* rotation_drift_ns = nullptr;  ///< budget-spent -> rotation
+    obs::Histogram* rotation_ns = nullptr;    ///< slowest shard rotation per cut
+    obs::Histogram* rotation_drift_ns = nullptr;  ///< cut posted -> last shard
     obs::Histogram* trend_ns = nullptr;       ///< trend_snapshot merge time
     obs::Gauge* archive_q_depth = nullptr;    ///< sealed windows queued
     obs::TraceRing* trace = nullptr;          ///< global control-plane trace
@@ -502,8 +487,8 @@ class HhhEngine {
   Obs obs_;
 
   // Estimator health layer (src/obs/health.hpp, cfg_.health): certificate
-  // ledger stamped at rotation under snap_mu_, watchdog thread sampling
-  // lock-free progress state. Both null when telemetry is off.
+  // ledger stamped at publication, watchdog thread sampling lock-free
+  // progress state. Both null when telemetry is off.
   std::unique_ptr<obs::HealthLedger> health_;
   std::unique_ptr<obs::StallWatchdog> watchdog_;
   /// Test-only stall injection: the worker whose index matches parks in its

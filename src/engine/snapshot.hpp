@@ -1,11 +1,10 @@
 // TrendSnapshot: the result of HhhEngine::trend_snapshot(), the engine's
-// one network-wide query, taken by quiescing the shards at an epoch
-// boundary.
+// one network-wide query, taken by quiescing the shards at a cut.
 //
 // It holds the current (live, partial) window merged across every shard,
 // plus every retained sealed window merged index-aligned (all shards
-// rotate on one shared boundary, so sealed(i) of every shard covers the
-// same epoch) into one lattice per epoch, each window's drops folded into
+// rotate at the same cuts, so sealed(i) of every shard covers the same
+// epoch) into one lattice per epoch, each window's drops folded into
 // its stream length -- the multi-switch collector of paper Section 7
 // applied per window. On an engine that never rotated there are no sealed
 // windows and current() is the lifetime view; with history_depth = 1,
@@ -30,11 +29,11 @@ struct EngineStats {
   std::uint64_t consumed = 0;   ///< packets applied to some shard lattice
   std::uint64_t dropped = 0;    ///< ring-full drops on the lossy offer() path
   std::uint64_t backpressure_waits = 0;  ///< full-ring retry rounds of push()
-  std::uint64_t epochs = 0;     ///< quiesce generations (snapshots + rotations)
+  std::uint64_t epochs = 0;     ///< quiesce generations (trend_snapshot calls)
   std::uint64_t window_epochs = 0;  ///< completed window rotations
   std::uint64_t archived_windows = 0;  ///< sealed windows persisted to the store
-  /// Sealed windows lost because the rotation -> archiver queue was full
-  /// (rotation never blocks on I/O; see ArchiveConfig::queue_windows).
+  /// Sealed windows lost because the archiver queue was full (publication
+  /// never blocks on I/O; see ArchiveConfig::queue_windows).
   std::uint64_t archive_queue_drops = 0;
   std::uint64_t archive_errors = 0;  ///< archiver I/O failures (window skipped)
   /// trend_snapshot() calls that merged no sealed window (every retained
@@ -45,18 +44,15 @@ struct EngineStats {
   /// poller that queries after every rotation, or an archiver that drops no
   /// window, keeps the two equal.
   std::uint64_t trend_sealed_merges = 0;
-  /// Rotations triggered by a spent packet budget (manual rotate_epoch()
-  /// calls are excluded -- they have no boundary to drift from).
-  /// Denominator for the drift mean.
+  /// Published windows whose cut a spent packet budget posted (manual
+  /// rotate_epoch() cuts are excluded). Denominator for the drift mean.
   std::uint64_t budget_rotations = 0;
-  /// Summed boundary drift (ns) over budget_rotations: the steady-clock
-  /// gap between the instant the epoch budget was first observed spent and
-  /// the rotation that sealed the window. Cooperative rotation bounds each
-  /// sample by roughly one worker batch.
+  /// Summed drift (ns) over budget_rotations: steady clock from a cut's
+  /// posting to the start of the last shard's rotation at it -- how far
+  /// the slowest worker lagged the producer.
   std::uint64_t rotation_drift_ns_total = 0;
-  /// Budget rotations whose drift was later than 200us -- the rotating
-  /// worker missed its one-batch bound and the window boundary slid by a
-  /// scheduler quantum or worse.
+  /// Budget rotations whose drift exceeded 200us (a scheduler quantum or
+  /// worse).
   std::uint64_t late_rotations = 0;
   std::vector<std::uint64_t> per_worker_consumed;  ///< [worker]
   std::vector<std::uint64_t> per_ring_dropped;     ///< [producer * W + worker]

@@ -15,8 +15,8 @@
 //     and renders the /health JSON body the exporter serves.
 //   * StallWatchdog samples engine progress (via an engine-provided
 //     lock-free sampler) on its own thread; when consumed counters stop
-//     advancing while rings hold backlog, or a rotation runs overdue vs its
-//     budget, it records kStall trace events and writes a flight-recorder
+//     advancing while rings hold backlog, or a posted cut stays unrotated
+//     for a period, it records kStall trace events and writes a flight-recorder
 //     dump (TraceRing contents + last K certificates + EngineStats JSON) to
 //     a configurable path for postmortems.
 //
@@ -137,7 +137,7 @@ class StallWatchdog {
     std::uint64_t consumed = 0;       ///< records applied to lattices, total
     std::uint64_t backlog = 0;        ///< records visible in the rings
     std::uint64_t window_epochs = 0;  ///< completed rotations
-    bool rotation_overdue = false;    ///< budget spent/deadline passed > period
+    bool rotation_overdue = false;    ///< a cut unrotated a period after posting
   };
   using Sampler = std::function<Progress()>;
   using StatsJson = std::function<std::string()>;

@@ -20,7 +20,9 @@
 #include "engine/shard_router.hpp"
 #include "eval/ground_truth.hpp"
 #include "net/ipv4.hpp"
+#include "store/serde.hpp"
 #include "trace/trace_gen.hpp"
+#include "util/bits.hpp"
 #include "util/random.hpp"
 
 namespace rhhh {
@@ -975,8 +977,8 @@ TEST(WindowedEngine, PacketClockRotatesAutomatically) {
     prod.ingest(Key128::from_pair(rng(), static_cast<std::uint32_t>(rng())));
   }
   prod.flush();
-  // The workers owe at least one rotation once 100k >> 10k records are
-  // through; give them (generous) wall time to rotate.
+  // The producer posted ten cuts; give the workers (generous) wall time to
+  // rotate at the first.
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
   while (eng.window_epochs() == 0 && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::yield();
@@ -984,19 +986,19 @@ TEST(WindowedEngine, PacketClockRotatesAutomatically) {
   eng.stop();
   const std::uint64_t rotations = eng.window_epochs();
   EXPECT_GE(rotations, 1u);
-  EXPECT_LE(rotations, 10u) << "budget must meter ~epoch_packets per window";
+  EXPECT_EQ(rotations, 10u) << "one producer: a cut every epoch_packets records";
   const TrendSnapshot snap = eng.trend_snapshot();
   EXPECT_NE(snap.sealed_windows(), 0u);
   EXPECT_EQ(snap.stats().consumed, 100000u);
   EXPECT_EQ(snap.stats().window_epochs, rotations);
 }
 
-// The packet budget meters CONSUMED records only (the EngineConfig
-// contract): drop-tail drops fold into the window's N but must never spend
-// the budget. Saturate a tiny ring while the engine is stopped -- nearly
-// everything drops, almost nothing is consumed -- then run briefly. A
-// combined consumed+dropped basis would see ~5 budgets spent and rotate;
-// the consumed-only basis owes zero rotations.
+// The packet budget meters PUSHED records only (the EngineConfig
+// contract): every pushed record is consumed, while drop-tail drops fold
+// into the window's N but never spend the budget. Saturate a tiny ring
+// while the engine is stopped -- nearly everything drops, almost nothing is
+// pushed -- then run briefly. A pushed+dropped basis would see ~5 budgets
+// spent and rotate; the pushed basis owes zero rotations.
 TEST(WindowedEngine, PacketBudgetMetersConsumedOnly) {
   constexpr std::uint64_t kEpoch = 10'000;
   EngineConfig cfg;
@@ -1018,9 +1020,8 @@ TEST(WindowedEngine, PacketBudgetMetersConsumedOnly) {
   prod.flush();
   ASSERT_GT(eng.stats().dropped, 4 * kEpoch) << "ring did not saturate";
 
-  // Phase 2: run long enough for the fallback clock to poll many times and
-  // for the worker to drain the 64-record backlog. Consumed stays far
-  // below one budget, so no window may close.
+  // Phase 2: run long enough for the worker to drain the 64-record
+  // backlog. Consumed stays far below one budget, so no window may close.
   eng.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   eng.stop();
@@ -1029,7 +1030,7 @@ TEST(WindowedEngine, PacketBudgetMetersConsumedOnly) {
   EXPECT_LT(s.consumed, kEpoch);
   EXPECT_GT(s.dropped, 4 * kEpoch);
   EXPECT_EQ(s.window_epochs, 0u)
-      << "drops spent the packet budget: basis is not consumed-only";
+      << "drops spent the packet budget: basis is not pushed-only";
 
   // Phase 3: live traffic through the same saturated ring. Whatever drops
   // along the way, rotations may never outpace consumed records.
@@ -1044,16 +1045,14 @@ TEST(WindowedEngine, PacketBudgetMetersConsumedOnly) {
   EXPECT_EQ(s2.consumed + s2.dropped, s2.offered);
 }
 
-// A budget spent inside a query's boundary drain must still rotate when no
-// traffic follows: the worker whose decrement spends the budget -- in a
-// drain pass or in a boundary drain -- is the window's rotator, and it
-// retries on every loop pass, not only on passes that consumed records.
-// Each round pushes a little more than one budget into a large ring that
-// the worker pops 16 records at a time while a poller keeps quiescing it
-// with trend_snapshot(), so much of the backlog (often the crossing) goes
-// through boundary drains. Then all traffic and queries stop, and the
-// one rotation owed must still arrive (the fallback clock would rotate it
-// too, so this pins the behaviour, not which thread provides it).
+// A spent budget must still rotate when no traffic follows: the push that
+// spends it posts the cut, and the worker rotates once it has popped up to
+// it, whether that happens in a regular pass or in a query's boundary
+// drain. Each round pushes a little more than one budget into a large ring
+// that the worker pops 16 records at a time while a poller keeps quiescing
+// it with trend_snapshot(), so much of the backlog (often the cut) goes
+// through boundary drains. Then all traffic and queries stop, and the one
+// rotation owed must still arrive.
 TEST(WindowedEngine, SpentBudgetRotatesWithNoFurtherTraffic) {
   constexpr std::uint64_t kEpoch = 4'096;
   constexpr std::uint64_t kPackets = kEpoch + kEpoch / 16;
@@ -1089,13 +1088,97 @@ TEST(WindowedEngine, SpentBudgetRotatesWithNoFurtherTraffic) {
     // order: relaxed -- see the poller.
     quit.store(true, std::memory_order_relaxed);
     poller.join();
-    // No traffic and no queries from here on: only the claimant rotates.
+    // No traffic and no queries from here on: only the worker rotates.
     EXPECT_TRUE(wait_for([&] { return eng.window_epochs() >= 1; }))
         << "round " << round << ": spent budget never rotated";
     eng.stop();
     const EngineStats s = eng.stats();
     EXPECT_EQ(s.window_epochs, 1u) << "round " << round;
     EXPECT_EQ(s.budget_rotations, 1u) << "round " << round;
+  }
+}
+
+// Byte-identity oracle for cuts. With one producer and lossless rings a
+// budget cut sits exactly epoch_packets records after the one before it in
+// the producer's push order, so each shard's windows are its key-hash
+// routed substream split wherever that order crosses a multiple of
+// epoch_packets. Replaying each substream into a WindowRing built with the
+// engine's slot salts must reproduce every live and sealed shard lattice
+// byte for byte: rosters, N and updates. The producer batches per worker,
+// so push order differs from ingest order; the replay batches the same
+// way. The epoch is no multiple of the batch, so cuts fall mid-batch.
+TEST(WindowedEngine, CutsReproduceReplayedShardRingsByteForByte) {
+  constexpr std::uint64_t kEpoch = 1'000;
+  constexpr std::size_t kRecords = 7'500;
+  for (const std::uint32_t workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "W=" << workers);
+    EngineConfig cfg;
+    cfg.workers = workers;
+    cfg.producers = 1;
+    cfg.ring_capacity = 256;  // small: kBlock backpressure splits pushes too
+    cfg.batch = 48;
+    cfg.overflow = OverflowPolicy::kBlock;
+    cfg.epoch_packets = kEpoch;
+    cfg.history_depth = 3;
+    cfg.monitor.eps = 0.02;
+    cfg.monitor.seed = 77;
+    HhhEngine eng(cfg);
+    Xoroshiro128 rng(5);
+    std::vector<Key128> keys;
+    for (std::size_t i = 0; i < kRecords; ++i) {
+      keys.push_back(Key128::from_pair(static_cast<std::uint32_t>(rng.bounded(300)),
+                                       static_cast<std::uint32_t>(rng())));
+    }
+    eng.start();
+    HhhEngine::Producer& prod = eng.producer(0);
+    for (const Key128& k : keys) prod.ingest(k);
+    prod.flush();
+    eng.stop();
+    ASSERT_EQ(eng.window_epochs(), kRecords / kEpoch);
+
+    // The producer's push order: per-worker batches, flushed when full and
+    // by flush() in worker order.
+    const auto [mode, lp] = lattice_config_of(eng.hierarchy(), cfg.monitor);
+    ShardRouter router(cfg.policy, workers, lp.seed, 0);
+    std::vector<std::vector<Key128>> buf(workers);
+    std::vector<std::pair<std::uint32_t, Key128>> pushed;
+    const auto flush = [&](std::uint32_t w) {
+      for (const Key128& k : buf[w]) pushed.emplace_back(w, k);
+      buf[w].clear();
+    };
+    for (const Key128& k : keys) {
+      const std::uint32_t w = router.route(k);
+      buf[w].push_back(k);
+      if (buf[w].size() >= cfg.batch) flush(w);
+    }
+    for (std::uint32_t w = 0; w < workers; ++w) flush(w);
+
+    std::vector<WindowRing<RhhhSpaceSaving>> rings;
+    for (std::uint32_t w = 0; w < workers; ++w) {
+      rings.emplace_back(cfg.history_depth, [&, w](std::size_t slot) {
+        LatticeParams p = lp;
+        p.seed = mix64(lp.seed ^ (0x5eed0000ULL + 0x2000ULL * slot + w));
+        return std::make_unique<RhhhSpaceSaving>(eng.hierarchy(), mode, p);
+      });
+    }
+    for (std::size_t i = 0; i < pushed.size(); ++i) {
+      rings[pushed[i].first].live().update(pushed[i].second);
+      if ((i + 1) % kEpoch == 0) {
+        for (auto& r : rings) r.rotate();
+      }
+    }
+
+    const auto bytes = [&](const RhhhSpaceSaving& lattice) {
+      return store::encode_window(store::WindowMeta{}, cfg.monitor.hierarchy, lattice);
+    };
+    for (std::uint32_t w = 0; w < workers; ++w) {
+      EXPECT_EQ(bytes(eng.shard(w)), bytes(rings[w].live())) << "worker " << w;
+      ASSERT_EQ(eng.shard_sealed_windows(), rings[w].sealed_count());
+      for (std::size_t age = 0; age < rings[w].sealed_count(); ++age) {
+        EXPECT_EQ(bytes(eng.shard_sealed(w, age)), bytes(rings[w].sealed(age)))
+            << "worker " << w << " age " << age;
+      }
+    }
   }
 }
 

@@ -410,6 +410,51 @@ TEST(ObsHealthWatchdog, DeliberatelyStalledEngineIsDetected) {
   std::remove(dump_path.c_str());
 }
 
+/// A cut one shard never reaches reads as an overdue rotation, not as a
+/// stall of the whole engine: worker 1 is parked, traffic keeps flowing
+/// through worker 0 (which keeps rotating, up to history_depth windows
+/// ahead), so consumed advances every period and the watchdog must report
+/// rotation_overdue, counted from the posting of the cut worker 1 owes.
+TEST(ObsHealthWatchdog, CutOneShardNeverReachesIsOverdue) {
+  MetricsRegistry reg;
+  EngineConfig cfg;
+  cfg.workers = 2;
+  cfg.producers = 1;
+  cfg.metrics = &reg;
+  cfg.overflow = OverflowPolicy::kDropTail;  // worker 1's lane fills and drops
+  cfg.epoch_packets = 1'000;
+  cfg.history_depth = 64;  // worker 0 stays busy long after the first cut
+  cfg.monitor.eps = 0.05;  // small lattices: 2 x 65 of them
+  cfg.health.watchdog_millis = 20;
+  HhhEngine eng(cfg);
+  eng.test_block_worker(1);
+  eng.start();
+  HhhEngine::Producer& p = eng.producer(0);
+  Xoroshiro128 rng(13);
+  std::uint64_t consumed_at_first_cut = 0;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (eng.watchdog()->stall_episodes() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    for (int i = 0; i < 200; ++i) p.ingest(Key128{rng(), rng()});
+    p.flush();
+    if (consumed_at_first_cut == 0 && eng.stats().offered >= cfg.epoch_packets) {
+      consumed_at_first_cut = eng.stats().consumed;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(eng.watchdog()->stall_episodes(), 1u);
+  const std::string dump = eng.watchdog()->last_dump();
+  EXPECT_NE(dump.find("\"reason\":\"rotation_overdue\""), std::string::npos) << dump;
+  EXPECT_EQ(dump.find("\"reason\":\"no_progress\""), std::string::npos);
+  EXPECT_GT(eng.stats().consumed, consumed_at_first_cut) << "worker 0 kept consuming";
+  EXPECT_EQ(eng.window_epochs(), 0u) << "worker 1 never rotated at the first cut";
+  eng.test_unblock_workers();
+  eng.stop();
+  const EngineStats s = eng.stats();
+  EXPECT_EQ(s.offered, s.consumed + s.dropped);
+  EXPECT_GT(s.window_epochs, 0u);
+}
+
 // ------------------------------------------------------------ exporter ----
 
 /// Every route answers on an ephemeral port; stop() is idempotent.

@@ -2,8 +2,9 @@
 // concurrent machinery. Functionally these tests assert conservation and
 // shutdown invariants; their real payload is the schedules they force --
 // ring push/pop under contention, rotate-vs-snapshot chaos, archiver
-// start/stop/drain cycles, a budget-rotating engine stopped mid-rotation,
-// and the shutdown edges (stop() twice, stop() racing an in-flight rotation).
+// start/stop/drain cycles, budget cuts racing shutdown, shards rotating at
+// cuts while queries and the archiver merge, and the shutdown edges
+// (stop() twice, stop() racing an in-flight rotation).
 // The `tsan` CI job runs them under ThreadSanitizer (and the `asan` job
 // under ASan/UBSan) via the `stress` ctest label, where any data race or
 // mis-ordered atomic on these paths fails the build.
@@ -285,11 +286,11 @@ TEST(ScheduleStress, ArchiverStartStopDrainCycles) {
   EXPECT_FALSE(arch.truncated_tail()) << "stop() must seal the open segment";
 }
 
-// A packet-budget engine stopped while a rotation may be in flight: stop()
-// must retire the clock generation without deadlocking against a worker
-// or the clock thread rotating (or blocked on snap_mu_ to rotate), and
-// nothing may rotate a stopped engine. Several short-lived engines
-// maximize the chance of catching a rotation inside rotate_locked().
+// A packet-budget engine stopped while shards may be mid-rotation: stop()
+// must join workers that are rotating, or waiting on a shard that is, and
+// sweep the rest without deadlocking, and nothing may rotate a stopped
+// engine. Several short-lived engines maximize the chance of catching a
+// shard inside try_rotate().
 TEST(ScheduleStress, CoordinatorStopDuringRotation) {
   for (int round = 0; round < 4; ++round) {
     EngineConfig cfg = small_engine(2, 1);
@@ -317,8 +318,8 @@ TEST(ScheduleStress, CoordinatorStopDuringRotation) {
     // order: relaxed -- see above; producer exits on next check.
     quit.store(true, std::memory_order_relaxed);
     producer.join();
-    // Neither a worker nor the retired clock may rotate a stopped engine:
-    // the count is stable from here on.
+    // No worker may rotate a stopped engine, though the producer posted
+    // cuts until it quit: the count is stable from here on.
     const std::uint64_t epochs_at_stop = eng.window_epochs();
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     EXPECT_EQ(eng.window_epochs(), epochs_at_stop);
@@ -715,70 +716,56 @@ TEST(ScheduleStress, TraceRingConcurrentWrapAndDump) {
   EXPECT_EQ(final_dump.back().seq, kWriters * kPerWriter - 1);
 }
 
-// Cooperative rotation, single consumer: with one worker there is no
-// cross-worker boundary backlog, so every sealed window's length is
-// deterministically bounded -- the budget guarantees >= epoch_packets
-// (consumed-only basis), and the batch-boundary crossing check plus the
-// rotator's own boundary drain cap the overshoot at roughly one pop batch
-// plus the in-flight ring backlog, independent of host speed. A regression
-// that reintroduces timeslice-polling drift (or rotates off the wrong
-// basis) shows up as a sealed window outside the band. Runs under TSan via
-// the stress label, where the claim CAS / budget countdown / quiesce
-// hand-off interleavings are the real payload.
-TEST(ScheduleStress, CooperativeRotationBoundsSealedWindowLength) {
-  constexpr std::uint64_t kEpoch = 20'000;
-  constexpr std::uint64_t kPerProducer = 90'000;
-  // One pop batch (crossing granularity) + one more for a claim retry +
-  // the boundary-drain backlog (P rings x capacity) + racing pushes.
-  constexpr std::uint64_t kSlack = 2'048;
+// ------------------------------------------------------------------ cuts --
 
-  EngineConfig cfg = small_engine(/*workers=*/1, /*producers=*/2);
+// One producer, lossless rings: a budget cut sits exactly epoch_packets
+// pushed records after the one before it, whatever the workers are doing,
+// so every sealed window is exactly epoch_packets long and every cut is a
+// budget cut. Two workers rotate on their own cores at their own pace;
+// the retained history and the archive-free drift telemetry must agree.
+TEST(ScheduleStress, BudgetCutsSealExactWindowsWithOneProducer) {
+  constexpr std::uint64_t kEpoch = 20'000;
+  constexpr std::uint64_t kRecords = 90'000;
+
+  EngineConfig cfg = small_engine(/*workers=*/2, /*producers=*/1);
   cfg.epoch_packets = kEpoch;
   cfg.history_depth = 8;
   HhhEngine eng(cfg);
   eng.start();
-
-  std::thread p0([&] { ingest_stream(eng, 0, kPerProducer, 101); });
-  std::thread p1([&] { ingest_stream(eng, 1, kPerProducer, 202); });
+  std::thread p0([&] { ingest_stream(eng, 0, kRecords, 101); });
   p0.join();
-  p1.join();
   eng.stop();
 
   const TrendSnapshot trend = eng.trend_snapshot();
-  ASSERT_GT(trend.sealed_windows(), 0u);
-  for (std::size_t age = 0; age < trend.sealed_windows(); ++age) {
-    const std::uint64_t n = trend.window_length(age);
-    EXPECT_GE(n, kEpoch) << "window sealed before its budget was spent";
-    EXPECT_LE(n, kEpoch + kSlack)
-        << "rotation drifted past the one-batch bound at age " << age;
-  }
-
   const EngineStats s = trend.stats();
-  EXPECT_EQ(s.consumed, 2 * kPerProducer);  // kBlock: lossless
-  // Every rotation here is budget-driven (no manual calls), and each
-  // spends a full budget: the drift telemetry must agree.
+  EXPECT_EQ(s.consumed, kRecords);  // kBlock: lossless
+  EXPECT_EQ(s.window_epochs, kRecords / kEpoch);
+  ASSERT_EQ(trend.sealed_windows(), kRecords / kEpoch);
+  for (std::size_t age = 0; age < trend.sealed_windows(); ++age) {
+    EXPECT_EQ(trend.window_length(age), kEpoch) << "age " << age;
+  }
+  EXPECT_EQ(trend.current_length(), kRecords % kEpoch);
   EXPECT_EQ(s.budget_rotations, s.window_epochs);
-  EXPECT_GE(s.budget_rotations,
-            2 * kPerProducer / (kEpoch + kSlack) - 1);
   EXPECT_LE(s.late_rotations, s.budget_rotations);
 }
 
-// Rotator election racing engine shutdown: producers keep flooding
-// (kDropTail, so they never block on a stopped engine) while stop() lands
-// mid-storm -- a worker may be joined between spending the budget (its
-// claim) and rotating, and stop() itself quiesces while a claim is in
-// flight.
-// Several rounds force different stop points. Invariants: the window count
-// freezes at stop, the books balance, and the consumed-only basis holds
-// (every rotation spent a full budget of consumed records, drops included
-// in N but never in the budget).
-TEST(ScheduleStress, RotatorElectionSurvivesEngineStop) {
-  constexpr std::uint64_t kEpoch = 3'000;
+// Budget cuts racing engine shutdown: producers keep flooding (kDropTail,
+// so they never block on a stopped engine) while stop() lands mid-storm,
+// so cuts are posted while workers quit, while stop() sweeps and after it
+// returned. Several rounds force different stop points. Invariants: no
+// rotation lands after stop() returns (cuts posted later wait for the next
+// start()), the books balance, every record is in exactly one window (the
+// retained windows' lengths add up to consumed + dropped while the ring
+// holds every window of the round), and every window spent a full budget
+// of pushed records.
+TEST(ScheduleStress, BudgetCutsSurviveEngineStop) {
+  constexpr std::uint64_t kEpoch = 500;
+  std::uint64_t windows = 0;
   for (int round = 0; round < 4; ++round) {
     EngineConfig cfg = small_engine(/*workers=*/2, /*producers=*/2);
     cfg.overflow = OverflowPolicy::kDropTail;
     cfg.epoch_packets = kEpoch;
-    cfg.history_depth = 4;
+    cfg.history_depth = 128;
     HhhEngine eng(cfg);
     eng.start();
 
@@ -788,6 +775,7 @@ TEST(ScheduleStress, RotatorElectionSurvivesEngineStop) {
       producers.emplace_back([&, p] {
         HhhEngine::Producer& prod = eng.producer(p);
         Xoroshiro128 rng(1000 + round * 10 + p);
+        // order: acquire -- pairs with the release store below.
         while (!quit.load(std::memory_order_acquire)) {
           for (int i = 0; i < 256; ++i) {
             prod.ingest(
@@ -799,58 +787,118 @@ TEST(ScheduleStress, RotatorElectionSurvivesEngineStop) {
     }
 
     // Vary the stop point across rounds: from "barely started" to "several
-    // rotations deep".
+    // cuts deep".
     std::this_thread::sleep_for(std::chrono::milliseconds(1 + 3 * round));
     eng.stop();
     const std::uint64_t epochs_at_stop = eng.window_epochs();
-
+    const TrendSnapshot tr = eng.trend_snapshot();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    // order: release -- the producers' exit flag.
     quit.store(true, std::memory_order_release);
     for (std::thread& t : producers) t.join();
 
     EXPECT_EQ(eng.window_epochs(), epochs_at_stop)
         << "no rotation may land after stop() returns";
-    const EngineStats s = eng.stats();
+    ASSERT_EQ(tr.window_epochs(), epochs_at_stop);
+    const EngineStats& s = tr.stats();
     EXPECT_LE(s.consumed + s.dropped, s.offered);
-    EXPECT_GE(s.consumed, kEpoch * s.window_epochs)
-        << "a rotation fired without a full consumed-only budget";
+    std::uint64_t total = tr.current_length();
+    for (std::size_t age = 0; age < tr.sealed_windows(); ++age) {
+      EXPECT_GE(tr.window_length(age) - tr.window_drops(age), kEpoch)
+          << "a window closed before a full budget of pushed records";
+      total += tr.window_length(age);
+    }
+    if (epochs_at_stop <= cfg.history_depth) {  // every window retained
+      EXPECT_EQ(total, s.consumed + s.dropped) << "round " << round;
+    }
+    windows += epochs_at_stop;
   }
+  EXPECT_GT(windows, 0u) << "no round lasted a full budget";
 }
 
-// Cooperative workers and the fallback clock chasing the same packet
-// budget: with a small epoch the clock's 200us poll regularly lands right
-// as the claimant tries to rotate, so both paths reach the rotation
-// concurrently. The re-check under snap_mu_ must dissolve the loser -- a
-// double rotation would seal a window that never spent a budget,
-// violating consumed >= epoch_packets * rotations and leaving a short
-// window in the retained history.
-TEST(ScheduleStress, NoDoubleRotationWhenCooperativeAndFallbackRace) {
-  constexpr std::uint64_t kEpoch = 2'000;
-  constexpr std::uint64_t kPerProducer = 60'000;
+// Cut safety with every reader racing the rotating shards: two producers,
+// four workers, a small epoch, a poller quiescing back to back and the
+// archiver merging, at history depth 1 (each shard reuses the previous
+// window's slot, so it must wait for or build that window's merge) and 4,
+// lossless and drop-tail. At every snapshot: the windows so far add up to
+// the frozen consumed + dropped (the live merge never mixes two windows),
+// and every retained window spent a full budget; after stop(), every
+// polled sealed window equals its archived copy byte for byte (no shard
+// cleared a slot a merge still read), and the live window holds less than
+// one budget (no cut was lost).
+TEST(ScheduleStress, CutsNeverMixWindowsNorClearSlotsInUse) {
+  struct Round {
+    std::size_t depth;
+    OverflowPolicy overflow;
+  };
+  for (const Round round : {Round{1, OverflowPolicy::kBlock},
+                            Round{4, OverflowPolicy::kBlock},
+                            Round{1, OverflowPolicy::kDropTail}}) {
+    SCOPED_TRACE(::testing::Message() << "depth " << round.depth << " "
+                                      << to_string(round.overflow));
+    TempDir dir("cuts_" + std::to_string(round.depth) +
+                std::string(to_string(round.overflow)));
+    constexpr std::uint64_t kEpoch = 2'000;
+    EngineConfig cfg = small_engine(/*workers=*/4, /*producers=*/2);
+    cfg.overflow = round.overflow;
+    cfg.epoch_packets = kEpoch;
+    cfg.history_depth = round.depth;
+    cfg.archive.dir = dir.str();
+    cfg.archive.queue_windows = 1'024;  // never full: every window archived
+    HhhEngine eng(cfg);
+    eng.start();
 
-  EngineConfig cfg = small_engine(/*workers=*/2, /*producers=*/2);
-  cfg.epoch_packets = kEpoch;
-  cfg.history_depth = 4;
-  HhhEngine eng(cfg);
-  eng.start();
+    std::vector<std::thread> producers;
+    for (std::uint32_t p = 0; p < 2; ++p) {
+      producers.emplace_back([&, p] { ingest_stream(eng, p, 30'000, 40 + p); });
+    }
+    std::atomic<bool> done{false};
+    std::vector<TrendSnapshot> polled;
+    std::thread poller([&] {
+      // order: acquire -- pairs with the release store below.
+      while (!done.load(std::memory_order_acquire) && polled.size() < 400) {
+        TrendSnapshot tr = eng.trend_snapshot();
+        for (std::size_t age = 0; age < tr.sealed_windows(); ++age) {
+          EXPECT_GE(tr.window_length(age) - tr.window_drops(age), kEpoch);
+        }
+        polled.push_back(std::move(tr));
+      }
+    });
+    for (std::thread& t : producers) t.join();
+    // order: release -- the poller's exit flag.
+    done.store(true, std::memory_order_release);
+    poller.join();
+    eng.stop();
 
-  std::thread p0([&] { ingest_stream(eng, 0, kPerProducer, 303); });
-  std::thread p1([&] { ingest_stream(eng, 1, kPerProducer, 404); });
-  p0.join();
-  p1.join();
-  eng.stop();
-
-  const TrendSnapshot trend = eng.trend_snapshot();
-  const EngineStats s = trend.stats();
-  EXPECT_EQ(s.consumed, 2 * kPerProducer);  // kBlock: lossless
-  ASSERT_GT(s.window_epochs, 0u);
-  EXPECT_GE(s.consumed, kEpoch * s.window_epochs)
-      << "double rotation: more windows sealed than budgets spent";
-  // The retained tail must show no short (double-rotation) window either.
-  for (std::size_t age = 0; age < trend.sealed_windows(); ++age) {
-    EXPECT_GE(trend.window_length(age), kEpoch)
-        << "short sealed window at age " << age;
+    const EngineStats s = eng.stats();
+    ASSERT_EQ(s.archived_windows, s.window_epochs);
+    const TrendSnapshot last = eng.trend_snapshot();
+    EXPECT_LT(last.current_length() - last.current_drops(), kEpoch)
+        << "a spent budget never got its cut";
+    const store::WindowArchive arch = store::WindowArchive::open_read(dir.str());
+    ASSERT_EQ(arch.windows(), s.window_epochs);
+    std::vector<std::uint64_t> before{0};  // [e]: length of windows 1..e
+    std::vector<store::ArchivedWindow> archived;
+    for (std::size_t i = 0; i < arch.windows(); ++i) {
+      archived.push_back(arch.read(i));
+      ASSERT_EQ(archived.back().meta.epoch, i + 1);
+      before.push_back(before.back() + archived.back().meta.stream_length);
+    }
+    for (const TrendSnapshot& tr : polled) {
+      const std::uint64_t we = tr.window_epochs();
+      std::uint64_t total = before[we - tr.sealed_windows()] + tr.current_length();
+      for (std::size_t age = 0; age < tr.sealed_windows(); ++age) {
+        const store::ArchivedWindow& a = archived[we - age - 1];
+        total += tr.window_length(age);
+        EXPECT_EQ(store::encode_window(a.meta, cfg.monitor.hierarchy,
+                                       tr.window_algorithm(age)),
+                  store::encode_window(a.meta, cfg.monitor.hierarchy, *a.window))
+            << "epoch " << a.meta.epoch;
+      }
+      EXPECT_EQ(total, tr.stats().consumed + tr.stats().dropped)
+          << "the windows of snapshot " << we << " miss or double-count records";
+    }
   }
-  EXPECT_EQ(s.budget_rotations, s.window_epochs);
 }
 
 }  // namespace
