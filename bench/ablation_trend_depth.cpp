@@ -6,7 +6,7 @@
 // memory; rotation itself stays O(counters-clear) regardless of K, so
 // ingest throughput should be flat in K while memory grows linearly.
 //
-// Two panels:
+// Three panels:
 //   * core ring: a WindowRing<RhhhSpaceSaving> driven single-threaded with
 //     rotations every n/16 packets -- Mpps (rotations included), per-probe
 //     trend() latency over the full retained history, resident lattice
@@ -15,7 +15,15 @@
 //     HhhEngine at EngineConfig::history_depth = K, manual rotations on
 //     stream position, plus one trend_snapshot() per epoch -- Mpps and the
 //     median K-aligned snapshot latency over all epochs.
+//   * query pause: 10-RHHH at eps = 0.001, one producer cycling the trace
+//     for a fixed time into W in {2, 4} workers with 2 Mi-packet budget
+//     windows, with a 10 Hz trend_snapshot() poller and without. A query's
+//     ingest pause is the slowest worker's copy of its live shard at the
+//     query's mark (rhhh_engine_snapshot_copy_ns); the others keep
+//     ingesting, and the merge runs on the polling thread.
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <thread>
@@ -25,6 +33,7 @@
 #include "core/window_ring.hpp"
 #include "engine/engine.hpp"
 #include "net/ipv4.hpp"
+#include "obs/metrics.hpp"
 #include "util/random.hpp"
 
 using namespace rhhh;
@@ -158,6 +167,70 @@ int main(int argc, char** argv) {
     print_row({std::to_string(depth), ci_cell(mpps), fmt(*mid)});
   }
 
+  // Query pause: a fixed-time run (10 Hz needs seconds, not stream length).
+  const double seconds = std::max(0.5, 10.0 * args.scale);
+  std::printf(
+      "\n-- query pause: 10-RHHH, eps = 0.001, 1 producer, 2 Mi-packet windows, "
+      "%.1f s per run --\n",
+      seconds);
+  print_row({"workers", "pause us (95% CI)", "Mpps 10 Hz poller (95% CI)",
+             "Mpps no poller (95% CI)"});
+  for (const std::uint32_t workers : {2u, 4u}) {
+    RunningStats pause_us;
+    RunningStats mpps[2];  // [polled]
+    for (int r = 0; r < args.runs; ++r) {
+      for (const bool polled : {true, false}) {
+        obs::MetricsRegistry reg;
+        EngineConfig cfg;
+        cfg.monitor.hierarchy = HierarchyKind::kIpv4TwoDimBytes;
+        cfg.monitor.algorithm = AlgorithmKind::kTenRhhh;
+        cfg.monitor.eps = 0.001;
+        cfg.monitor.delta = args.delta;
+        cfg.monitor.seed = args.seed + static_cast<std::uint64_t>(r);
+        cfg.workers = workers;
+        cfg.producers = 1;
+        cfg.ring_capacity = 1 << 16;
+        cfg.batch = 256;
+        cfg.overflow = OverflowPolicy::kBlock;
+        cfg.epoch_packets = std::uint64_t{1} << 21;
+        cfg.metrics = &reg;
+        const std::unique_ptr<HhhEngine> eng = make_engine(cfg);
+        eng->start();
+        std::atomic<bool> done{false};
+        std::uint64_t sent = 0;
+        const double t0 = now_sec();
+        std::thread producer([&] {
+          HhhEngine::Producer& prod = eng->producer(0);
+          for (std::size_t i = 0;; i = (i + 1) % keys.size()) {
+            prod.ingest(keys[i]);
+            if ((++sent & 0xfff) == 0 && now_sec() - t0 >= seconds) break;
+          }
+          prod.flush();
+          // order: release -- the poller's exit flag.
+          done.store(true, std::memory_order_release);
+        });
+        // order: acquire -- pairs with the producer's release store.
+        while (!done.load(std::memory_order_acquire)) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(100));
+          if (polled && !done.load(std::memory_order_acquire)) {
+            const TrendSnapshot snap = eng->trend_snapshot();
+            if (snap.current_length() == 0 && snap.sealed_windows() == 0) std::printf("?");
+          }
+        }
+        producer.join();
+        eng->stop();
+        mpps[polled ? 1 : 0].add(static_cast<double>(sent) / (now_sec() - t0) / 1e6);
+        if (polled) {
+          const LogHistogram pause =
+              reg.histogram("rhhh_engine_snapshot_copy_ns").snapshot();
+          if (pause.count() > 0) pause_us.add(pause.mean() / 1e3);
+        }
+      }
+    }
+    print_row({"W=" + std::to_string(workers), ci_cell(pause_us), ci_cell(mpps[1]),
+               ci_cell(mpps[0])});
+  }
+
   std::printf(
       "\n(expected shape: core-ring Mpps flat in K -- rotation cost is one\n"
       " counter clear, not a function of history -- with memory linear in\n"
@@ -165,6 +238,8 @@ int main(int argc, char** argv) {
       " trend_snapshot every epoch (median ms over all epochs), so its Mpps\n"
       " *includes* one W-shard merge per epoch -- each sealed window is\n"
       " merged once and then shifts through the engine's cache, so the\n"
-      " poll cost stays flat in K)\n");
+      " poll cost stays flat in K; a query pauses each worker only for one\n"
+      " copy of its shard, so its pause is a fraction of one merge -- the\n"
+      " merges run on the polling thread)\n");
   return 0;
 }

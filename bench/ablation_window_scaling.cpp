@@ -12,11 +12,11 @@
 // epoch of ingested records.
 //
 // Columns: ingest throughput (Mpps, lossless blocking overflow, clock from
-// first push until every record is consumed, rotation + probe quiesces
+// first push until every record is consumed, rotations and probes
 // included), detection latency in packets past burst start (kpkt), windows
 // closed, measured boundary drift (mean ns from a cut's posting to the
 // start of the last shard's rotation at it -- EngineStats drift
-// telemetry), and drops. Smaller epochs detect sooner but quiesce more
+// telemetry), and drops. Smaller epochs detect sooner but rotate more
 // often; more workers push Mpps up until transport (or the host's core
 // count) binds.
 //
@@ -125,8 +125,8 @@ SweepResult run_config(const SweepInput& in, std::uint32_t workers,
       // Probe right behind the producers: the live window is fullest (and
       // the sealed one oldest) near a boundary -- the best moment for the
       // straddling-onset case. The drift panel below runs probe-free: every
-      // probe quiesce parks the workers, so a budget crossing inside its
-      // boundary drain charges the snapshot merge to the drift sample and
+      // probe makes each worker copy its shard at the probe's mark, so a
+      // cut posted meanwhile charges that copy to the drift sample and
       // swamps the rotation drift being measured.
       if (probes) probe(hi);
     }
@@ -168,7 +168,7 @@ std::string drift_cell_of(const SweepResult& res) {
   return res.drift_ns.count() > 0 ? ci_cell(res.drift_ns) : "n/a";
 }
 
-/// Display-only drift cell: the probe-quiesce-inflated sweep rows are
+/// Display-only drift cell: the probe-inflated sweep rows are
 /// scheduler-noise dominated, so a "~" prefix keeps them out of
 /// check_trajectory's numeric diff while staying readable.
 std::string drift_cell_untracked(const SweepResult& res) {

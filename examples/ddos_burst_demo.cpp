@@ -26,6 +26,7 @@
 // ramps are events, and only a ring of sealed windows can tell them apart.
 //
 // Run:  ./ddos_burst_demo [packets] [epoch]
+#include <barrier>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -85,6 +86,13 @@ int main(int argc, char** argv) {
   const std::size_t spike_end = spike_start + epoch;
   const std::size_t ramp_start = packets * 6 / 10;
 
+  // Windows are cut in the engine's combined push order, which interleaves
+  // the producers however they happen to run: left alone, one producer's
+  // half of the spike can land windows after the other's, and the spike
+  // then shows up to three windows of growth. Both producers flush and meet
+  // at the spike's start and end, so it is one epoch of pushes, in at most
+  // two windows.
+  std::barrier spike_edge(2);
   std::vector<std::thread> producers;
   for (std::uint32_t p = 0; p < 2; ++p) {
     producers.emplace_back([&, p] {
@@ -94,9 +102,12 @@ int main(int argc, char** argv) {
       rhhh::Xoroshiro128 rng(4242 + p);
       const std::size_t share = packets / 2;
       for (std::size_t i = 0; i < share; ++i) {
-        // Producers advance in lockstep through the global stream position,
-        // so both anomalies switch on/off at the same wall-clock point.
+        // Producers interleave through the global stream position.
         const std::size_t global = i * 2 + p;
+        if (i == spike_start / 2 || i == spike_end / 2) {
+          prod.flush();
+          spike_edge.arrive_and_wait();
+        }
         if (global >= spike_start && global < spike_end &&
             rng.bounded(100) < 25) {
           prod.ingest(rhhh::Key128::from_pair(spike_net | rng.bounded(1 << 16),

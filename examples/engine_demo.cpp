@@ -155,8 +155,9 @@ int main(int argc, char** argv) {
     });
   }
 
-  // A mid-stream epoch: quiesce, merge the four shard lattices, resume --
-  // the producers keep running across the query.
+  // A mid-stream query: each worker copies its shard at the query's mark
+  // and keeps ingesting, and this thread merges the four copies -- the
+  // producers keep running across the query.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   print_view(*eng, eng->trend_snapshot(), theta);
 

@@ -44,6 +44,13 @@ Checks things no generic tool enforces:
    (src/obs/health.cpp: each `append_*(out, "key", ...)` and each raw
    `\"key\":` literal in its body) must be exactly the backticked names in
    the Field column of README's certificate field table.
+9. The atomics inventory does not drift: the `std::atomic` members declared
+   under src/engine/, src/util/ and src/vswitch/ (named `Class::member`
+   by their innermost enclosing class or struct) must be exactly the
+   atomics README's memory-order table names in its Atomic column. A
+   backticked `Class::member` names one; a bare backticked `member` after
+   it in the same cell names `Class::member` too, so a grouped row lists
+   `Lane::dropped`/`popped`.
 
 Exit code 0 when clean, 1 with one line per finding otherwise.
 """
@@ -113,6 +120,13 @@ CERT_APPEND_KEY_RE = re.compile(r'append_\w+\(\s*\w+\s*,\s*"([A-Za-z0-9_]+)"')
 CERT_RAW_KEY_RE = re.compile(r'\\"([A-Za-z0-9_]+)\\":')
 README_FIELD_RE = re.compile(r"`([a-z_]+)`")
 README_FIELD_HEADER = "| Field | Type | Meaning |"
+
+# Atomic members: the classes that declare them and README's Atomic column.
+ATOMIC_DIRS = ("engine", "util", "vswitch")
+ATOMIC_MEMBER_RE = re.compile(r"std::atomic<[^;()]*>\s+(\w+)\s*[{;=]")
+CLASS_HEAD_RE = re.compile(r"\b(enum\s+)?(?:class|struct)\s+(\w+)")
+README_ATOMIC_HEADER = "| Atomic | Written | Read | Invariant the ordering protects |"
+README_ATOMIC_RE = re.compile(r"`(?:(\w+)::)?(\w+)`")
 
 
 def strip_strings(line: str) -> str:
@@ -360,6 +374,88 @@ def lint_health_docs(root: Path, findings: list[str]) -> None:
         )
 
 
+def strip_comment(line: str) -> str:
+    return strip_strings(line).split("//", 1)[0]
+
+
+def declared_atomics(path: Path) -> set[str]:
+    """`Class::member` for every std::atomic data member in `path`, the
+    class being the innermost class/struct whose braces enclose it."""
+    out: set[str] = set()
+    stack: list[tuple[str, int]] = []  # (class, brace depth inside it)
+    depth = 0
+    pending = None  # the class whose body the next `{` opens
+    for raw in path.read_text(encoding="utf-8").splitlines():
+        code = strip_comment(raw)
+        heads = list(CLASS_HEAD_RE.finditer(code))
+        if heads:
+            # The last head on the line (after any `template <class T>`);
+            # one followed by `;` and no `{` is a forward declaration.
+            m = heads[-1]
+            rest = code[m.end():]
+            if m.group(1) is None and ("{" in rest or ";" not in rest):
+                pending = m.group(2)
+        for ch in code:
+            if ch == "{":
+                depth += 1
+                if pending is not None:
+                    stack.append((pending, depth))
+                    pending = None
+            elif ch == "}":
+                if stack and stack[-1][1] == depth:
+                    stack.pop()
+                depth -= 1
+        for m in ATOMIC_MEMBER_RE.finditer(code):
+            if stack:
+                out.add(f"{stack[-1][0]}::{m.group(1)}")
+    return out
+
+
+def documented_atomics(readme: Path, findings: list[str]) -> set[str]:
+    names: set[str] = set()
+    if not readme.is_file():
+        return names  # readme_column() already reported it
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    try:
+        start = lines.index(README_ATOMIC_HEADER)
+    except ValueError:
+        findings.append(f"README.md: no table with the header '{README_ATOMIC_HEADER}'")
+        return names
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        owner = None
+        for cls, member in README_ATOMIC_RE.findall(line.split("|")[1]):
+            owner = cls or owner
+            if owner is None:
+                findings.append(
+                    f"README.md: atomics table names `{member}` without a "
+                    "class -- write `Class::member` first in its cell"
+                )
+                continue
+            names.add(f"{owner}::{member}")
+    return names
+
+
+def lint_atomic_docs(root: Path, findings: list[str]) -> None:
+    declared: set[str] = set()
+    for d in ATOMIC_DIRS:
+        for path in sorted((root / "src" / d).rglob("*")):
+            if path.suffix in (".hpp", ".cpp") and path.is_file():
+                declared |= declared_atomics(path)
+    documented = documented_atomics(root / "README.md", findings)
+    for name in sorted(declared - documented):
+        findings.append(
+            f"README.md: atomic `{name}` is declared in src/ but missing from "
+            "the memory-order table"
+        )
+    for name in sorted(documented - declared):
+        findings.append(
+            f"README.md: memory-order table lists `{name}`, which no class "
+            "under src/engine, src/util or src/vswitch declares as a std::atomic"
+        )
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--root", type=Path, default=Path(__file__).parent.parent)
@@ -404,6 +500,7 @@ def main() -> int:
     lint_metric_docs(registered, args.root / "README.md", findings)
     lint_trace_docs(args.root, findings)
     lint_health_docs(args.root, findings)
+    lint_atomic_docs(args.root, findings)
 
     if findings:
         print(f"lint_invariants: {len(findings)} finding(s)")

@@ -196,10 +196,10 @@ struct EngineConfig {
   // -- always-on telemetry (src/obs/) ---------------------------------------
   /// When true (the default -- the layer costs <3% update throughput, see
   /// bench/ablation_obs_overhead), the engine registers latency histograms
-  /// (push/pop batch, quiesce, rotation, trend_snapshot merge), occupancy
+  /// (push/pop batch, snapshot copy, rotation, trend_snapshot merge), occupancy
   /// and queue-depth gauges, and EngineStats counter mirrors against
   /// `metrics` (the process-global registry when null), and records
-  /// rotation/quiesce/seal/archive events into the global TraceRing.
+  /// rotation/copy/seal/archive events into the global TraceRing.
   /// `false` is the uninstrumented baseline the overhead ablation measures
   /// against. With several engines sharing one registry, per-instance
   /// gauges are last-writer-wins; pass a private registry for isolation.

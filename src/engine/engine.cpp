@@ -45,7 +45,7 @@ const HhhEngine::Counter HhhEngine::kCounters[] = {
      "rhhh_engine_backpressure_waits",
      "producer spin rounds on full rings (kBlock)", nullptr},
     {&EngineStats::epochs, "epochs", "rhhh_engine_epochs",
-     "quiesce generations (one per trend_snapshot)", &HhhEngine::epoch_req_},
+     "trend_snapshot calls", &HhhEngine::queries_},
     {&EngineStats::window_epochs, "window_epochs", "rhhh_engine_window_epochs",
      "completed window rotations", &HhhEngine::window_epochs_},
     {&EngineStats::archived_windows, "archived_windows",
@@ -101,8 +101,8 @@ void HhhEngine::Producer::flush() {
 void HhhEngine::Producer::flush_worker(std::uint32_t w) {
   auto& b = buf_[w];
   if (offered_local_ != 0) {
-    // order: relaxed -- monotonic counter; exact reads happen under quiesce
-    // (ctl_mu_ hand-off), approximate reads tolerate staleness.
+    // order: relaxed -- monotonic counter; exact reads happen after stop()
+    // (the joins), approximate reads tolerate staleness.
     offered_.fetch_add(offered_local_, std::memory_order_relaxed);
     offered_local_ = 0;
   }
@@ -140,7 +140,7 @@ void HhhEngine::Producer::flush_worker(std::uint32_t w) {
     // consumer is being joined.
     if (eng_->cfg_.overflow == OverflowPolicy::kDropTail ||
         !eng_->running_.load(std::memory_order_acquire)) {
-      // order: relaxed -- drop counter; summed exactly under quiesce only.
+      // order: relaxed -- drop counter; summed exactly after stop() only.
       lane.dropped.fetch_add(left, std::memory_order_relaxed);
       break;
     }
@@ -194,6 +194,7 @@ HhhEngine::HhhEngine(const EngineConfig& cfg)
     producers_.push_back(std::unique_ptr<Producer>(new Producer(this, p)));
   }
   last_cut_.assign(n_lanes, 0);
+  mark_.assign(n_lanes, 0);
   cut_ns_ = steady_ns();
   cut_wall_ns_ = wall_ns();
   // order: relaxed -- constructor runs single-threaded; thread creation in
@@ -231,8 +232,8 @@ void HhhEngine::bind_metrics() {
   obs_.batch_fill = &reg.histogram(
       "rhhh_engine_batch_fill",
       "records consumed per productive drain pass (batching efficacy)");
-  obs_.quiesce_ns = &reg.histogram(
-      "rhhh_engine_quiesce_ns", "trend_snapshot request->all-acked wait (ns)");
+  obs_.copy_ns = &reg.histogram("rhhh_engine_snapshot_copy_ns",
+                                "slowest shard's copy at a query's mark: its ingest pause (ns)");
   obs_.rotation_ns = &reg.histogram(
       "rhhh_engine_rotation_ns",
       "slowest shard's own rotation per cut: its ingest pause (ns)");
@@ -343,7 +344,7 @@ std::unique_ptr<RhhhSpaceSaving> HhhEngine::make_shard_lattice(
 
 void HhhEngine::start() {
   // snap_mu_ serializes all control ops (start/stop/snapshot/rotate) so a
-  // no-quiesce snapshot can never overlap freshly spawned workers.
+  // stopped engine's snapshot never overlaps freshly spawned workers.
   std::lock_guard<std::mutex> snap_lk(snap_mu_);
   // order: relaxed -- running_ is only written under snap_mu_ (held here),
   // so the flag cannot change between this check and the store below.
@@ -391,10 +392,6 @@ void HhhEngine::stop() {
   // shutdown must never read as a stall. Its thread never takes snap_mu_,
   // so the join under the lock cannot deadlock.
   if (watchdog_ != nullptr) watchdog_->stop();
-  {
-    std::lock_guard<std::mutex> lk(ctl_mu_);
-    ctl_cv_.notify_all();
-  }
   for (auto& ws : workers_) {
     if (ws->thread.joinable()) ws->thread.join();
   }
@@ -599,21 +596,31 @@ std::uint64_t HhhEngine::post_cuts(CutAt at) {
 
 std::size_t HhhEngine::drain(std::uint32_t w, std::vector<Key128>& batch, bool backlog) {
   WorkerState& ws = *workers_[w];
-  // The marks first, the announcement second (see post_cuts()): popping up
-  // to these marks never crosses a cut this drain has not loaded.
+  // The marks first, the announcements second (see post_cuts()): popping up
+  // to these marks never crosses a cut or snapshot mark not loaded.
   for (std::uint32_t p = 0; p < producers(); ++p) {
     // order: seq_cst -- the worker's mark half of the handshake.
     ws.marks[p] = lane(p, w).pushed.load(std::memory_order_seq_cst);
   }
-  // order: seq_cst -- the worker's announce half of the handshake.
-  if (ws.cut.empty() && cuts_announced_.load(std::memory_order_seq_cst) > ws.rotations) {
-    // The poster holds cut_mu_ from its announcement until the cut is in
-    // windows_, so the lock finds it.
+  // order: seq_cst x2 -- the worker's announce half, for cuts and for marks.
+  if ((ws.cut.empty() && cuts_announced_.load(std::memory_order_seq_cst) > ws.rotations) ||
+      (ws.mark.empty() && queries_.load(std::memory_order_seq_cst) > ws.queries)) {
+    // A poster holds cut_mu_ from its announcement until the cut (or the
+    // mark) is in place, so the lock finds it. A mark loads once this shard
+    // has rotated at every cut posted before it, with the cut after it.
     std::lock_guard<std::mutex> lk(cut_mu_);
-    const SealedWindow& next = *windows_[ws.rotations + 1 - windows_.front()->epoch];
-    ws.cut.resize(producers());
-    for (std::uint32_t p = 0; p < producers(); ++p) {
-      ws.cut[p] = next.cut[std::size_t{p} * workers() + w];
+    const auto column = [&](std::vector<std::uint64_t>& out, const auto& in) {
+      out.resize(producers());
+      for (std::uint32_t p = 0; p < producers(); ++p) out[p] = in[std::size_t{p} * workers() + w];
+    };
+    // order: relaxed x2 -- both move only under cut_mu_ (held).
+    if (ws.cut.empty() && cuts_announced_.load(std::memory_order_relaxed) > ws.rotations) {
+      column(ws.cut, windows_[ws.rotations + 1 - windows_.front()->epoch]->cut);
+    }
+    if (ws.mark.empty() && queries_.load(std::memory_order_relaxed) > ws.queries &&
+        ws.rotations == mark_cuts_) {
+      ws.queries += 1;  // one query at a time: it waits for every copy
+      column(ws.mark, mark_);
     }
   }
   RhhhSpaceSaving& lattice = ws.ring.live();
@@ -622,7 +629,11 @@ std::size_t HhhEngine::drain(std::uint32_t w, std::vector<Key128>& batch, bool b
     Lane& l = lane(p, w);
     // order: relaxed -- this thread is the lane's only popper.
     const std::uint64_t popped = l.popped.load(std::memory_order_relaxed);
-    const std::uint64_t end = ws.cut.empty() ? ws.marks[p] : std::min(ws.marks[p], ws.cut[p]);
+    // The cuts posted before the mark sit at or below it, the later ones
+    // at or above it, so the nearest of the two bounds the pop.
+    std::uint64_t end = ws.marks[p];
+    if (!ws.cut.empty()) end = std::min(end, ws.cut[p]);
+    if (!ws.mark.empty()) end = std::min(end, ws.mark[p]);
     std::uint64_t left = end - popped;
     if (!backlog) left = std::min<std::uint64_t>(left, batch.size());
     while (left != 0) {
@@ -638,7 +649,7 @@ std::size_t HhhEngine::drain(std::uint32_t w, std::vector<Key128>& batch, bool b
       // out of the rings and not yet consumed (the in-flight bound that
       // MetricsConservationUnderChaos checks).
       // order: relaxed x2 -- pop and consumed counters; record visibility
-      // came from the ring, and exact reads happen under quiesce only.
+      // came from the ring, and exact reads happen after stop() only.
       l.popped.fetch_add(n, std::memory_order_relaxed);
       ws.consumed.fetch_add(n, std::memory_order_relaxed);
       total += n;
@@ -646,6 +657,32 @@ std::size_t HhhEngine::drain(std::uint32_t w, std::vector<Key128>& batch, bool b
     }
   }
   return total;
+}
+
+bool HhhEngine::try_copy(std::uint32_t w) {
+  WorkerState& ws = *workers_[w];
+  if (ws.mark.empty()) return false;
+  for (std::uint32_t p = 0; p < producers(); ++p) {
+    // order: relaxed -- this thread is the lane's only popper.
+    if (lane(p, w).popped.load(std::memory_order_relaxed) != ws.mark[p]) return false;
+  }
+  // The rosters LatticeHhh::merge would feed Space-Saving's merge.
+  const std::int64_t t0 = steady_ns();
+  const RhhhSpaceSaving& live = ws.ring.live();
+  ws.entries.resize(live.H());
+  ws.rosters.resize(live.H());
+  for (std::uint32_t d = 0; d < live.H(); ++d) {
+    ws.rosters[d] = live.instance(d).roster(ws.entries[d]);
+  }
+  ws.copy_n = live.stream_length();
+  ws.copy_updates = live.updates_performed();
+  const auto ns = static_cast<std::uint64_t>(steady_ns() - t0);
+  ws.mark.clear();
+  std::lock_guard<std::mutex> lk(cut_mu_);
+  copy_ns_ = std::max(copy_ns_, ns);
+  ++copied_;
+  cut_cv_.notify_all();
+  return true;
 }
 
 bool HhhEngine::try_rotate(std::uint32_t w) {
@@ -667,7 +704,6 @@ bool HhhEngine::try_rotate(std::uint32_t w) {
   std::shared_ptr<SealedWindow> reuse;  // a wanted window whose slot this clears
   {
     std::lock_guard<std::mutex> lk(cut_mu_);
-    if (epoch > quiesce_gate_) return false;
     if (epoch > depth && windows_.front()->epoch == epoch - depth) {
       // Still retained: the first shard to reuse its slot evicts it. A
       // reader holding it gets its merge built (or waited for) first.
@@ -729,8 +765,7 @@ void HhhEngine::publish(const std::shared_ptr<SealedWindow>& w) {
   }
   {
     std::lock_guard<std::mutex> lk(cut_mu_);
-    w->wanted = queued;
-    win_drops_base_ += w->drops;
+    w->wanted = w->wanted || queued;  // a query may have wanted it already
     const std::size_t next = w->epoch + 1 - windows_.front()->epoch;
     // order: relaxed -- the watchdog's stale-tolerant mark.
     pending_cut_ns_.store(next < windows_.size() ? windows_[next]->posted_ns : 0,
@@ -739,7 +774,7 @@ void HhhEngine::publish(const std::shared_ptr<SealedWindow>& w) {
     // acquire loads: whoever sees window N published sees its shards sealed.
     window_epochs_.store(w->epoch, std::memory_order_release);
   }
-  pub_cv_.notify_all();
+  cut_cv_.notify_all();
 }
 
 void HhhEngine::sweep(std::uint64_t target, bool backlog, std::vector<Key128>& batch) {
@@ -758,13 +793,7 @@ void HhhEngine::sweep(std::uint64_t target, bool backlog, std::vector<Key128>& b
 }
 
 void HhhEngine::worker_loop(std::uint32_t w) {
-  WorkerState& ws = *workers_[w];
   std::vector<Key128> batch(pop_batch_);
-  // Requests up to the resume mark are over (one issued on a stopped engine
-  // waited for nobody); a later one still needs this worker's ack.
-  // order: relaxed -- the coordinator cannot move the mark past a request
-  // before this worker acks it.
-  std::uint64_t acked = epoch_resume_.load(std::memory_order_relaxed);
   for (;;) {
     // TEST HOOK (see test_block_worker): park while singled out. Costs the
     // production path one relaxed load + compare per drain pass.
@@ -784,36 +813,10 @@ void HhhEngine::worker_loop(std::uint32_t w) {
       // Batching efficacy: how full each productive pass ran.
       obs_.batch_fill->record(got);
     }
-    // At a cut on every lane: rotate this shard's ring, on this core.
+    // At the snapshot mark on every lane: copy the live shard for the
+    // query. At a cut on every lane: rotate this shard's ring, on this core.
+    const bool copied = try_copy(w);
     const bool rotated = try_rotate(w);
-    // order: acquire -- pairs with trend_snapshot()'s release store: a
-    // worker that sees the request also sees its gate.
-    const std::uint64_t e = epoch_req_.load(std::memory_order_acquire);
-    if (e > acked) {
-      // Quiesce: rotate through every cut posted before the request (the
-      // gate), drain the backlog visible up to the next cut, then ack and
-      // park until the coordinator is done with this shard's live lattice.
-      // The gate is written before the request and reset only after every
-      // ack, so it is stable here.
-      while (ws.rotations < quiesce_gate_) {
-        (void)drain(w, batch, /*backlog=*/true);
-        if (!try_rotate(w)) std::this_thread::yield();
-      }
-      (void)drain(w, batch, /*backlog=*/true);
-      std::unique_lock<std::mutex> lk(ctl_mu_);
-      ws.epoch_acked = e;
-      acked = e;
-      ctl_cv_.notify_all();
-      ctl_cv_.wait(lk, [&] {
-        // order: relaxed x2 -- both flags are checked under ctl_mu_, and
-        // their writers (trend_snapshot()'s resume, stop()) notify under
-        // the same mutex: the lock is the happens-before edge, not the
-        // atomics.
-        return epoch_resume_.load(std::memory_order_relaxed) >= e ||
-               !running_.load(std::memory_order_relaxed);
-      });
-      continue;
-    }
     // order: acquire -- pairs with stop()'s acq_rel exchange; observing
     // the stop must also observe any record a producer pushed before it
     // observed the stop (the final drain below must not miss them).
@@ -825,7 +828,7 @@ void HhhEngine::worker_loop(std::uint32_t w) {
       (void)drain(w, batch, /*backlog=*/true);
       return;
     }
-    if (got == 0 && !rotated) std::this_thread::yield();
+    if (got == 0 && !copied && !rotated) std::this_thread::yield();
   }
 }
 
@@ -838,9 +841,9 @@ EngineStats HhhEngine::stats() const {
   s.trend_sealed_merges = trend_sealed_merges_.load(std::memory_order_acquire);
   for (const Counter& c : kCounters) {
     // order: relaxed -- individually-consistent live counters; exactness
-    // comes only from reading under quiesce or after stop(), where a lock
-    // or join orders the writers. The archive trio is written by the
-    // archiver thread and matches the on-disk state after stop().
+    // comes only from reading after stop(), where the joins order the
+    // writers. The archive trio is written by the archiver thread and
+    // matches the on-disk state after stop().
     if (c.source == nullptr) continue;
     s.*c.field = (this->*c.source).load(std::memory_order_relaxed);
   }
@@ -869,15 +872,6 @@ EngineStats HhhEngine::stats() const {
   return s;
 }
 
-void HhhEngine::merge_shards(RhhhSpaceSaving& m,
-                             const std::vector<const RhhhSpaceSaving*>& shards,
-                             std::uint64_t drops) const {
-  for (const RhhhSpaceSaving* shard : shards) m.merge(*shard);
-  // A dropped record was still offered on the wire: fold the window's drops
-  // into N so thresholds and slack terms see the full window.
-  if (drops != 0) m.advance_stream(drops);
-}
-
 const std::shared_ptr<const RhhhSpaceSaving>& HhhEngine::merged(SealedWindow& w,
                                                                 bool* built) {
   std::call_once(w.merge_once, [&] {
@@ -885,7 +879,8 @@ const std::shared_ptr<const RhhhSpaceSaving>& HhhEngine::merged(SealedWindow& w,
     // the same network-wide window. Seeded by the window's own epoch, so
     // the bytes never depend on who merged it or when.
     auto m = make_shard_lattice(kSealedSalt ^ w.epoch);
-    merge_shards(*m, w.shards, w.drops);
+    for (const RhhhSpaceSaving* shard : w.shards) m->merge(*shard);
+    if (w.drops != 0) m->advance_stream(w.drops);  // as in trend_snapshot()
     w.lattice = std::move(m);
     w.shards.clear();  // no reader needs the ring slots again
     // order: release -- pairs with stats()'s acquire load (see there).
@@ -902,7 +897,7 @@ void HhhEngine::rotate_epoch() {
     // The workers rotate at the cut as they reach it; wait for the last.
     const std::uint64_t epoch = post_cuts(CutAt::kPushed);
     std::unique_lock<std::mutex> lk(cut_mu_);
-    pub_cv_.wait(lk, [&] {
+    cut_cv_.wait(lk, [&] {
       // order: relaxed -- stored under cut_mu_ (held while checked).
       return window_epochs_.load(std::memory_order_relaxed) >= epoch;
     });
@@ -918,90 +913,87 @@ void HhhEngine::rotate_epoch() {
 TrendSnapshot HhhEngine::trend_snapshot() {
   std::lock_guard<std::mutex> snap_lk(snap_mu_);
   const std::uint64_t obs_t0 = obs_.trend_ns != nullptr ? obs::now_ns() : 0;
-  // The live window is merged across shards under one quiesce, with the
-  // drops counted since the last published cut folded into its N and the
-  // ingest counters frozen at the same instant. Its lattice is built
-  // (allocated and zero-filled) before the pause, so the workers stay
-  // parked for the merge alone, and seeded by the quiesce generation
-  // (epoch_req_ only advances here, under snap_mu_).
-  // order: relaxed -- epoch_req_ only changes under snap_mu_ (held).
-  const std::uint64_t e = epoch_req_.load(std::memory_order_relaxed) + 1;
-  std::unique_ptr<RhhhSpaceSaving> live = make_shard_lattice(0x6e7a9000ULL ^ e);
-  // running_ only flips under snap_mu_ (held).
-  // order: acquire -- pairs with start()'s release store; a live engine's
-  // worker state is fully visible before we signal its workers.
+  // order: acquire -- pairs with start()'s release store (running_ only flips
+  // under snap_mu_, held): worker state is visible before we post a mark.
   const bool running = running_.load(std::memory_order_acquire);
-  const std::uint64_t quiesce_t0 = obs_.quiesce_ns != nullptr ? obs::now_ns() : 0;
-  if (running) {
-    {
-      // The gate goes up with the request, under cut_mu_ like every shard's
-      // decision to rotate: a shard either rotated at a cut posted before
-      // the gate, or sees the gate and stops there.
-      std::lock_guard<std::mutex> lk(cut_mu_);
-      // order: relaxed -- cuts_announced_ only moves under cut_mu_ (held).
-      quiesce_gate_ = cuts_announced_.load(std::memory_order_relaxed);
-      // order: release -- pairs with the workers' acquire load in
-      // worker_loop(): a worker that sees the request also sees its gate.
-      epoch_req_.store(e, std::memory_order_release);
-    }
-    std::unique_lock<std::mutex> lk(ctl_mu_);
-    ctl_cv_.wait(lk, [&] {
-      return std::all_of(workers_.begin(), workers_.end(),
-                         [&](const auto& ws) { return ws->epoch_acked >= e; });
-    });
-  } else {
-    // No workers (before start() or after stop()): the lattices are only
-    // mutated by their consumers, so operating directly is safe. The resume
-    // mark advances with the request, or workers started later would wait
-    // for a resume that already happened.
-    // order: relaxed x2 -- no workers exist to synchronize with; a later
-    // start() publishes these via thread creation.
-    epoch_req_.store(e, std::memory_order_relaxed);
-    epoch_resume_.store(e, std::memory_order_relaxed);
-  }
-  if (running && obs_.quiesce_ns != nullptr) {
-    const std::uint64_t now = obs::now_ns();
-    const std::uint64_t dur = now >= quiesce_t0 ? now - quiesce_t0 : 0;
-    obs_.quiesce_ns->record(dur);
-    obs_.trace->record(obs::TraceEvent::kQuiesce, static_cast<std::int64_t>(now), e, dur);
-  }
-  // Every shard now sits at the same cut, and every window before it is
-  // published. Marking the retained ones wanted keeps their slots until
-  // their merges below are built.
-  std::vector<const RhhhSpaceSaving*> shards;
-  shards.reserve(workers_.size());
-  for (const auto& ws : workers_) shards.push_back(&ws->ring.live());
-  EngineStats live_stats = stats();
-  std::uint64_t live_drops = 0;
+  // The live window runs from the newest cut to the mark posted here (on a
+  // stopped engine, from the newest published cut to what the shards
+  // consumed). The retained windows end at that cut, published or not:
+  // marking them wanted keeps their slots until their merges are built.
+  EngineStats live_stats;
   std::uint64_t we = 0;
+  std::uint64_t drops_base = 0;  // the drops of every window up to we
   std::vector<std::shared_ptr<SealedWindow>> retained;  // newest first
   {
     std::lock_guard<std::mutex> lk(cut_mu_);
-    // order: relaxed -- stored under cut_mu_ (held).
-    we = window_epochs_.load(std::memory_order_relaxed);
+    // order: seq_cst -- the announce half of post_cuts()' handshake, read
+    // before the marks: no worker pops past a mark it has not loaded.
+    queries_.fetch_add(1, std::memory_order_seq_cst);
+    live_stats = stats();  // the counters as the mark is posted
+    // order: relaxed x2 -- both move only under cut_mu_ (held).
+    we = running ? cuts_announced_.load(std::memory_order_relaxed)
+                 : window_epochs_.load(std::memory_order_relaxed);
+    if (running) {
+      for (std::size_t i = 0; i < lanes_.size(); ++i) {
+        // order: seq_cst -- the mark half of the handshake.
+        mark_[i] = lanes_[i]->pushed.load(std::memory_order_seq_cst);
+      }
+      mark_cuts_ = we;
+      copied_ = 0;
+      copy_ns_ = 0;
+    } else {
+      // No worker runs, so none copies: the query posts no mark.
+      for (const auto& ws : workers_) ws->queries = live_stats.epochs;
+    }
+    drops_base = cut_drops_;
     for (auto it = windows_.rbegin(); it != windows_.rend(); ++it) {
-      if ((*it)->epoch > we) continue;  // posted after the gate
+      if ((*it)->epoch > we) {  // not rotated at by every shard yet
+        drops_base -= (*it)->drops;
+        continue;
+      }
+      if ((*it)->epoch + cfg_.history_depth <= we) break;  // evicted by then
       (*it)->wanted = true;
       retained.push_back(*it);
     }
-    live_drops = live_stats.dropped - win_drops_base_;
-    quiesce_gate_ = ~std::uint64_t{0};
   }
-  merge_shards(*live, shards, live_drops);
+  const std::uint64_t e = live_stats.epochs;
+  const std::uint64_t live_drops = live_stats.dropped - drops_base;
+  // Seeded by the query's number (queries_ only advances here).
+  std::unique_ptr<RhhhSpaceSaving> live = make_shard_lattice(0x6e7a9000ULL ^ e);
   if (running) {
-    // Workers park inside ctl_cv_.wait, so the merge above happens-before
-    // their wakeup via this mutex hand-off.
-    // order: relaxed -- written and read under ctl_mu_; the mutex is the
-    // happens-before edge, not the atomic.
-    std::lock_guard<std::mutex> lk(ctl_mu_);
-    epoch_resume_.store(e, std::memory_order_relaxed);
-    ctl_cv_.notify_all();
+    std::unique_lock<std::mutex> lk(cut_mu_);
+    cut_cv_.wait(lk, [&] { return copied_ == workers(); });
+    lk.unlock();
+    // Every shard popped exactly to the mark.
+    live_stats.per_ring_pushed = mark_;
+    live_stats.per_ring_popped = mark_;
+    live_stats.consumed = 0;
+    for (std::uint32_t w = 0; w < workers(); ++w) {
+      const WorkerState& ws = *workers_[w];
+      std::uint64_t& consumed = live_stats.per_worker_consumed[w] = 0;
+      for (std::uint32_t p = 0; p < producers(); ++p) consumed += mark_[p * workers_.size() + w];
+      live_stats.consumed += consumed;
+      // Byte for byte what LatticeHhh::merge does with the shard itself.
+      for (std::uint32_t d = 0; d < live->H(); ++d) live->merge_node(d, ws.rosters[d]);
+      live->restore_stream(live->stream_length() + ws.copy_n,
+                           live->updates_performed() + ws.copy_updates);
+    }
+    if (obs_.copy_ns != nullptr) {
+      obs_.copy_ns->record(copy_ns_);
+      obs_.trace->record(obs::TraceEvent::kCopy, static_cast<std::int64_t>(obs::now_ns()), e,
+                         copy_ns_);
+    }
+  } else {
+    for (const auto& ws : workers_) live->merge(ws->ring.live());
   }
-  // The sealed merges run after the workers resumed: a shard reusing a
-  // retained window's slot first waits for (or runs) its merge. Each sealed
-  // window is merged once, by the first query, the archiver or that shard,
-  // so a poller querying once per window pays at most one W-shard merge per
-  // epoch and repeated polls between cuts pay the live merge only.
+  // A dropped record was still offered on the wire: fold the window's drops
+  // into N so thresholds and slack terms see the full window.
+  if (live_drops != 0) live->advance_stream(live_drops);
+  // A shard reusing a retained window's slot first waits for (or runs) its
+  // merge. Each sealed window is merged once, by the first query, the
+  // archiver or that shard, so a poller querying once per window pays at
+  // most one W-shard merge per epoch and repeated polls between cuts pay
+  // the live merge only.
   std::vector<std::shared_ptr<const RhhhSpaceSaving>> sealed;
   std::vector<std::uint64_t> sealed_drops;
   sealed.reserve(retained.size());

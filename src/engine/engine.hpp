@@ -4,11 +4,11 @@
 // summaries" design, applied to RHHH):
 //
 //   producer 0 ──ring──▶ worker 0 [LatticeHhh shard]
-//      │    └───ring──▶ worker 1 [LatticeHhh shard]   trend_snapshot(): quiesce
-//   producer 1 ──ring──▶ worker 0         │           ─▶ every worker, then
-//      │    └───ring──▶ worker 1 ─────────┘              LatticeHhh::merge all
-//      ⋮                    ⋮                             shards, answer
-//                                                        network-wide queries
+//      │    └───ring──▶ worker 1 [LatticeHhh shard]   trend_snapshot(): every
+//   producer 1 ──ring──▶ worker 0         │           ─▶ worker copies its shard
+//      │    └───ring──▶ worker 1 ─────────┘              at a mark, the query
+//      ⋮                    ⋮                             merges the copies and
+//                                                        answers network-wide
 //
 // M producer threads fan packets across W worker shards. Every producer ×
 // worker pair owns a dedicated lane (an SpscRing plus its push/pop/drop
@@ -30,11 +30,10 @@
 // epoch_packets budget, or by rotate_epoch(); a caller that wants time
 // windows calls rotate_epoch() from its own timer.
 //
-// trend_snapshot() is the one operation that quiesces: workers first rotate
-// through every cut posted before the request, drain their visible
-// backlog, and park; the coordinator merges the live shard lattices
-// (LatticeHhh::merge, the multi-switch collector of paper Section 7) into
-// the current window and resumes them. Every retained sealed window is
+// trend_snapshot() posts a snapshot mark like a cut, sealing nothing: each
+// worker copies its live shard there and keeps ingesting, and the query
+// merges the W copies (the multi-switch collector of paper Section 7) into
+// the current window. Every retained sealed window is
 // merged index-aligned across shards (ring slot i of every shard covers
 // the same cut-to-cut window) into one network-wide lattice per epoch, once,
 // each window's drops folded into its N. Without cuts this is the lifetime
@@ -135,7 +134,7 @@ class HhhEngine {
     [[nodiscard]] std::uint64_t offered() const noexcept {
       // order: relaxed -- monotonic counter; cross-thread reads want a recent
       // value, not ordering against other memory. Exact totals come from
-      // stats() under quiesce, where ctl_mu_ provides the happens-before.
+      // stats() after stop(), where the joins provide the happens-before.
       return offered_.load(std::memory_order_relaxed);
     }
 
@@ -182,24 +181,20 @@ class HhhEngine {
   /// every cut either way).
   void rotate_epoch();
 
-  /// The engine's network-wide query: quiesce every worker (each first
-  /// rotates through every cut posted before the request, then drains its
-  /// visible backlog up to the next cut), merge the live shard lattices
-  /// into the current window, resume; every retained sealed window is
-  /// merged across shards index-aligned (every shard rotates at the same
-  /// cuts, so age i covers the same window on every shard) at most once --
-  /// by this query, an earlier one, the archiver or the worker that reuses
-  /// its slot -- and then shared. Each window's own drops are folded into
-  /// its stream length. Packets still buffered in producer handles (not
-  /// flushed) are not yet part of it. An engine that never rotated has no
-  /// sealed windows, so the query costs one live merge and current() is
-  /// the lifetime view. Does NOT rotate -- observing is separate from
-  /// sealing, so several queries can watch one window evolve. Serialized
-  /// with itself and with start()/stop()/rotate_epoch(); callable before
-  /// start() and after stop() (no quiesce needed once workers are gone).
+  /// The engine's network-wide query: post a snapshot mark and merge the
+  /// live shard copies the workers take there (a stopped engine: the shards)
+  /// into the current window; merge every retained sealed window across
+  /// shards index-aligned (every shard rotates at the same cuts) at most
+  /// once -- by this query, an earlier one, the archiver or the worker
+  /// reusing its slot -- and share it. Each window's drops are folded into
+  /// its N; packets still buffered in producer handles are not part of it.
+  /// Without rotations there are no sealed windows and current() is the
+  /// lifetime view. Does NOT rotate, so several queries can watch one window
+  /// evolve. Serialized with itself and start()/stop()/rotate_epoch();
+  /// callable before start() and after stop().
   [[nodiscard]] TrendSnapshot trend_snapshot();
 
-  /// Live ingest counters (no quiesce; individually-consistent atomics).
+  /// Live ingest counters (individually-consistent atomics).
   [[nodiscard]] EngineStats stats() const;
 
   [[nodiscard]] std::uint32_t workers() const noexcept {
@@ -210,11 +205,11 @@ class HhhEngine {
   }
   [[nodiscard]] const Hierarchy& hierarchy() const noexcept { return *hierarchy_; }
   [[nodiscard]] const EngineConfig& config() const noexcept { return cfg_; }
-  /// Quiesce generations so far (one per trend_snapshot()).
+  /// trend_snapshot() calls so far.
   [[nodiscard]] std::uint64_t epochs() const noexcept {
     // order: relaxed -- monotonic counter read for display/tests; no payload
     // is synchronized through it.
-    return epoch_req_.load(std::memory_order_relaxed);
+    return queries_.load(std::memory_order_relaxed);
   }
   /// Completed window rotations so far. Safe to poll from any thread (the
   /// detection loops of the demo/bench watch this for new sealed windows).
@@ -227,13 +222,13 @@ class HhhEngine {
   /// True when the packet budget (the producers' window clock) is configured.
   [[nodiscard]] bool windowed() const noexcept { return cfg_.epoch_packets > 0; }
   /// The live (current-window) shard lattice of worker `w`. Safe to inspect
-  /// when quiescent (before start(), after stop(), or from test code that
-  /// knows better); every shard has then rotated at the same cuts.
+  /// while no worker runs (before start(), after stop(), or from test code
+  /// that knows better); every shard has then rotated at the same cuts.
   [[nodiscard]] const RhhhSpaceSaving& shard(std::uint32_t w) const noexcept {
     return workers_[w]->ring.live();
   }
   /// The sealed shard lattice of worker `w` from `age` epochs back (0 =
-  /// newest). Requires age < shard_sealed_windows(). Same quiescence caveat.
+  /// newest). Requires age < shard_sealed_windows(). Same caveat.
   [[nodiscard]] const RhhhSpaceSaving& shard_sealed(std::uint32_t w,
                                                     std::size_t age) const noexcept {
     return workers_[w]->ring.sealed(age);
@@ -254,7 +249,7 @@ class HhhEngine {
     return watchdog_.get();
   }
   /// TEST HOOK: park worker `w`'s loop (it stops consuming, rotating and
-  /// acking until unblocked or the engine stops) -- the deliberate stall the
+  /// copying until unblocked or the engine stops) -- the deliberate stall the
   /// watchdog acceptance test injects. Never use outside tests: a blocked
   /// worker deadlocks trend_snapshot() and a running rotate_epoch().
   void test_block_worker(std::uint32_t w) noexcept {
@@ -272,11 +267,16 @@ class HhhEngine {
   struct WorkerState {
     WindowRing<RhhhSpaceSaving> ring;  ///< live + K sealed window lattices
     std::thread thread;
-    std::uint64_t epoch_acked = 0;  ///< guarded by ctl_mu_
     // Owned by the shard's consumer (its worker, or a sweeping thread).
     std::uint64_t rotations = 0;       ///< cuts this shard has rotated at
     std::vector<std::uint64_t> cut;    ///< [producer] pending cut (empty: none loaded)
+    std::uint64_t queries = 0;         ///< queries it loaded the mark of, or ran stopped
+    std::vector<std::uint64_t> mark;   ///< [producer] pending snapshot mark (empty: none)
     std::vector<std::uint64_t> marks;  ///< [producer] drain() scratch
+    std::vector<std::vector<HhEntry<Key128>>> entries;  ///< [node] copy at the mark
+    std::vector<Roster<Key128>> rosters;                ///< [node], over entries
+    std::uint64_t copy_n = 0;        ///< N
+    std::uint64_t copy_updates = 0;  ///< counter increments
     alignas(kCacheLine) std::atomic<std::uint64_t> consumed{0};
   };
   /// One producer x worker ring and its conservation counters. The
@@ -315,24 +315,21 @@ class HhhEngine {
   }
   [[nodiscard]] std::unique_ptr<RhhhSpaceSaving> make_shard_lattice(
       std::uint64_t salt) const;
-  /// `shards` merged in worker order into `m`, a fresh lattice from
-  /// make_shard_lattice(), and `drops` folded into its N: the live window
-  /// of trend_snapshot() and every sealed window's merge.
-  void merge_shards(RhhhSpaceSaving& m,
-                    const std::vector<const RhhhSpaceSaving*>& shards,
-                    std::uint64_t drops) const;
   void worker_loop(std::uint32_t w);
   /// The engine's one drain: consume from each of shard w's M lanes into
-  /// its live lattice, never past its pending cut nor the pushed marks read
-  /// at entry -- one batch per lane (a regular pass), or with `backlog` all
-  /// of it (quiesce, shutdown, sweep: bounded while producers keep
-  /// pushing). Returns the records consumed.
+  /// its live lattice, never past its pending cut, its pending snapshot
+  /// mark nor the pushed marks read at entry -- one batch per lane (a
+  /// regular pass), or with `backlog` all of it (shutdown, sweep: bounded
+  /// while producers keep pushing). Returns the records consumed.
   std::size_t drain(std::uint32_t w, std::vector<Key128>& batch, bool backlog);
+  /// Copy shard w's live lattice once it popped to its pending mark on every
+  /// lane; called before try_rotate(), so a cut at the mark rotates after.
+  bool try_copy(std::uint32_t w);
   /// Rotate shard w's ring at its pending cut once it has popped up to it
-  /// on every lane, within the quiesce gate, and the slot it reuses is
-  /// free: that window published (else this shard is history_depth windows
-  /// ahead: retry later) and merged first if a reader wants it. The last
-  /// shard to rotate at a cut publishes the window. True when it rotated.
+  /// on every lane and the slot it reuses is free: that window published
+  /// (else this shard is history_depth windows ahead: retry later) and
+  /// merged first if a reader wants it. The last shard to rotate at a cut
+  /// publishes the window. True when it rotated.
   bool try_rotate(std::uint32_t w);
   /// Rotate every shard through cut `target` from this thread (no workers
   /// run), round-robin so no shard waits on one that never runs; with
@@ -370,8 +367,8 @@ class HhhEngine {
     std::once_flag merge_once;
     std::shared_ptr<const RhhhSpaceSaving> lattice;  ///< set by merged()
   };
-  /// The window's cross-shard merge, built on first use by merge_shards()
-  /// seeded kSealedSalt ^ epoch; it clears `shards`. Concurrent callers
+  /// The window's cross-shard merge in worker order, drops folded into N,
+  /// built on first use seeded kSealedSalt ^ epoch; it clears `shards`. Concurrent callers
   /// wait for the one build, which bumps trend_sealed_merges_ and sets
   /// *built (left alone otherwise).
   const std::shared_ptr<const RhhhSpaceSaving>& merged(SealedWindow& w,
@@ -412,17 +409,13 @@ class HhhEngine {
   std::vector<std::unique_ptr<Producer>> producers_;
 
   std::atomic<bool> running_{false};
-  std::atomic<std::uint64_t> epoch_req_{0};
-  std::atomic<std::uint64_t> epoch_resume_{0};
-  std::mutex ctl_mu_;               ///< guards epoch_acked + the cv below
-  std::condition_variable ctl_cv_;
   std::mutex snap_mu_;  ///< serializes snapshot/rotate_epoch/start/stop
 
-  // Cuts and windows: the plain members below are under cut_mu_, which
-  // posters, rotating shards, queries and publication take briefly, never
-  // across a merge, a clear or a wait.
+  // Cuts, marks and windows: the plain members below are under cut_mu_,
+  // which posters, rotating and copying shards, queries and publication
+  // take briefly, never across a merge, a clear or a wait.
   std::mutex cut_mu_;
-  std::condition_variable pub_cv_;  ///< window_epochs_ advanced
+  std::condition_variable cut_cv_;  ///< a window published, or a shard copied
   /// Retained published windows (oldest first, at most history_depth),
   /// then the posted ones not every shard has rotated at yet.
   std::deque<std::shared_ptr<SealedWindow>> windows_;
@@ -430,11 +423,13 @@ class HhhEngine {
   std::uint64_t cut_drops_ = 0;          ///< total drops at the newest cut
   std::int64_t cut_ns_ = 0;              ///< its steady clock
   std::int64_t cut_wall_ns_ = 0;         ///< its system clock
-  std::uint64_t win_drops_base_ = 0;     ///< drops of every published window
-  /// Pending trend_snapshot(): no shard rotates past this cut.
-  std::uint64_t quiesce_gate_ = ~std::uint64_t{0};
+  std::vector<std::uint64_t> mark_;      ///< [p * W + w] Lane::pushed at the mark
+  std::uint64_t mark_cuts_ = 0;          ///< cuts posted before the mark
+  std::uint32_t copied_ = 0;             ///< shards that copied at the mark
+  std::uint64_t copy_ns_ = 0;            ///< the slowest copy: the query's pause
   /// Cuts posted (= the newest cut's epoch); see post_cuts().
   alignas(kCacheLine) std::atomic<std::uint64_t> cuts_announced_{0};
+  std::atomic<std::uint64_t> queries_{0};  ///< trend_snapshot() calls: announces marks
   /// The current window's packet budget: spent by every landed push,
   /// topped up by each cut's length; <= 0 means a cut is owed.
   alignas(kCacheLine) std::atomic<std::int64_t> epoch_budget_left_{0};
@@ -476,7 +471,7 @@ class HhhEngine {
     obs::Histogram* push_ns = nullptr;        ///< producer batch push latency
     obs::Histogram* pop_ns = nullptr;         ///< worker drain-pass latency
     obs::Histogram* batch_fill = nullptr;     ///< records consumed per drain pass
-    obs::Histogram* quiesce_ns = nullptr;     ///< request -> all-acked wait
+    obs::Histogram* copy_ns = nullptr;        ///< slowest shard copy per query
     obs::Histogram* rotation_ns = nullptr;    ///< slowest shard rotation per cut
     obs::Histogram* rotation_drift_ns = nullptr;  ///< cut posted -> last shard
     obs::Histogram* trend_ns = nullptr;       ///< trend_snapshot merge time

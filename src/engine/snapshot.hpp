@@ -1,5 +1,5 @@
 // TrendSnapshot: the result of HhhEngine::trend_snapshot(), the engine's
-// one network-wide query, taken by quiescing the shards at a cut.
+// one network-wide query, taken at a snapshot mark while the shards ingest.
 //
 // It holds the current (live, partial) window merged across every shard,
 // plus every retained sealed window merged index-aligned (all shards
@@ -23,13 +23,14 @@
 
 namespace rhhh {
 
-/// Ingest accounting, frozen per snapshot (and exposed live by the engine).
+/// Ingest accounting, frozen per snapshot (and exposed live by the engine);
+/// a running engine's snapshot reads it at its mark, where pushed = popped.
 struct EngineStats {
   std::uint64_t offered = 0;    ///< packets handed to any producer handle
   std::uint64_t consumed = 0;   ///< packets applied to some shard lattice
   std::uint64_t dropped = 0;    ///< ring-full drops on the lossy offer() path
   std::uint64_t backpressure_waits = 0;  ///< full-ring retry rounds of push()
-  std::uint64_t epochs = 0;     ///< quiesce generations (trend_snapshot calls)
+  std::uint64_t epochs = 0;     ///< trend_snapshot() calls, this one included
   std::uint64_t window_epochs = 0;  ///< completed window rotations
   std::uint64_t archived_windows = 0;  ///< sealed windows persisted to the store
   /// Sealed windows lost because the archiver queue was full (publication

@@ -174,11 +174,18 @@ class SpaceSaving {
 
   [[nodiscard]] std::vector<HhEntry<Key>> entries() const {
     std::vector<HhEntry<Key>> out;
-    out.reserve(size_);
-    for_each([&](const Key& k, std::uint64_t up, std::uint64_t lo) {
-      out.push_back(HhEntry<Key>{k, up, lo});
-    });
+    (void)roster(out);
     return out;
+  }
+
+  /// This summary in merge(const Roster&) form, its entries() in `buf`.
+  Roster<Key> roster(std::vector<HhEntry<Key>>& buf) const {
+    buf.clear();
+    buf.reserve(size_);
+    for_each([&](const Key& k, std::uint64_t up, std::uint64_t lo) {
+      buf.push_back(HhEntry<Key>{k, up, lo});
+    });
+    return Roster<Key>{buf, total_, evictions_, cap_};
   }
 
   /// Tracked keys whose upper bound meets `threshold` (superset of the true
@@ -208,8 +215,8 @@ class SpaceSaving {
 
   /// Merge another summary into this one; see merge(const Roster&).
   void merge(const SpaceSaving& other) {
-    const std::vector<HhEntry<Key>> entries = other.entries();
-    merge(Roster<Key>{entries, other.total_, other.evictions_, other.cap_});
+    std::vector<HhEntry<Key>> buf;
+    merge(other.roster(buf));
   }
 
   /// Merge a summary given in flat form into this one (mergeable-summaries

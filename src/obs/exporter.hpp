@@ -16,7 +16,7 @@
 // One background thread, poll()-based accept with a short timeout so
 // stop() converges quickly, one request per connection (Connection:
 // close). Scrapes only read registry atomics -- a live engine keeps
-// ingesting at full rate while being scraped (no quiesce, no engine
+// ingesting at full rate while being scraped (no query, no engine
 // locks).
 #pragma once
 

@@ -1,5 +1,5 @@
 // TraceRing: a bounded, multi-producer event ring for control-plane
-// milestones (rotation, quiesce, seal, archive, segment roll, compaction,
+// milestones (rotation, snapshot copy, seal, archive, segment roll, compaction,
 // scrape, stall). Every writer is control-plane -- the engine, the archive,
 // the watchdog and the exporter, a few events per window -- so one mutex
 // guards a ring of plain TraceRecord slots: record() stamps the next
@@ -18,8 +18,8 @@ namespace rhhh::obs {
 
 enum class TraceEvent : std::uint8_t {
   kRotate = 0,     // arg0 = sealed epoch, arg1 = rotation duration ns
-  kQuiesce,        // arg0 = epoch, arg1 = wait-for-ack duration ns
-  kSnapshot,       // arg0 = epoch, arg1 = merge duration ns
+  kCopy,           // arg0 = query, arg1 = slowest shard's copy at its mark ns
+  kSnapshot,       // arg0 = query, arg1 = merge duration ns
   kSeal,           // arg0 = sealed epoch, arg1 = window live duration ns
   kArchive,        // arg0 = archived epoch, arg1 = append duration ns
   kArchiveDrop,    // arg0 = dropped epoch (bounded queue full)
@@ -33,7 +33,7 @@ enum class TraceEvent : std::uint8_t {
 [[nodiscard]] constexpr const char* to_string(TraceEvent e) noexcept {
   switch (e) {
     case TraceEvent::kRotate: return "rotate";
-    case TraceEvent::kQuiesce: return "quiesce";
+    case TraceEvent::kCopy: return "copy";
     case TraceEvent::kSnapshot: return "snapshot";
     case TraceEvent::kSeal: return "seal";
     case TraceEvent::kArchive: return "archive";

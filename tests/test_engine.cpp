@@ -1107,6 +1107,12 @@ TEST(WindowedEngine, SpentBudgetRotatesWithNoFurtherTraffic) {
 // byte for byte: rosters, N and updates. The producer batches per worker,
 // so push order differs from ingest order; the replay batches the same
 // way. The epoch is no multiple of the batch, so cuts fall mid-batch.
+//
+// Queries taken while the producer runs are pinned the same way: a
+// snapshot's frozen per_ring_popped is its mark, so replaying each
+// substream up to the mark (rotating at the snapshot's window_epochs()
+// cuts) and merging the replayed live shards in worker order, seeded like
+// the query, must give its current window byte for byte.
 TEST(WindowedEngine, CutsReproduceReplayedShardRingsByteForByte) {
   constexpr std::uint64_t kEpoch = 1'000;
   constexpr std::size_t kRecords = 7'500;
@@ -1130,11 +1136,40 @@ TEST(WindowedEngine, CutsReproduceReplayedShardRingsByteForByte) {
                                        static_cast<std::uint32_t>(rng())));
     }
     eng.start();
+    // The poller queries back to back while the producer pushes; at three
+    // points the producer waits for one more query, so at least three land
+    // mid-stream.
+    constexpr std::size_t kMaxPolls = 200;
+    std::atomic<bool> quit{false};
+    std::atomic<std::size_t> polls{0};
+    std::vector<TrendSnapshot> polled;
+    std::thread poller([&] {
+      // order: acquire -- pairs with the release store below.
+      while (!quit.load(std::memory_order_acquire) && polled.size() < kMaxPolls) {
+        polled.push_back(eng.trend_snapshot());
+        // order: release -- the producer only counts polls; the join
+        // publishes the snapshots.
+        polls.store(polled.size(), std::memory_order_release);
+      }
+    });
     HhhEngine::Producer& prod = eng.producer(0);
-    for (const Key128& k : keys) prod.ingest(k);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      prod.ingest(keys[i]);
+      if ((i + 1) % (kRecords / 4) == 0 && i + 1 < kRecords) {
+        // order: acquire -- a count only; see the poller.
+        const std::size_t seen = polls.load(std::memory_order_acquire);
+        while (polls.load(std::memory_order_acquire) == seen && seen < kMaxPolls) {
+          std::this_thread::yield();
+        }
+      }
+    }
     prod.flush();
+    // order: release -- the poller's exit flag.
+    quit.store(true, std::memory_order_release);
+    poller.join();
     eng.stop();
     ASSERT_EQ(eng.window_epochs(), kRecords / kEpoch);
+    ASSERT_GE(polled.size(), 3u);
 
     // The producer's push order: per-worker batches, flushed when full and
     // by flush() in worker order.
@@ -1178,6 +1213,39 @@ TEST(WindowedEngine, CutsReproduceReplayedShardRingsByteForByte) {
         EXPECT_EQ(bytes(eng.shard_sealed(w, age)), bytes(rings[w].sealed(age)))
             << "worker " << w << " age " << age;
       }
+    }
+
+    for (const TrendSnapshot& tr : polled) {
+      const std::vector<std::uint64_t>& mark = tr.stats().per_ring_popped;  // P = 1
+      ASSERT_EQ(mark.size(), workers);
+      std::vector<WindowRing<RhhhSpaceSaving>> at_mark;
+      for (std::uint32_t w = 0; w < workers; ++w) {
+        at_mark.emplace_back(cfg.history_depth, [&, w](std::size_t slot) {
+          LatticeParams p = lp;
+          p.seed = mix64(lp.seed ^ (0x5eed0000ULL + 0x2000ULL * slot + w));
+          return std::make_unique<RhhhSpaceSaving>(eng.hierarchy(), mode, p);
+        });
+      }
+      std::vector<std::uint64_t> fed(workers, 0);
+      std::uint64_t cuts = 0;
+      for (std::size_t i = 0; i < pushed.size(); ++i) {
+        const std::uint32_t w = pushed[i].first;
+        if (fed[w] < mark[w]) {
+          at_mark[w].live().update(pushed[i].second);
+          ++fed[w];
+        }
+        if ((i + 1) % kEpoch == 0 && cuts < tr.window_epochs()) {
+          for (auto& r : at_mark) r.rotate();
+          ++cuts;
+        }
+      }
+      ASSERT_EQ(fed, mark) << "query " << tr.stats().epochs;
+      LatticeParams qp = lp;
+      qp.seed = mix64(lp.seed ^ (0x6e7a9000ULL ^ tr.stats().epochs));
+      RhhhSpaceSaving merged(eng.hierarchy(), mode, qp);
+      for (const auto& r : at_mark) merged.merge(r.live());
+      EXPECT_EQ(bytes(tr.current_algorithm()), bytes(merged))
+          << "query " << tr.stats().epochs << " at " << tr.window_epochs() << " cuts";
     }
   }
 }

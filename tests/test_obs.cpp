@@ -215,7 +215,7 @@ TEST(ObsTraceRing, DumpIsSeqOrderedAndWrapKeepsNewest) {
 
 TEST(ObsTraceRing, ToStringCoversEveryEvent) {
   EXPECT_STREQ(to_string(TraceEvent::kRotate), "rotate");
-  EXPECT_STREQ(to_string(TraceEvent::kQuiesce), "quiesce");
+  EXPECT_STREQ(to_string(TraceEvent::kCopy), "copy");
   EXPECT_STREQ(to_string(TraceEvent::kSeal), "seal");
   EXPECT_STREQ(to_string(TraceEvent::kArchive), "archive");
   EXPECT_STREQ(to_string(TraceEvent::kArchiveDrop), "archive_drop");

@@ -183,11 +183,10 @@ void expect_matches_recompute(const HhhEngine& eng, const RhhhSpaceSaving& merge
 }
 
 // Rotations, queries and lock-free stats polls interleaved with live
-// producers: the quiesce protocol (epoch_req_/epoch_acked/epoch_resume_)
-// and the rotation bookkeeping under maximum contention. Between its
-// rotations the rotator queries (or skips, so the next query lags) and
-// checks every cached sealed merge against a recompute, while the
-// snapshotter races it for the cache.
+// producers: snapshot marks racing cuts, and the rotation bookkeeping,
+// under maximum contention. Between its rotations the rotator queries (or
+// skips, so the next query lags) and checks every cached sealed merge
+// against a recompute, while the snapshotter races it for the cache.
 TEST(ScheduleStress, RotateVsSnapshotChaos) {
   EngineConfig cfg = small_engine(2, 2);
   cfg.history_depth = 3;
@@ -816,30 +815,42 @@ TEST(ScheduleStress, BudgetCutsSurviveEngineStop) {
   EXPECT_GT(windows, 0u) << "no round lasted a full budget";
 }
 
-// Cut safety with every reader racing the rotating shards: two producers,
-// four workers, a small epoch, a poller quiescing back to back and the
-// archiver merging, at history depth 1 (each shard reuses the previous
-// window's slot, so it must wait for or build that window's merge) and 4,
-// lossless and drop-tail. At every snapshot: the windows so far add up to
-// the frozen consumed + dropped (the live merge never mixes two windows),
-// and every retained window spent a full budget; after stop(), every
-// polled sealed window equals its archived copy byte for byte (no shard
-// cleared a slot a merge still read), and the live window holds less than
-// one budget (no cut was lost).
+// Cut safety with every reader racing the rotating shards: four workers,
+// a small epoch, a poller querying back to back and the archiver merging,
+// at history depth 1 (each shard reuses the previous window's slot, so it
+// must wait for or build that window's merge) and 4, lossless and
+// drop-tail. The last round has one producer and an epoch of two batches,
+// so a window often holds one batch for each of two shards and a query's
+// mark falls between them: the cut posted next then sits exactly at the
+// mark on the first shard's lane, and a shard that rotated there before
+// copying would drop its live records from the merge. (With an epoch of
+// one batch, the shard a cut lands on at the mark holds no live records,
+// so that mistake would go unseen.) At every snapshot: the windows so far
+// add up to the frozen consumed + dropped (the live merge never mixes two
+// windows), and every retained window spent a full budget; after stop(),
+// every polled sealed window equals its archived copy byte for byte (no
+// shard cleared a slot a merge still read), and the live window holds
+// less than one budget (no cut was lost).
 TEST(ScheduleStress, CutsNeverMixWindowsNorClearSlotsInUse) {
   struct Round {
     std::size_t depth;
     OverflowPolicy overflow;
+    std::uint32_t producers;
+    std::uint64_t epoch;
+    std::uint64_t records;  ///< per producer; the archive queue holds every window
   };
-  for (const Round round : {Round{1, OverflowPolicy::kBlock},
-                            Round{4, OverflowPolicy::kBlock},
-                            Round{1, OverflowPolicy::kDropTail}}) {
+  for (const Round round : {Round{1, OverflowPolicy::kBlock, 2, 2'000, 30'000},
+                            Round{4, OverflowPolicy::kBlock, 2, 2'000, 30'000},
+                            Round{1, OverflowPolicy::kDropTail, 2, 2'000, 30'000},
+                            Round{1, OverflowPolicy::kBlock, 1, 32, 8'000}}) {
     SCOPED_TRACE(::testing::Message() << "depth " << round.depth << " "
-                                      << to_string(round.overflow));
+                                      << to_string(round.overflow) << " P="
+                                      << round.producers << " epoch " << round.epoch);
     TempDir dir("cuts_" + std::to_string(round.depth) +
-                std::string(to_string(round.overflow)));
-    constexpr std::uint64_t kEpoch = 2'000;
-    EngineConfig cfg = small_engine(/*workers=*/4, /*producers=*/2);
+                std::string(to_string(round.overflow)) + "_" +
+                std::to_string(round.epoch));
+    const std::uint64_t kEpoch = round.epoch;
+    EngineConfig cfg = small_engine(/*workers=*/4, round.producers);
     cfg.overflow = round.overflow;
     cfg.epoch_packets = kEpoch;
     cfg.history_depth = round.depth;
@@ -849,8 +860,8 @@ TEST(ScheduleStress, CutsNeverMixWindowsNorClearSlotsInUse) {
     eng.start();
 
     std::vector<std::thread> producers;
-    for (std::uint32_t p = 0; p < 2; ++p) {
-      producers.emplace_back([&, p] { ingest_stream(eng, p, 30'000, 40 + p); });
+    for (std::uint32_t p = 0; p < round.producers; ++p) {
+      producers.emplace_back([&, p] { ingest_stream(eng, p, round.records, 40 + p); });
     }
     std::atomic<bool> done{false};
     std::vector<TrendSnapshot> polled;
